@@ -49,7 +49,7 @@ def _random_pair(rng: random.Random, max_len: int,
     return SeqPair("".join(v), "".join(w))
 
 
-def suite_paper_values(memo: Optional[MemoTable] = None, **_: object) -> List[CheckResult]:
+def suite_paper_values(memo: Optional[MemoTable] = None) -> List[CheckResult]:
     memo = memo or MemoTable()
     out: List[CheckResult] = []
 
@@ -83,7 +83,7 @@ def suite_paper_values(memo: Optional[MemoTable] = None, **_: object) -> List[Ch
 
 def suite_symmetry(length: int = 10, seed: int = 0, random_count: int = 200,
                    random_max_len: int = 16,
-                   memo: Optional[MemoTable] = None, **_: object) -> List[CheckResult]:
+                   memo: Optional[MemoTable] = None) -> List[CheckResult]:
     memo = memo or MemoTable()
     out: List[CheckResult] = []
     bad = 0
@@ -114,7 +114,7 @@ def suite_symmetry(length: int = 10, seed: int = 0, random_count: int = 200,
 
 
 def suite_positivity(length: int = 6, depth: int = 12, torus_max: int = 6,
-                     memo: Optional[MemoTable] = None, **_: object) -> List[CheckResult]:
+                     memo: Optional[MemoTable] = None) -> List[CheckResult]:
     memo = memo or MemoTable()
     out: List[CheckResult] = []
     bad = 0
@@ -139,7 +139,7 @@ def suite_positivity(length: int = 6, depth: int = 12, torus_max: int = 6,
 
 
 def suite_parity(length: int = 6, torus_max: int = 6,
-                 memo: Optional[MemoTable] = None, **_: object) -> List[CheckResult]:
+                 memo: Optional[MemoTable] = None) -> List[CheckResult]:
     memo = memo or MemoTable()
     bad = 0
     total = 0
@@ -158,7 +158,7 @@ def suite_parity(length: int = 6, torus_max: int = 6,
 def suite_lemma53(r_max: int = 3, length: int = 4, seed: int = 0,
                   random_count: int = 100, random_r_max: int = 5,
                   random_len_max: int = 6,
-                  memo: Optional[MemoTable] = None, **_: object) -> List[CheckResult]:
+                  memo: Optional[MemoTable] = None) -> List[CheckResult]:
     memo = memo or MemoTable()
     out: List[CheckResult] = []
     bad = 0
@@ -186,7 +186,7 @@ def suite_lemma53(r_max: int = 3, length: int = 4, seed: int = 0,
     return out
 
 
-def suite_roundtrip(r_max: int = 4, length: int = 5, **_: object) -> List[CheckResult]:
+def suite_roundtrip(r_max: int = 4, length: int = 5) -> List[CheckResult]:
     out: List[CheckResult] = []
     bad_sigma = bad_w = bad_rot = 0
     total = 0
@@ -224,8 +224,7 @@ def _rotation_matches(sig: fillings.SigmaSeq) -> bool:
             and fillings.sigma_from_filling(f1).entries == (r - 1,) + head)
 
 
-def suite_unknot_family(m_max: int = 12, memo: Optional[MemoTable] = None,
-                        **_: object) -> List[CheckResult]:
+def suite_unknot_family(m_max: int = 12, memo: Optional[MemoTable] = None) -> List[CheckResult]:
     memo = memo or MemoTable()
     expected = eval_p(pair_validate("0", "0"), memo)
     out: List[CheckResult] = []

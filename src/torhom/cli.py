@@ -9,6 +9,7 @@ or to stderr (human).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -181,17 +182,22 @@ def cmd_sigma(args) -> int:
     return 0
 
 
+# check flag -> the suite parameter it sets
+CHECK_FLAGS = (("r", "r_max"), ("len", "length"), ("depth", "depth"), ("seed", "seed"))
+
+
 def cmd_check(args) -> int:
     suite = checks.SUITES[args.suite]
+    params = inspect.signature(suite).parameters
     kwargs = {}
-    if args.r is not None:
-        kwargs["r_max"] = args.r
-    if args.len is not None:
-        kwargs["length"] = args.len
-    if args.depth is not None:
-        kwargs["depth"] = args.depth
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
+    for flag, name in CHECK_FLAGS:
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if name not in params:
+            print(f"error: check {args.suite} does not take --{flag}", file=sys.stderr)
+            return 2
+        kwargs[name] = value
     results = suite(**kwargs)
     failed = 0
     for name, ok, detail in results:

@@ -15,6 +15,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .ring import (
@@ -79,10 +80,7 @@ def _children(pair: SeqPair) -> List[SeqPair]:
 
 
 def _one_plus_a_over_one_minus_q(n: int) -> GradedSeries:
-    num = LaurentPoly.one()
-    factor = LaurentPoly.from_qat({(0, 0, 0): 1, (0, 1, 0): 1})  # 1 + a
-    for _ in range(n):
-        num = num * factor
+    num = LaurentPoly.from_qat({(0, j, 0): comb(n, j) for j in range(n + 1)})  # (1 + a)^n
     # (1+a)^n has no common factor with any 1 - q t^{1-i}: already canonical
     den = DenomVector.from_dict({1: n}) if n else DenomVector()
     return GradedSeries(num, den, canonical=True)
@@ -95,12 +93,12 @@ def _combine(pair: SeqPair, tag: RuleTag, child_values: List[GradedSeries]) -> G
         return _one_plus_a_over_one_minus_q(len(pair.v))
     if tag is RuleTag.Rule2_bothEndOne:
         l = pair.l - 1
-        tl_plus_a = LaurentPoly.from_qat({(0, 0, l): 1, (0, 1, 0): 1})
         (child,) = child_values
         # t^l + a shares no factor with 1 - Q^{2i}T^{2-2i} (substitute
         # T^2 = Q^{2i} components: the two terms stay distinct), so the
         # product of a canonical numerator stays canonical
-        return GradedSeries(child.num * tl_plus_a, child.den, canonical=True)
+        num = child.num.scale(qat_monomial(0, 0, l)) + child.num.scale(qat_monomial(0, 1, 0))
+        return GradedSeries(num, child.den, canonical=True)
     if tag in (RuleTag.Rule3_v0w1, RuleTag.Rule4_v1w0):
         (child,) = child_values
         return child
@@ -134,8 +132,9 @@ class MemoTable:
     """Concurrent map SeqPair -> GradedSeries with idempotent writes.
 
     Values are deterministic, so racing writers store identical series;
-    plain dict operations are atomic enough under the interpreter lock,
-    and the counters take the lock explicitly.
+    plain dict operations are atomic enough under the interpreter lock.
+    The counters take the lock explicitly: `get` counts one lookup, and
+    eval_p counts its own lookups and folds them in once per call.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -145,6 +144,7 @@ class MemoTable:
         self.misses = 0
         self.max_depth = 0
         self.path = path
+        self._synced: Optional[str] = None  # a file that holds exactly this table
         if path and os.path.exists(path):
             self.load(path)
 
@@ -162,9 +162,12 @@ class MemoTable:
 
     def put(self, pair: SeqPair, value: GradedSeries) -> None:
         self._table[pair.key()] = value
+        self._synced = None
 
-    def note_depth(self, depth: int) -> None:
+    def record(self, hits: int, misses: int, depth: int) -> None:
         with self._lock:
+            self.hits += hits
+            self.misses += misses
             if depth > self.max_depth:
                 self.max_depth = depth
 
@@ -188,24 +191,32 @@ class MemoTable:
         path = path or self.path
         if not path:
             raise ValueError("no cache path configured")
+        if path == self._synced:
+            return  # nothing was added since this file was read or written
         with open(path, "w") as fh:
             fh.write(self._version_line() + "\n")
             for key in sorted(self._table):
                 fh.write(f"{key}\t{render(self._table[key], 'json')}\n")
+        self._synced = path
 
     def load(self, path: str) -> None:
+        synced = path if not self._table else None
         with open(path) as fh:
             header = fh.readline().rstrip("\n")
             if header != self._version_line():
                 raise ValueError(f"cache version mismatch in {path}")
             for line in fh:
                 key, payload = line.rstrip("\n").split("\t", 1)
-                self._table[key] = _series_from_json(payload)
+                try:
+                    self._table[key] = _series_from_json(payload)
+                except (TypeError, KeyError) as exc:
+                    raise ValueError(f"damaged cache entry {key!r} in {path}") from exc
+        self._synced = synced
 
 
 def _series_from_json(payload: str) -> GradedSeries:
     data = json.loads(payload)
-    num = LaurentPoly({(q, a, t): c for q, a, t, c in data["num"]})
+    num = LaurentPoly.from_rows(data["num"])
     den = DenomVector.from_dict({i: m for i, m in data["den"]})
     return GradedSeries(num, den, canonical=True)
 
@@ -215,18 +226,26 @@ def memo_stats(memo: MemoTable) -> MemoStats:
 
 
 def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
-    """Evaluate the recursion with an explicit post-order work stack."""
+    """Evaluate the recursion with an explicit post-order work stack.
+
+    A hit is a lookup that finds a stored value, a miss a value computed
+    here; both, and the deepest stack, reach the memo's counters once.
+    """
     if memo is None:
         memo = MemoTable()
-    cached = memo.get(pair)
+    cached = memo.peek(pair)
     if cached is not None:
+        memo.record(1, 0, 0)
         return cached
+    hits = misses = 0
+    depth = 1
     stack: List[Tuple[SeqPair, bool]] = [(pair, False)]
-    memo.note_depth(1)
     while stack:
-        memo.note_depth(len(stack))
+        if len(stack) > depth:
+            depth = len(stack)
         current, expanded = stack.pop()
         if memo.peek(current) is not None:
+            hits += not expanded  # a pair pushed twice, or stored by another thread
             continue
         tag = classify_rule(current)
         children = _children(current)
@@ -240,11 +259,15 @@ def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
                 assert value is not None
                 values.append(value)
             memo.put(current, _combine(current, tag, values))
+            misses += 1
         else:
             stack.append((current, True))
             for child in children:
                 if memo.peek(child) is None:
                     stack.append((child, False))
+                else:
+                    hits += 1
+    memo.record(hits, misses, depth)
     result = memo.peek(pair)
     assert result is not None
     return result

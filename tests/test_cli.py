@@ -44,6 +44,13 @@ class TestExitCodes:
     def test_check_flags(self, capsys):
         assert run(capsys, ["check", "lemma53", "--r", "1", "--len", "2"])[0] == 0
 
+    def test_check_rejects_flags_the_suite_does_not_take(self, capsys):
+        code, out, err = run(capsys, ["check", "symmetry", "--r", "3"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: check symmetry does not take --r\n"
+        assert run(capsys, ["check", "roundtrip", "--seed", "1"])[0] == 2
+
 
 class TestTorus:
     def test_human_output(self, capsys):
@@ -59,6 +66,16 @@ class TestTorus:
         assert data["params"] == {"m": 2, "n": 3, "normalized": False}
         assert data["result"] == want
         assert {"seconds", "entries", "hits", "misses", "max_depth"} <= set(data["timing"])
+
+    def test_memo_counters(self, capsys, tmp_path):
+        path = str(tmp_path / "memo.tsv")
+        cold = run_json(capsys, ["torus", "4", "4", "--cache", path])["timing"]
+        # every stored value was computed once; shared sub-pairs were hits
+        assert cold["misses"] == cold["entries"] == 31
+        assert cold["hits"] > 0
+        assert cold["max_depth"] > 1
+        warm = run_json(capsys, ["torus", "4", "4", "--cache", path])["timing"]
+        assert warm["misses"] == 0 and warm["hits"] >= 1
 
     def test_json_deterministic_minus_timing(self, capsys):
         a = run_json(capsys, ["torus", "3", "2"])
@@ -150,6 +167,27 @@ class TestCache:
         b = run_json(capsys, ["torus", "2", "3", "--cache", path])
         assert b["timing"]["hits"] >= 1
         assert a["result"] == b["result"]
+
+    def test_warm_run_leaves_an_unchanged_cache_alone(self, capsys, tmp_path):
+        path = tmp_path / "memo.tsv"
+        run_json(capsys, ["torus", "2", "3", "--cache", str(path)])
+        before = path.stat().st_mtime_ns, path.read_bytes()
+        path.chmod(0o444)  # a rewrite would fail
+        try:
+            run_json(capsys, ["torus", "2", "3", "--cache", str(path)])
+        finally:
+            path.chmod(0o644)
+        assert (path.stat().st_mtime_ns, path.read_bytes()) == before
+        run_json(capsys, ["torus", "3", "3", "--cache", str(path)])
+        assert len(path.read_bytes()) > len(before[1])
+
+    def test_damaged_cache_entry_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "memo.tsv"
+        for payload in ('{"num":[[0,0,0,1.5]],"den":[]}', '{"num":[[0,0,1]],"den":[]}',
+                        '{"den":[]}'):
+            path.write_text(f"{MemoTable._version_line()}\n|\t{payload}\n")
+            code, _, err = run(capsys, ["pair", "0", "0", "--cache", str(path)])
+            assert code == 2 and err.startswith("error: ")
 
     def test_cache_file_has_version_header(self, capsys, tmp_path):
         path = tmp_path / "memo.tsv"

@@ -1,0 +1,170 @@
+"""Packed ring operations against the dict-of-terms oracle.
+
+Every operation of the Kronecker-packed LaurentPoly is compared with the
+same operation on tests/dict_oracle.py's DictPoly, on the full (Q, A, T)
+lattice (all four cosets of the (q,a,t) sublattice, mixed in one value)
+and with coefficients large enough to force wider digits.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dict_oracle import DictPoly
+from dict_oracle import divide_one_minus as oracle_divide
+from torhom.ring import (
+    DenomVector,
+    GradedSeries,
+    LaurentPoly,
+    denom_monomial,
+    divide_one_minus,
+    expand_series,
+    render,
+)
+
+monomials = st.tuples(st.integers(-6, 6), st.integers(-3, 3), st.integers(-6, 6))
+coeffs = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70)).filter(bool)
+term_maps = st.dictionaries(monomials, coeffs, max_size=8)
+shifts = st.tuples(st.integers(-7, 7), st.integers(-4, 4), st.integers(-7, 7))
+scalars = st.one_of(st.sampled_from([1, -1, 2, -3]), st.integers(-2**70, 2**70)).filter(bool)
+# divisors 1 - M with a positive Q-component, on and off the sublattice
+directions = st.one_of(st.sampled_from([denom_monomial(i) for i in (1, 2, 3)]),
+                       st.tuples(st.integers(1, 6), st.integers(-2, 2), st.integers(-4, 4)))
+
+
+def same(packed: LaurentPoly, oracle: DictPoly) -> bool:
+    return dict(packed.terms) == oracle.terms
+
+
+def pair(terms):
+    return LaurentPoly(terms), DictPoly(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_maps)
+def test_round_trip_through_terms(terms):
+    p, o = pair(terms)
+    assert same(p, o)
+    assert p.rows() == o.rows()
+    assert LaurentPoly.from_rows(p.rows()) == p
+    assert p.has_even_t() == all(t % 2 == 0 for (_, _, t) in o.terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_maps, term_maps)
+def test_add_sub_neg(f, g):
+    (pf, of), (pg, og) = pair(f), pair(g)
+    assert same(pf + pg, of + og)
+    assert same(pf - pg, of - og)
+    assert same(-pf, -of)
+    assert (pf - pf).is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_maps, term_maps)
+def test_mul(f, g):
+    (pf, of), (pg, og) = pair(f), pair(g)
+    assert same(pf * pg, of * og)
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_maps, shifts, scalars)
+def test_scale(f, m, c):
+    pf, of = pair(f)
+    assert same(pf.scale(m, c), of.scale(m, c))
+    assert same(pf.scale(m), of.scale(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_maps, term_maps, shifts)
+def test_equality(f, g, m):
+    (pf, of), (pg, og) = pair(f), pair(g)
+    assert (pf == pg) == (of == og)
+    # equal values reached through different boxes and layouts
+    moved = (pf.scale(m) + pg).scale((-m[0], -m[1], -m[2])) - pg.scale((-m[0], -m[1], -m[2]))
+    assert moved == pf
+    assert hash(moved) == hash(pf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_maps, term_maps, directions)
+def test_divide_one_minus(f, g, m):
+    (pf, of), (pg, og) = pair(f), pair(g)
+    factor = DictPoly({(0, 0, 0): 1, m: -1})
+    packed_factor = LaurentPoly({(0, 0, 0): 1, m: -1})
+    for p, o in ((pf, of), (pf * packed_factor, of * factor),
+                 (pf * packed_factor + pg, of * factor + og)):
+        got, want = divide_one_minus(p, m), oracle_divide(o, m)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert same(got, want)
+    assert divide_one_minus(pf * packed_factor, m) == pf
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_maps, st.dictionaries(st.integers(1, 3), st.integers(1, 2), max_size=2))
+def test_render(f, den):
+    pf, of = pair(f)
+    den = DenomVector.from_dict(den)
+    for fmt in ("json", "human", "latex"):
+        assert (render(GradedSeries(pf, den, canonical=True), fmt)
+                == render(GradedSeries(of, den, canonical=True), fmt))
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_maps, st.integers(0, 6))
+def test_expansion_matches_geometric_series(f, depth):
+    # expand f / (1 - q) term by term with the oracle
+    pf, of = pair(f)
+    q = denom_monomial(1)
+    want, power = DictPoly(), of
+    for _ in range(2 * depth + 30):
+        want = want + DictPoly({m: c for m, c in power.terms.items()
+                                if m[0] + 2 * m[1] + m[2] <= 2 * depth})
+        power = power.scale(q)
+    got = expand_series(GradedSeries(pf, DenomVector.from_dict({1: 1}), canonical=True), depth)
+    assert same(got, want)
+
+
+class TestDigitWidth:
+    def digits(self, p):
+        return {part.bits for part in p._parts.values()}
+
+    def test_sum_past_the_digit_limit_widens(self):
+        # 2**29 is the largest digit a 32-bit part holds; the sum needs 64 bits
+        p = LaurentPoly({(0, 0, 0): 2**29, (2, 0, 0): -2**29, (0, 1, 2): 5})
+        assert self.digits(p) == {32}
+        s = p + p
+        assert self.digits(s) == {64}
+        assert dict(s.terms) == {(0, 0, 0): 2**30, (2, 0, 0): -2**30, (0, 1, 2): 10}
+
+    def test_repeated_doubling_never_wraps(self):
+        p, o = pair({(0, 0, 0): 3, (-2, 1, 0): -7, (4, 0, -2): 1})
+        for _ in range(200):
+            p, o = p + p, o + o
+            assert same(p, o)
+        assert max(self.digits(p)) >= 256
+
+    def test_products_and_quotients_of_wide_digits(self):
+        p, o = pair({(0, 0, 0): 2**70 + 1, (2, 1, -2): -(2**69), (-2, 0, 4): 3})
+        q = denom_monomial(1)
+        prod = p * p * LaurentPoly({(0, 0, 0): 1, q: -1})
+        want = o * o * DictPoly({(0, 0, 0): 1, q: -1})
+        assert same(prod, want)
+        assert same(divide_one_minus(prod, q), oracle_divide(want, q))
+
+    def test_scaling_by_a_large_constant(self):
+        p, o = pair({(0, 0, 0): 2**28, (2, 0, 2): -1})
+        assert same(p.scale((0, 0, 0), 2**40 + 3), o.scale((0, 0, 0), 2**40 + 3))
+
+
+def test_off_sublattice_division():
+    # 1 - Q links the cosets Q even and Q odd
+    f = LaurentPoly({(0, 0, 0): 1, (1, 0, 0): -1}) * LaurentPoly({(0, 1, 1): 2, (3, 0, 0): 5})
+    assert divide_one_minus(f, (1, 0, 0)) == LaurentPoly({(0, 1, 1): 2, (3, 0, 0): 5})
+    assert divide_one_minus(LaurentPoly({(0, 0, 0): 1}), (1, 0, 0)) is None
+
+
+def test_division_by_one_minus_one_is_an_error():
+    with pytest.raises(ValueError):
+        divide_one_minus(LaurentPoly.one(), (0, 0, 0))
