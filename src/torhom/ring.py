@@ -28,7 +28,8 @@ and 0 <= j < ae <= ps // ts: t is the innermost axis and q the outermost.
 The whole part is the one signed integer  n = sum(c_cell * 2**(B * index)),
 every coefficient a balanced digit of width B.  A part packed from terms
 gets exactly its extents as slots; a sum that outgrows its slots rounds
-them up to a multiple of four.  Because q is
+them up to a multiple of four.  Memory follows the box, so terms far apart
+pay for the empty cells between them.  Because q is
 outermost, multiplying by q is a shift by one whole plane of ps cells, and
 the lines along which (1 - q) divides never wrap inside the box.
 
