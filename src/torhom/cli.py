@@ -79,14 +79,12 @@ def cmd_torus(args) -> int:
         return 2
     memo = _memo(args)
     t0 = time.time()
-    eval_p_parallel(pair_validate("0" * spec.m, "0" * spec.n), memo,
-                    threads=worker_count())
+    series = eval_p_parallel(pair_validate("0" * spec.m, "0" * spec.n), memo,
+                             threads=worker_count())
+    label = f"T({spec.m},{spec.n})"
     if args.normalized:
-        series = links.normalized_homology(spec, memo)
-        label = f"normalized T({spec.m},{spec.n})"
-    else:
-        series = links.torus_link_homology(spec, memo)
-        label = f"T({spec.m},{spec.n})"
+        series = series.scale(links.normalization_shift(spec))
+        label = f"normalized {label}"
     _finish_memo(args, memo)
     _emit(args,
           _envelope(args, "torus",

@@ -11,12 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .ring import (
     DenomVector,
@@ -28,6 +28,18 @@ from .ring import (
 from .sequences import SeqPair, pair_strictly_precedes, pair_validate
 
 ENCODER_VERSION = "torhom-series-json-1"
+
+# One cache line: the key v|w, a tab, then the payload in the shape
+# render(series, "json") gives it: (Q, A, T, coeff) rows of integers as
+# Python prints them, with nonzero coefficients, and (i, multiplicity)
+# denominator entries, both positive.  Plain groups only, so the pattern
+# also runs on Python 3.10.
+_INT = r"(?:-?[1-9][0-9]*|0)"
+_ROW = rf"\[{_INT},{_INT},{_INT},-?[1-9][0-9]*\]"
+_DEN = r"\[[1-9][0-9]*,[1-9][0-9]*\]"
+_CACHE_LINE = re.compile(
+    rf'(([01]*)\|([01]*))\t(\{{"num":\[(?:{_ROW}(?:,{_ROW})*)?\],'
+    rf'"den":\[(?:{_DEN}(?:,{_DEN})*)?\]\}})\n?')
 
 DEBUG_DESCENT = bool(os.environ.get("TLH_DEBUG_DESCENT"))
 
@@ -135,10 +147,14 @@ class MemoTable:
     plain dict operations are atomic enough under the interpreter lock.
     The counters take the lock explicitly: `get` counts one lookup, and
     eval_p counts its own lookups and folds them in once per call.
+
+    An entry read from a cache file stays its payload text until a
+    lookup first needs it, so a warm query decodes one series instead of
+    the whole table; `load` still checks the shape of every line.
     """
 
     def __init__(self, path: Optional[str] = None):
-        self._table: Dict[str, GradedSeries] = {}
+        self._table: Dict[str, Union[GradedSeries, str]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -149,7 +165,10 @@ class MemoTable:
             self.load(path)
 
     def get(self, pair: SeqPair) -> Optional[GradedSeries]:
-        value = self._table.get(pair.key())
+        key = pair.key()
+        value = self._table.get(key)
+        if isinstance(value, str):
+            value = self._decode(key, value)
         with self._lock:
             if value is None:
                 self.misses += 1
@@ -158,7 +177,22 @@ class MemoTable:
         return value
 
     def peek(self, pair: SeqPair) -> Optional[GradedSeries]:
-        return self._table.get(pair.key())
+        key = pair.key()
+        value = self._table.get(key)
+        if isinstance(value, str):  # checked inline: peek is the evaluator's hot path
+            value = self._decode(key, value)
+        return value
+
+    def _decode(self, key: str, payload: str) -> GradedSeries:
+        """Replace an entry still held as cache text by its series.
+        Decoding leaves the table's contents as they were, so `_synced`
+        stays."""
+        try:
+            value = _series_from_json(payload)
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValueError(f"damaged cache entry {key!r}") from exc
+        self._table[key] = value
+        return value
 
     def put(self, pair: SeqPair, value: GradedSeries) -> None:
         self._table[pair.key()] = value
@@ -175,6 +209,8 @@ class MemoTable:
         return len(self._table)
 
     def values(self):
+        for key, payload in [(k, v) for k, v in self._table.items() if isinstance(v, str)]:
+            self._decode(key, payload)
         return self._table.values()
 
     def stats(self) -> MemoStats:
@@ -188,15 +224,31 @@ class MemoTable:
         return f"{ENCODER_VERSION} {digest}"
 
     def save(self, path: Optional[str] = None) -> None:
+        """Write the table to a temp file beside `path`, sync it, and move
+        it over `path`, so an interrupted save leaves the old file whole."""
         path = path or self.path
         if not path:
             raise ValueError("no cache path configured")
         if path == self._synced:
             return  # nothing was added since this file was read or written
-        with open(path, "w") as fh:
-            fh.write(self._version_line() + "\n")
-            for key in sorted(self._table):
-                fh.write(f"{key}\t{render(self._table[key], 'json')}\n")
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(self._version_line() + "\n")
+                for key in sorted(self._table):
+                    value = self._table[key]
+                    if not isinstance(value, str):
+                        value = render(value, "json")
+                    fh.write(f"{key}\t{value}\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            if os.path.exists(path):
+                os.chmod(tmp, os.stat(path).st_mode & 0o7777)  # keep the file's mode
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
         self._synced = path
 
     def load(self, path: str) -> None:
@@ -205,12 +257,16 @@ class MemoTable:
             header = fh.readline().rstrip("\n")
             if header != self._version_line():
                 raise ValueError(f"cache version mismatch in {path}")
-            for line in fh:
-                key, payload = line.rstrip("\n").split("\t", 1)
+            for number, line in enumerate(fh, 2):
+                entry = _CACHE_LINE.fullmatch(line)
+                if entry is None:
+                    raise ValueError(f"damaged cache line {number} in {path}")
+                key, v, w, payload = entry.groups()
                 try:
-                    self._table[key] = _series_from_json(payload)
-                except (TypeError, KeyError) as exc:
-                    raise ValueError(f"damaged cache entry {key!r} in {path}") from exc
+                    pair_validate(v, w)
+                except ValueError as exc:
+                    raise ValueError(f"bad cache key {key!r} in {path}: {exc}") from exc
+                self._table[key] = payload
         self._synced = synced
 
 
@@ -300,6 +356,10 @@ def eval_p_parallel(pair: SeqPair, memo: Optional[MemoTable] = None,
     threads = worker_count() if threads is None else threads
     children = _children(pair)
     if threads > 1 and len(children) > 1:
+        # imported here: concurrent.futures brings in logging, which a
+        # single-threaded run need not load
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(eval_p, child, memo) for child in children]
             for future in futures:

@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+import torhom.recursion as recursion
 from torhom.cli import main
 from torhom.links import TorusLinkSpec, torus_link_homology
 from torhom.recursion import MemoTable
@@ -75,7 +77,7 @@ class TestTorus:
         assert cold["hits"] > 0
         assert cold["max_depth"] > 1
         warm = run_json(capsys, ["torus", "4", "4", "--cache", path])["timing"]
-        assert warm["misses"] == 0 and warm["hits"] >= 1
+        assert warm["misses"] == 0 and warm["hits"] == 1
 
     def test_json_deterministic_minus_timing(self, capsys):
         a = run_json(capsys, ["torus", "3", "2"])
@@ -189,11 +191,105 @@ class TestCache:
             code, _, err = run(capsys, ["pair", "0", "0", "--cache", str(path)])
             assert code == 2 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("damage", [
+        ("[0,0,0,1]", "[0,0,0,1.5]"),     # non-integer coefficient
+        ("[0,0,0,1]", "[0,0,0,01]"),      # leading zero
+        ("[0,0,0,1]", "[-0,0,0,1]"),      # negative zero
+        ("[0,0,0,1]", "[0,0,0,0]"),       # zero coefficient
+        ("[0,0,0,1]", "[0,0,1]"),         # three fields
+        ('"den":[]', '"den":[[0,1]]'),    # denominator index 0
+        ("]}", "]} "),                    # trailing text
+        ("\t", " "),                     # no tab after the key
+    ])
+    def test_damaged_entry_off_the_query_path_exits_two(self, capsys, tmp_path, damage):
+        path = tmp_path / "memo.tsv"
+        run_json(capsys, ["torus", "4", "4", "--cache", str(path)])
+        lines = path.read_text().splitlines(keepends=True)
+        # the last line is the base case p(,) = 1, which a warm T(4,4) never reads
+        assert lines[-1] == '|\t{"num":[[0,0,0,1]],"den":[]}\n'
+        lines[-1] = lines[-1].replace(*damage)
+        path.write_text("".join(lines))
+        code, out, err = run(capsys, ["torus", "4", "4", "--cache", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: damaged cache line {len(lines)} in ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["1|", "01|00", "1|0110"])
+    def test_cache_key_with_unequal_weights_exits_two(self, capsys, tmp_path, key):
+        path = tmp_path / "memo.tsv"
+        run_json(capsys, ["torus", "2", "2", "--cache", str(path)])
+        with path.open("a") as fh:
+            fh.write(f'{key}\t{{"num":[[0,0,0,1]],"den":[]}}\n')
+        code, out, err = run(capsys, ["torus", "2", "2", "--cache", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad cache key '{key}'") and "weight mismatch" in err
+
+    def test_warm_run_decodes_only_the_entry_it_reads(self, capsys, tmp_path, monkeypatch):
+        path = str(tmp_path / "memo.tsv")
+        cold = run_json(capsys, ["torus", "6", "6", "--cache", path])
+        decoded = []
+        decode = recursion._series_from_json
+        monkeypatch.setattr(recursion, "_series_from_json",
+                            lambda payload: decoded.append(payload) or decode(payload))
+        warm = run_json(capsys, ["torus", "6", "6", "--cache", path])
+        assert len(decoded) == 1
+        assert warm["result"] == cold["result"]
+        assert warm["timing"]["entries"] == cold["timing"]["entries"] == 127
+        memo = MemoTable(path=path)
+        assert len(memo) == 127
+        assert len(list(memo.values())) == 127 and len(decoded) == 128
+
+    def test_extending_a_loaded_cache_writes_the_cold_file(self, capsys, tmp_path):
+        cold = tmp_path / "cold.tsv"
+        run_json(capsys, ["torus", "7", "7", "--cache", str(cold)])
+        grown = tmp_path / "grown.tsv"
+        run_json(capsys, ["torus", "6", "6", "--cache", str(grown)])
+        run_json(capsys, ["torus", "7", "7", "--cache", str(grown)])
+        assert grown.read_bytes() == cold.read_bytes()
+
     def test_cache_file_has_version_header(self, capsys, tmp_path):
         path = tmp_path / "memo.tsv"
         run_json(capsys, ["pair", "0", "0", "--cache", str(path)])
         header = path.read_text().splitlines()[0]
         assert header == MemoTable._version_line()
+
+
+class TestTruncatedCache:
+    """A cache file cut short anywhere either exits 2 or changes nothing."""
+
+    LINES = 32  # the header and T(4,4)'s 31 memo entries
+
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("t44") / "memo.tsv"
+        memo = MemoTable()
+        result = torus_link_homology(TorusLinkSpec(4, 4), memo)
+        memo.save(str(path))
+        return path.read_bytes(), json.loads(render(result, "json"))
+
+    def run_cut(self, capsys, tmp_path, cold, cut):
+        data, result = cold
+        path = tmp_path / "memo.tsv"
+        path.write_bytes(data[:cut])
+        code, out, err = run(capsys, ["torus", "4", "4", "--format", "json",
+                                      "--cache", str(path)])
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert code == 0 and json.loads(out)["result"] == result
+        return code
+
+    @pytest.mark.parametrize("line", range(LINES + 1))
+    def test_cut_at_a_line_boundary(self, capsys, tmp_path, cold, line):
+        data = cold[0]
+        assert data.count(b"\n") == self.LINES
+        cut = sum(len(x) for x in data.splitlines(keepends=True)[:line])
+        code = self.run_cut(capsys, tmp_path, cold, cut)
+        assert code == (2 if line == 0 else 0)  # whole lines are a smaller valid table
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_cut_at_a_byte_offset(self, capsys, tmp_path, cold, seed):
+        self.run_cut(capsys, tmp_path, cold, random.Random(seed).randrange(len(cold[0])))
 
 
 class TestCheckFailurePath:

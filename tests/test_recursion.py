@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 import torhom.recursion as recursion
@@ -160,6 +164,47 @@ class TestPersistence:
         with pytest.raises(ValueError):
             MemoTable().save()
 
+    def test_interrupted_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.tsv"
+        memo = MemoTable(path=str(path))
+        eval_p_strings("000", "000", memo)
+        memo.save()
+        before = path.read_bytes()
+        eval_p_strings("0000", "0000", memo)
+        rendered = []
+        render = recursion.render
+
+        def failing_render(series, fmt):
+            if len(rendered) == 3:
+                raise RuntimeError("interrupted")
+            rendered.append(fmt)
+            return render(series, fmt)
+
+        monkeypatch.setattr(recursion, "render", failing_render)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            memo.save()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["cache.tsv"]
+        monkeypatch.setattr(recursion, "render", render)
+        path.chmod(0o600)
+        memo.save()
+        assert path.stat().st_mode & 0o777 == 0o600
+        assert MemoTable(path=str(path)).peek(SeqPair("0000", "0000")) == \
+            eval_p_strings("0000", "0000")
+
+    def test_decode_failure_names_the_key(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "cache.tsv")
+        memo = MemoTable()
+        eval_p_strings("0", "0", memo)
+        memo.save(path)
+
+        def broken(payload):
+            raise KeyError("num")
+
+        monkeypatch.setattr(recursion, "_series_from_json", broken)
+        with pytest.raises(ValueError, match=r"damaged cache entry '0\|0'"):
+            MemoTable(path=path).peek(SeqPair("0", "0"))
+
 
 class TestParallel:
     def test_matches_sequential(self):
@@ -167,6 +212,14 @@ class TestParallel:
         seq = eval_p(pair, MemoTable())
         par = eval_p_parallel(pair, MemoTable(), threads=8)
         assert seq == par
+
+    def test_import_leaves_the_thread_pool_unloaded(self):
+        src = os.path.dirname(os.path.dirname(recursion.__file__))
+        code = ("import sys, torhom; "
+                "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+        assert out == "[]\n"
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("TLH_THREADS", "4")
