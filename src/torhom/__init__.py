@@ -6,10 +6,8 @@ from .ring import (
     GradedSeries,
     LatticeError,
     LaurentPoly,
-    canonicalize_series,
     equal_up_to_monomial,
     expand_series,
-    grading_convert,
     qat_monomial,
     render,
     series_equal,
@@ -19,13 +17,12 @@ from .sequences import (
     WeightMismatch,
     bit_inversions,
     inversions,
-    pair_precedes,
     pair_validate,
     shuffle_permutation,
     shuffle_permutation_closed,
     weight,
 )
-from .recursion import MemoTable, RuleTag, classify_rule, eval_p, eval_p_strings, memo_stats
+from .recursion import MemoTable, RuleTag, classify_rule, eval_p
 from .links import (
     ColorError,
     DomainError,

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 check-suite failure, 2 usage or domain error.
 Output on stdout is deterministic for fixed inputs and flags; timing and
-scheduling-dependent counters go to the envelope's timing block (json)
-or to stderr (human).
+memo counters go to the envelope's timing block (json) or to stderr
+(human).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import time
 from typing import Dict, List, Optional
 
 from . import checks, fillings, links
-from .recursion import MemoTable, eval_p_parallel, worker_count
+from .recursion import MemoTable, eval_p
 from .ring import GradedSeries, expand_series, render
 from .sequences import WeightMismatch, inversions, pair_validate
 
@@ -79,8 +79,7 @@ def cmd_torus(args) -> int:
         return 2
     memo = _memo(args)
     t0 = time.time()
-    series = eval_p_parallel(pair_validate("0" * spec.m, "0" * spec.n), memo,
-                             threads=worker_count())
+    series = eval_p(pair_validate("0" * spec.m, "0" * spec.n), memo)
     label = f"T({spec.m},{spec.n})"
     if args.normalized:
         series = series.scale(links.normalization_shift(spec))
@@ -103,7 +102,7 @@ def cmd_pair(args) -> int:
         return 2
     memo = _memo(args)
     t0 = time.time()
-    series = eval_p_parallel(pair, memo, threads=worker_count())
+    series = eval_p(pair, memo)
     _finish_memo(args, memo)
     _emit(args,
           _envelope(args, "pair", {"v": pair.v, "w": pair.w}, series),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
-from .ring import GradedSeries, qat_monomial
+from .ring import GradedSeries, LaurentPoly, qat_monomial
 from .recursion import MemoTable, eval_p
 from .sequences import SeqPair, inversions, pair_validate
 
@@ -251,7 +251,6 @@ def verify_lemma53(r: int, entries: Sequence[int],
     a_mono = qat_monomial(0, 1, 0)
 
     def t_l_plus_a(power: int) -> GradedSeries:
-        from .ring import LaurentPoly
         return GradedSeries.from_poly(
             LaurentPoly({t_pow(power): 1, a_mono: 1})
         )

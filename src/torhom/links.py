@@ -8,7 +8,7 @@ from typing import Dict, Optional
 
 from .ring import GradedSeries, Monomial, equal_up_to_monomial
 from .recursion import MemoTable, eval_p
-from .sequences import pair_validate, weight
+from .sequences import pair_validate
 
 
 class DomainError(ValueError):

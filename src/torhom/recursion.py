@@ -4,6 +4,9 @@ The evaluator runs on an explicit work stack (pairs a few hundred bits
 long must not hit Python's recursion limit) and caches canonical series
 keyed by the pair verbatim.  The symmetry p(v,w) = p(w,v) is a theorem
 under test, so keys are never canonicalized across the swap.
+
+`classify_rule` picks a pair's rule; `RULES` gives, for each rule, the
+pairs its value depends on and the step that combines their values.
 """
 
 from __future__ import annotations
@@ -12,11 +15,10 @@ import hashlib
 import json
 import os
 import re
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .ring import (
     DenomVector,
@@ -71,26 +73,6 @@ def classify_rule(p: SeqPair) -> RuleTag:
     return RuleTag.AllZeros
 
 
-def _children(pair: SeqPair) -> List[SeqPair]:
-    tag = classify_rule(pair)
-    v, w = pair.v, pair.w
-    if tag in (RuleTag.BaseEmptyLeft, RuleTag.BaseEmptyRight):
-        return []
-    if tag is RuleTag.Rule2_bothEndOne:
-        return [SeqPair(v[:-1], w[:-1])]
-    if tag is RuleTag.Rule3_v0w1:
-        return [SeqPair(v[:-1], "1" + w[:-1])]
-    if tag is RuleTag.Rule4_v1w0:
-        return [SeqPair("1" + v[:-1], w[:-1])]
-    if tag is RuleTag.AllZeros:
-        return [SeqPair("1" + v[1:], "1" + w[1:])]
-    # rule 5
-    return [
-        SeqPair("1" + v[:-1], "1" + w[:-1]),
-        SeqPair("0" + v[:-1], "0" + w[:-1]),
-    ]
-
-
 def _one_plus_a_over_one_minus_q(n: int) -> GradedSeries:
     num = LaurentPoly.from_qat({(0, j, 0): comb(n, j) for j in range(n + 1)})  # (1 + a)^n
     # (1+a)^n has no common factor with any 1 - q t^{1-i}: already canonical
@@ -98,30 +80,50 @@ def _one_plus_a_over_one_minus_q(n: int) -> GradedSeries:
     return GradedSeries(num, den, canonical=True)
 
 
-def _combine(pair: SeqPair, tag: RuleTag, child_values: List[GradedSeries]) -> GradedSeries:
-    if tag is RuleTag.BaseEmptyLeft:
-        return _one_plus_a_over_one_minus_q(len(pair.w))
-    if tag is RuleTag.BaseEmptyRight:
-        return _one_plus_a_over_one_minus_q(len(pair.v))
-    if tag is RuleTag.Rule2_bothEndOne:
-        l = pair.l - 1
-        (child,) = child_values
-        # t^l + a shares no factor with 1 - Q^{2i}T^{2-2i} (substitute
-        # T^2 = Q^{2i} components: the two terms stay distinct), so the
-        # product of a canonical numerator stays canonical
-        num = child.num.scale(qat_monomial(0, 0, l)) + child.num.scale(qat_monomial(0, 1, 0))
-        return GradedSeries(num, child.den, canonical=True)
-    if tag in (RuleTag.Rule3_v0w1, RuleTag.Rule4_v1w0):
-        (child,) = child_values
-        return child
-    if tag is RuleTag.AllZeros:
-        (child,) = child_values
-        return GradedSeries(child.num, child.den.merged_sum(DenomVector.from_dict({1: 1})),
-                            canonical=True)
-    # rule 5: t^{-l} p(1v,1w) + q t^{-l} p(0v,0w)
+def _rule2(pair: SeqPair, values: List[GradedSeries]) -> GradedSeries:
+    l = pair.l - 1
+    (child,) = values
+    # t^l + a shares no factor with 1 - Q^{2i}T^{2-2i} (substitute
+    # T^2 = Q^{2i} components: the two terms stay distinct), so the
+    # product of a canonical numerator stays canonical
+    num = child.num.scale(qat_monomial(0, 0, l)) + child.num.scale(qat_monomial(0, 1, 0))
+    return GradedSeries(num, child.den, canonical=True)
+
+
+def _all_zeros(pair: SeqPair, values: List[GradedSeries]) -> GradedSeries:
+    (child,) = values
+    return GradedSeries(child.num, child.den.merged_sum(DenomVector.from_dict({1: 1})),
+                        canonical=True)
+
+
+def _rule5(pair: SeqPair, values: List[GradedSeries]) -> GradedSeries:
+    # t^{-l} p(1v,1w) + q t^{-l} p(0v,0w)
     l = pair.l
-    first, second = child_values
+    first, second = values
     return first.scale(qat_monomial(0, 0, -l)) + second.scale(qat_monomial(1, 0, -l))
+
+
+class Rule(NamedTuple):
+    """A rule: the pairs a value depends on, and how their values combine."""
+
+    children: Callable[[SeqPair], Tuple[SeqPair, ...]]
+    combine: Callable[[SeqPair, List[GradedSeries]], GradedSeries]
+
+
+RULES: Dict[RuleTag, Rule] = {
+    RuleTag.BaseEmptyLeft: Rule(
+        lambda p: (), lambda p, _: _one_plus_a_over_one_minus_q(len(p.w))),
+    RuleTag.BaseEmptyRight: Rule(
+        lambda p: (), lambda p, _: _one_plus_a_over_one_minus_q(len(p.v))),
+    RuleTag.Rule2_bothEndOne: Rule(lambda p: (SeqPair(p.v[:-1], p.w[:-1]),), _rule2),
+    RuleTag.Rule3_v0w1: Rule(lambda p: (SeqPair(p.v[:-1], "1" + p.w[:-1]),), lambda p, vs: vs[0]),
+    RuleTag.Rule4_v1w0: Rule(lambda p: (SeqPair("1" + p.v[:-1], p.w[:-1]),), lambda p, vs: vs[0]),
+    RuleTag.Rule5_bothEndZero: Rule(
+        lambda p: (SeqPair("1" + p.v[:-1], "1" + p.w[:-1]),
+                   SeqPair("0" + p.v[:-1], "0" + p.w[:-1])),
+        _rule5),
+    RuleTag.AllZeros: Rule(lambda p: (SeqPair("1" + p.v[1:], "1" + p.w[1:]),), _all_zeros),
+}
 
 
 @dataclass
@@ -131,22 +133,12 @@ class MemoStats:
     misses: int
     max_depth: int
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "entries": self.entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "max_depth": self.max_depth,
-        }
-
 
 class MemoTable:
-    """Concurrent map SeqPair -> GradedSeries with idempotent writes.
+    """Map SeqPair -> GradedSeries with hit and miss counters.
 
-    Values are deterministic, so racing writers store identical series;
-    plain dict operations are atomic enough under the interpreter lock.
-    The counters take the lock explicitly: `get` counts one lookup, and
-    eval_p counts its own lookups and folds them in once per call.
+    `get` counts one lookup; eval_p counts its own lookups and folds them
+    in once per call.
 
     An entry read from a cache file stays its payload text until a
     lookup first needs it, so a warm query decodes one series instead of
@@ -155,7 +147,6 @@ class MemoTable:
 
     def __init__(self, path: Optional[str] = None):
         self._table: Dict[str, Union[GradedSeries, str]] = {}
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.max_depth = 0
@@ -169,11 +160,10 @@ class MemoTable:
         value = self._table.get(key)
         if isinstance(value, str):
             value = self._decode(key, value)
-        with self._lock:
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
         return value
 
     def peek(self, pair: SeqPair) -> Optional[GradedSeries]:
@@ -199,11 +189,9 @@ class MemoTable:
         self._synced = None
 
     def record(self, hits: int, misses: int, depth: int) -> None:
-        with self._lock:
-            self.hits += hits
-            self.misses += misses
-            if depth > self.max_depth:
-                self.max_depth = depth
+        self.hits += hits
+        self.misses += misses
+        self.max_depth = max(self.max_depth, depth)
 
     def __len__(self) -> int:
         return len(self._table)
@@ -277,15 +265,13 @@ def _series_from_json(payload: str) -> GradedSeries:
     return GradedSeries(num, den, canonical=True)
 
 
-def memo_stats(memo: MemoTable) -> MemoStats:
-    return memo.stats()
-
-
 def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
     """Evaluate the recursion with an explicit post-order work stack.
 
-    A hit is a lookup that finds a stored value, a miss a value computed
-    here; both, and the deepest stack, reach the memo's counters once.
+    A pair's first visit looks up its rule and pushes its missing
+    children; the second combines their stored values.  A hit is a
+    lookup that finds a stored value, a miss a value computed here; both,
+    and the deepest stack, reach the memo's counters once.
     """
     if memo is None:
         memo = MemoTable()
@@ -295,73 +281,36 @@ def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
         return cached
     hits = misses = 0
     depth = 1
-    stack: List[Tuple[SeqPair, bool]] = [(pair, False)]
+    stack: List[Tuple[SeqPair, Optional[Callable], Tuple[SeqPair, ...]]] = [(pair, None, ())]
     while stack:
         if len(stack) > depth:
             depth = len(stack)
-        current, expanded = stack.pop()
-        if memo.peek(current) is not None:
-            hits += not expanded  # a pair pushed twice, or stored by another thread
+        current, combine, children = stack.pop()
+        if combine is not None:  # second visit: every child is stored by now
+            memo.put(current, combine(current, [memo.peek(child) for child in children]))
+            misses += 1
             continue
-        tag = classify_rule(current)
-        children = _children(current)
+        if memo.peek(current) is not None:
+            hits += 1  # a pair pushed twice
+            continue
+        children_of, combine = RULES[classify_rule(current)]
+        children = children_of(current)
         if DEBUG_DESCENT:
             for child in children:
                 assert pair_strictly_precedes(child, current), (current, child)
-        if expanded:
-            values = []
-            for child in children:
-                value = memo.peek(child)
-                assert value is not None
-                values.append(value)
-            memo.put(current, _combine(current, tag, values))
-            misses += 1
-        else:
-            stack.append((current, True))
-            for child in children:
-                if memo.peek(child) is None:
-                    stack.append((child, False))
-                else:
-                    hits += 1
+        stack.append((current, combine, children))
+        for child in children:
+            if memo.peek(child) is None:
+                stack.append((child, None, ()))
+            else:
+                hits += 1
     memo.record(hits, misses, depth)
     result = memo.peek(pair)
     assert result is not None
     return result
 
 
-def eval_p_strings(v: str, w: str, memo: Optional[MemoTable] = None) -> GradedSeries:
-    return eval_p(pair_validate(v, w), memo)
-
-
-def worker_count() -> int:
-    raw = os.environ.get("TLH_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"TLH_THREADS must be a positive integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"TLH_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
-def eval_p_parallel(pair: SeqPair, memo: Optional[MemoTable] = None,
-                    threads: Optional[int] = None) -> GradedSeries:
-    """Evaluate with the immediate sub-pairs fanned out across threads.
-
-    Values are deterministic and writes idempotent, so sharing one table
-    between workers is safe; the final combine is sequential.
-    """
-    if memo is None:
-        memo = MemoTable()
-    threads = worker_count() if threads is None else threads
-    children = _children(pair)
-    if threads > 1 and len(children) > 1:
-        # imported here: concurrent.futures brings in logging, which a
-        # single-threaded run need not load
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(eval_p, child, memo) for child in children]
-            for future in futures:
-                future.result()
+# Nothing in torhom calls this; the benchmark's tracer (perfbench/tracing.py)
+# still resolves it by name.  It goes once the tracer drops that target.
+def eval_p_parallel(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
     return eval_p(pair, memo)

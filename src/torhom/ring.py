@@ -114,7 +114,7 @@ def _room_for(maxabs: int, bits: int) -> int:
 
 
 # Both caches below hold constants, each a pure function of its key, so
-# sharing them between callers and threads cannot change any result.
+# sharing them between callers cannot change any result.
 _PATTERNS: Dict[Tuple[int, int], Tuple[int, int]] = {}  # (bits, word) -> (pattern, cells)
 
 
@@ -505,10 +505,6 @@ class LaurentPoly:
         return cls()
 
     @classmethod
-    def monomial(cls, m: Monomial, coeff: int = 1) -> "LaurentPoly":
-        return cls({m: coeff})
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({MONO_ONE: 1})
 
@@ -643,25 +639,6 @@ def _parts_of_rows(rows) -> Dict[Tuple[int, int], _Part]:
     return parts
 
 
-def poly_arith(op: str, f: LaurentPoly, g: Optional[LaurentPoly] = None,
-               monomial: Monomial = MONO_ONE, coeff: int = 1) -> LaurentPoly:
-    """Dispatch-style entry point mirroring the operator methods."""
-    if op == "add":
-        assert g is not None
-        return f + g
-    if op == "sub":
-        assert g is not None
-        return f - g
-    if op == "mul":
-        assert g is not None
-        return f * g
-    if op == "negate":
-        return -f
-    if op == "scale-by-monomial":
-        return f.scale(monomial, coeff)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def denom_monomial(i: int) -> Monomial:
     """Lattice point of q t^{1-i} = Q^{2i} T^{2-2i}."""
     return (2 * i, 0, 2 - 2 * i)
@@ -709,9 +686,6 @@ class DenomVector:
 
     def is_empty(self) -> bool:
         return not self.mult
-
-    def total(self) -> int:
-        return sum(m for _, m in self.mult)
 
     def merged_max(self, other: "DenomVector") -> "DenomVector":
         d = self.as_dict()
@@ -831,23 +805,6 @@ def _canonical_parts(num: LaurentPoly, den: DenomVector) -> Tuple[LaurentPoly, D
     return num, DenomVector.from_dict(d)
 
 
-def canonicalize_series(s: GradedSeries) -> GradedSeries:
-    return GradedSeries(s.num, s.den)
-
-
-def series_arith(op: str, f: GradedSeries, g: Optional[GradedSeries] = None,
-                 monomial: Monomial = MONO_ONE, coeff: int = 1) -> GradedSeries:
-    if op == "add":
-        assert g is not None
-        return f + g
-    if op == "mul":
-        assert g is not None
-        return f * g
-    if op == "scale-by-monomial":
-        return f.scale(monomial, coeff)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def series_equal(f: GradedSeries, g: GradedSeries) -> bool:
     """Value equality via cross-multiplied numerators."""
     if f.den == g.den:
@@ -873,15 +830,6 @@ def expand_series(s: GradedSeries, depth: int) -> LaurentPoly:
                 total = total + frontier
             out = total
     return out
-
-
-def grading_convert(f: LaurentPoly, direction: str):
-    """Relabel exponents between the (Q,A,T) lattice and (q,a,t)."""
-    if direction == "to_qat":
-        return sorted((monomial_to_qat(m), c) for m, c in f.terms.items())
-    if direction == "to_QAT":
-        return f.sorted_terms()
-    raise ValueError(f"unknown direction {direction!r}")
 
 
 def equal_up_to_monomial(f: GradedSeries, g: GradedSeries) -> Optional[Monomial]:

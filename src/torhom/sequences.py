@@ -2,7 +2,7 @@
 
 Bit strings are plain Python strings over '0'/'1', read left to right
 (index 1 first).  Permutations are one-line image tuples: perm[i] is the
-image of position i, 0-indexed internally.
+image of position i, 0-indexed.
 """
 
 from __future__ import annotations
@@ -87,17 +87,6 @@ def pair_validate(v: str, w: str) -> SeqPair:
     return SeqPair(v, w)
 
 
-def seq_precedes(v: str, u: str) -> bool:
-    """The well-foundedness preorder: shorter, then heavier, then fewer
-    inversions."""
-    if len(v) != len(u):
-        return len(v) < len(u)
-    wv, wu = weight(v), weight(u)
-    if wv != wu:
-        return wv > wu
-    return bit_inversions(v) <= bit_inversions(u)
-
-
 def pair_rank(p: SeqPair) -> Tuple[int, int, int]:
     """Termination measure: total length, then total weight (heavier
     first), then total inversions.  Every recursion step strictly drops
@@ -109,10 +98,6 @@ def pair_rank(p: SeqPair) -> Tuple[int, int, int]:
         -(weight(p.v) + weight(p.w)),
         bit_inversions(p.v) + bit_inversions(p.w),
     )
-
-
-def pair_precedes(p: SeqPair, q: SeqPair) -> bool:
-    return pair_rank(p) <= pair_rank(q)
 
 
 def pair_strictly_precedes(p: SeqPair, q: SeqPair) -> bool:
@@ -177,7 +162,3 @@ def shuffle_permutation_closed(v: str) -> Perm:
             perm = compose(perm, transposition(r, i))
     return perm
 
-
-def one_line_images(perm: Perm) -> Tuple[int, ...]:
-    """1-indexed images, for display."""
-    return tuple(i + 1 for i in perm)

@@ -13,7 +13,7 @@ import pytest
 import conftest
 from torhom import checks, links, reference
 from torhom.fillings import SigmaSeq, v_of_sigma, w_of_sigma
-from torhom.recursion import MemoTable, eval_p, eval_p_parallel
+from torhom.recursion import MemoTable, eval_p
 from torhom.ring import equal_up_to_monomial, series_equal
 from torhom.sequences import pair_validate
 
@@ -125,8 +125,4 @@ def test_criterion_11_performance():
                        f"entries={stats.entries} hits={stats.hits} "
                        f"misses={stats.misses}")
         ok = ok and elapsed < budget
-    pair = pair_validate("0" * 6, "0" * 6)
-    single = eval_p_parallel(pair, MemoTable(), threads=1)
-    pooled = eval_p_parallel(pair, MemoTable(), threads=8)
-    ok = ok and single == pooled
-    report(11, "; ".join(timings) + "; 1 vs 8 threads identical", ok)
+    report(11, "; ".join(timings), ok)

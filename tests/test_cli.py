@@ -92,19 +92,6 @@ class TestTorus:
         shifted = [[q - 4, a + 1, t + 1, c] for q, a, t, c in plain["result"]["num"]]
         assert data["result"]["num"] == sorted(shifted)
 
-    def test_thread_count_does_not_change_output(self, capsys, monkeypatch):
-        monkeypatch.setenv("TLH_THREADS", "1")
-        a = run_json(capsys, ["torus", "3", "3"])
-        monkeypatch.setenv("TLH_THREADS", "8")
-        b = run_json(capsys, ["torus", "3", "3"])
-        a.pop("timing")
-        b.pop("timing")
-        assert a == b
-
-    def test_bad_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("TLH_THREADS", "zero")
-        assert run(capsys, ["torus", "2", "2"])[0] == 2
-
 
 class TestPair:
     def test_empty_pair(self, capsys):

@@ -23,9 +23,9 @@ from torhom.fillings import (
     w_of_filling,
     w_of_sigma,
 )
-from torhom.recursion import eval_p_strings
+from torhom.recursion import eval_p
 from torhom.ring import GradedSeries, LaurentPoly
-from torhom.sequences import inversions
+from torhom.sequences import inversions, pair_validate
 
 ONE_PLUS_A = LaurentPoly.from_qat({(0, 0, 0): 1, (0, 1, 0): 1})
 
@@ -155,13 +155,13 @@ class TestSeriesValues:
 
     def test_f_matches_recursion(self, memo):
         sig = SigmaSeq.of(2, (1, 2, 0))
-        assert f_sigma(sig, memo) == eval_p_strings(
-            v_of_sigma(sig), w_of_sigma(sig), memo)
+        assert f_sigma(sig, memo) == eval_p(pair_validate(
+            v_of_sigma(sig), w_of_sigma(sig)), memo)
 
     def test_g_appends_zero(self, memo):
         sig = SigmaSeq.of(2, (1, 2))
-        assert g_sigma(sig, memo) == eval_p_strings(
-            v_of_sigma(sig), w_of_sigma(sig) + "0", memo)
+        assert g_sigma(sig, memo) == eval_p(pair_validate(
+            v_of_sigma(sig), w_of_sigma(sig) + "0"), memo)
 
 
 class TestIdentities:

@@ -15,8 +15,9 @@ from torhom.links import (
     torus_link_homology,
     torus_normalization,
 )
-from torhom.recursion import eval_p_strings
+from torhom.recursion import eval_p
 from torhom.ring import series_equal
+from torhom.sequences import pair_validate
 
 
 class TestTorus:
@@ -28,7 +29,7 @@ class TestTorus:
 
     def test_is_recursion_at_all_zeros(self, memo):
         got = torus_link_homology(TorusLinkSpec(2, 3), memo)
-        assert got == eval_p_strings("00", "000", memo)
+        assert got == eval_p(pair_validate("00", "000"), memo)
 
     def test_symmetric_in_m_n(self, memo):
         for m in range(1, 5):
@@ -55,7 +56,7 @@ class TestShuffled:
             shuffled_link_homology("00", "00", memo)
 
     def test_extra_denominator(self, memo):
-        plain = eval_p_strings("10", "01", memo)
+        plain = eval_p(pair_validate("10", "01"), memo)
         shuffled = shuffled_link_homology("10", "01", memo)
         assert shuffled == plain.with_extra_denominator({1: 1})
 

@@ -10,10 +10,6 @@ from torhom.recursion import (
     RuleTag,
     classify_rule,
     eval_p,
-    eval_p_parallel,
-    eval_p_strings,
-    memo_stats,
-    worker_count,
 )
 from torhom.ring import DenomVector, GradedSeries, LaurentPoly, qat_monomial, series_equal
 from torhom.sequences import SeqPair, pair_validate
@@ -50,33 +46,33 @@ class TestClassify:
 
 class TestKnownValues:
     def test_empty_pair(self):
-        assert eval_p_strings("", "") == GradedSeries.one()
+        assert eval_p(pair_validate("", "")) == GradedSeries.one()
 
     def test_base_case(self):
         for n in range(4):
-            got = eval_p_strings("", "0" * n)
+            got = eval_p(pair_validate("", "0" * n))
             num = LaurentPoly.one()
             for _ in range(n):
                 num = num * ONE_PLUS_A
             want = over_one_minus_q(num, n) if n else GradedSeries.one()
             assert got == want
-            assert eval_p_strings("0" * n, "") == got
+            assert eval_p(pair_validate("0" * n, "")) == got
 
     def test_unknot(self):
-        assert eval_p_strings("0", "0") == over_one_minus_q(ONE_PLUS_A, 1)
+        assert eval_p(pair_validate("0", "0")) == over_one_minus_q(ONE_PLUS_A, 1)
 
     def test_hopf_link(self):
         # t^-1 (1+a)(q + t + a - qt) / (1-q)^2
         core = qat({(1, 0, 0): 1, (0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 1): -1})
         want = over_one_minus_q(
             (ONE_PLUS_A * core).scale(qat_monomial(0, 0, -1)), 2)
-        assert series_equal(eval_p_strings("00", "00"), want)
+        assert series_equal(eval_p(pair_validate("00", "00")), want)
 
     def test_trefoil(self):
         # t^-1 (1+a)(q + t + a) / (1-q)
         core = qat({(1, 0, 0): 1, (0, 0, 1): 1, (0, 1, 0): 1})
         want = over_one_minus_q((ONE_PLUS_A * core).scale(qat_monomial(0, 0, -1)), 1)
-        assert series_equal(eval_p_strings("00", "000"), want)
+        assert series_equal(eval_p(pair_validate("00", "000")), want)
 
     def test_all_ones(self):
         # prod_{i=1..l} (t^{i-1} + a), no denominator
@@ -84,24 +80,24 @@ class TestKnownValues:
             num = LaurentPoly.one()
             for i in range(1, l + 1):
                 num = num * qat({(0, 0, i - 1): 1, (0, 1, 0): 1})
-            assert eval_p_strings("1" * l, "1" * l) == GradedSeries.from_poly(num)
+            assert eval_p(pair_validate("1" * l, "1" * l)) == GradedSeries.from_poly(num)
 
     def test_denominator_family(self, memo):
         # plain pairs only ever produce powers of (1 - q)
         for v, w in [("0000", "00"), ("0101", "1001"), ("000", "000")]:
-            s = eval_p_strings(v, w, memo)
+            s = eval_p(pair_validate(v, w), memo)
             assert set(s.den.as_dict()) <= {1}
 
 
 class TestDeterminism:
     def test_fresh_tables_agree(self):
-        a = eval_p_strings("0100", "0010", MemoTable())
-        b = eval_p_strings("0100", "0010", MemoTable())
+        a = eval_p(pair_validate("0100", "0010"), MemoTable())
+        b = eval_p(pair_validate("0100", "0010"), MemoTable())
         assert a == b
 
     def test_descent_asserted(self, monkeypatch):
         monkeypatch.setattr(recursion, "DEBUG_DESCENT", True)
-        eval_p_strings("0010", "0100", MemoTable())  # must not raise
+        eval_p(pair_validate("0010", "0100"), MemoTable())  # must not raise
 
     def test_long_pair_no_recursion_limit(self):
         # explicit work stack: depth 400 must evaluate even with the
@@ -111,7 +107,7 @@ class TestDeterminism:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 50)
         try:
-            got = eval_p_strings("1", "1" + "0" * 399, MemoTable())
+            got = eval_p(pair_validate("1", "1" + "0" * 399), MemoTable())
         finally:
             sys.setrecursionlimit(limit)
         assert got == GradedSeries.from_poly(ONE_PLUS_A)
@@ -119,12 +115,12 @@ class TestDeterminism:
 
 class TestMemo:
     def test_fresh_table_empty(self):
-        assert memo_stats(MemoTable()).entries == 0
+        assert MemoTable().stats().entries == 0
 
     def test_unknot_entries(self):
         memo = MemoTable()
-        eval_p_strings("0", "0", memo)
-        stats = memo_stats(memo)
+        eval_p(pair_validate("0", "0"), memo)
+        stats = memo.stats()
         assert stats.entries >= 2
         assert stats.misses >= 1
 
@@ -138,7 +134,7 @@ class TestMemo:
 
     def test_key_is_verbatim_pair(self):
         memo = MemoTable()
-        eval_p_strings("01", "10", memo)
+        eval_p(pair_validate("01", "10"), memo)
         assert memo.peek(SeqPair("01", "10")) is not None
         # the swap is a theorem, never a key alias
         assert memo.peek(SeqPair("10", "01")) is None
@@ -148,7 +144,7 @@ class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         path = str(tmp_path / "cache.tsv")
         memo = MemoTable()
-        value = eval_p_strings("00", "000", memo)
+        value = eval_p(pair_validate("00", "000"), memo)
         memo.save(path)
         reloaded = MemoTable(path=path)
         assert reloaded.peek(SeqPair("00", "000")) == value
@@ -167,10 +163,10 @@ class TestPersistence:
     def test_interrupted_save_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.tsv"
         memo = MemoTable(path=str(path))
-        eval_p_strings("000", "000", memo)
+        eval_p(pair_validate("000", "000"), memo)
         memo.save()
         before = path.read_bytes()
-        eval_p_strings("0000", "0000", memo)
+        eval_p(pair_validate("0000", "0000"), memo)
         rendered = []
         render = recursion.render
 
@@ -190,12 +186,12 @@ class TestPersistence:
         memo.save()
         assert path.stat().st_mode & 0o777 == 0o600
         assert MemoTable(path=str(path)).peek(SeqPair("0000", "0000")) == \
-            eval_p_strings("0000", "0000")
+            eval_p(pair_validate("0000", "0000"))
 
     def test_decode_failure_names_the_key(self, tmp_path, monkeypatch):
         path = str(tmp_path / "cache.tsv")
         memo = MemoTable()
-        eval_p_strings("0", "0", memo)
+        eval_p(pair_validate("0", "0"), memo)
         memo.save(path)
 
         def broken(payload):
@@ -207,12 +203,6 @@ class TestPersistence:
 
 
 class TestParallel:
-    def test_matches_sequential(self):
-        pair = pair_validate("0" * 5, "0" * 5)
-        seq = eval_p(pair, MemoTable())
-        par = eval_p_parallel(pair, MemoTable(), threads=8)
-        assert seq == par
-
     def test_import_leaves_the_thread_pool_unloaded(self):
         src = os.path.dirname(os.path.dirname(recursion.__file__))
         code = ("import sys, torhom; "
@@ -220,13 +210,3 @@ class TestParallel:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), check=True).stdout
         assert out == "[]\n"
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("TLH_THREADS", "4")
-        assert worker_count() == 4
-        monkeypatch.delenv("TLH_THREADS")
-        assert worker_count() == 1
-        for bad in ("0", "-2", "two"):
-            monkeypatch.setenv("TLH_THREADS", bad)
-            with pytest.raises(ValueError):
-                worker_count()
