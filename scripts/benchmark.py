@@ -1,18 +1,46 @@
-"""Timing sweep over the square torus links T(n,n).
+"""Timing sweep over torus links, as text or as a JSON benchmark record.
 
-Prints one line per size with elapsed time and memo statistics, plus a
-cumulative line for a shared-table run, so cache reuse across sizes is
-visible.
+Text mode prints one line per square size T(n,n) with elapsed time and
+memo statistics; with --shared one memo table serves every size, so
+cache reuse across sizes is visible.
+
+With --json PATH, each workload runs REPEAT times, each time in a fresh
+child process, and the record holds its median wall time (around the
+query only, from an empty memo) and median peak RSS
+(`resource.getrusage`), with nproc and the Python version.  The record
+is stored under --label in PATH; other labels already in the file are
+kept, so one file can hold the runs of two versions measured on the
+same machine.  Workloads are
+named T(m,n) for a torus link and C(m,n,l) for the Sym^l-colored T(m,n)
+in both sequence orderings; the default set is WORKLOADS.
 
 Usage: python scripts/benchmark.py [--max-n 10] [--shared]
+       python scripts/benchmark.py --json BENCH.json [--label NAME]
+                                   [--workloads T(6,6) C(2,3,2) ...]
 """
 
 import argparse
+import json
+import os
+import platform
+import re
+import resource
+import statistics
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 
+from torhom.links import colored_torus_both
 from torhom.recursion import MemoTable, eval_p
 from torhom.sequences import pair_validate
+
+WORKLOADS = ([f"T({n},{n})" for n in range(6, 12)] + ["T(7,11)"]
+             + [f"C(2,3,{l})" for l in range(2, 5)])
+
+REPEAT = 5
+
+_NAME = re.compile(r"(T)\((\d+),(\d+)\)|(C)\((\d+),(\d+),(\d+)\)")
 
 
 @dataclass
@@ -33,13 +61,74 @@ def run(cfg: BenchConfig) -> None:
               f"terms={len(series.num.terms):7d}  den={series.den.as_dict()}")
 
 
+def workload_name(name: str) -> str:
+    if not _NAME.fullmatch(name):
+        raise argparse.ArgumentTypeError(f"not a workload name T(m,n) or C(m,n,l): {name!r}")
+    return name
+
+
+def run_one(name: str) -> dict:
+    """Answer one workload from an empty memo in this process."""
+    torus, m, n, colored, cm, cn, l = _NAME.fullmatch(name).groups()
+    memo = MemoTable()
+    t0 = time.perf_counter()
+    if torus:
+        eval_p(pair_validate("0" * int(m), "0" * int(n)), memo)
+    else:
+        colored_torus_both(int(cm), int(cn), int(l), memo)
+    wall = time.perf_counter() - t0
+    return {"wall_s": wall, "entries": len(memo),
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
+def run_json(path: str, label: str, names) -> None:
+    samples = {name: [] for name in names}
+    for _ in range(REPEAT):  # interleaved, so a drift in host speed hits every workload
+        for name in names:
+            out = subprocess.run([sys.executable, os.path.abspath(__file__), "--one", name],
+                                 capture_output=True, text=True, check=True).stdout
+            samples[name].append(json.loads(out))
+    results = {}
+    for name, runs in samples.items():
+        results[name] = {
+            "wall_s": statistics.median(r["wall_s"] for r in runs),
+            "wall_s_runs": [round(r["wall_s"], 4) for r in runs],
+            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
+            "entries": runs[0]["entries"],
+        }
+        print(f"{name:10s} {results[name]['wall_s']:8.3f}s  "
+              f"{results[name]['peak_rss_mb']:7.1f} MB")
+    record = {"nproc": os.cpu_count(), "python": platform.python_version(),
+              "repeat": REPEAT, "results": results}
+    data = {"runs": {}}
+    if os.path.exists(path):
+        with open(path) as fh:
+            data = json.load(fh)
+    data["runs"][label] = record
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--max-n", type=int, default=10)
     parser.add_argument("--shared", action="store_true",
                         help="share one memo table across all sizes")
+    parser.add_argument("--json", metavar="PATH",
+                        help="run the workloads in child processes and record them in PATH")
+    parser.add_argument("--label", default="run", help="key of this run in the --json file")
+    parser.add_argument("--workloads", nargs="+", type=workload_name, default=WORKLOADS)
+    parser.add_argument("--one", type=workload_name,
+                        help="answer one workload here and print its record as JSON")
     args = parser.parse_args()
-    run(BenchConfig(max_n=args.max_n, shared=args.shared))
+    if args.one:
+        print(json.dumps(run_one(args.one)))
+    elif args.json:
+        run_json(args.json, args.label, args.workloads)
+    else:
+        run(BenchConfig(max_n=args.max_n, shared=args.shared))
 
 
 if __name__ == "__main__":

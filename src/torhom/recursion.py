@@ -6,7 +6,8 @@ keyed by the pair verbatim.  The symmetry p(v,w) = p(w,v) is a theorem
 under test, so keys are never canonicalized across the swap.
 
 `classify_rule` picks a pair's rule; `RULES` gives, for each rule, the
-pairs its value depends on and the step that combines their values.
+pairs its value depends on and the step that combines their values;
+`query_layout` sizes the packed numerators of one query.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 import re
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
+from math import comb, gcd
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .ring import (
@@ -73,14 +74,37 @@ def classify_rule(p: SeqPair) -> RuleTag:
     return RuleTag.AllZeros
 
 
-def _one_plus_a_over_one_minus_q(n: int) -> GradedSeries:
-    num = LaurentPoly.from_qat({(0, j, 0): comb(n, j) for j in range(n + 1)})  # (1 + a)^n
+Layout = Tuple[int, int]  # (t-slots, a-slots) of every numerator part in one query
+
+
+def query_layout(pair: SeqPair) -> Layout:
+    """Slots that hold every part the recursion builds below `pair`.
+
+    With M = len(v) and N = len(w): te = (MN - M - N + gcd(M, N))/2 + 1
+    t-cells (1 when either sequence is empty) and ae = max(M, N) + 1
+    a-cells.  The bound is measured, not proved: it is exact for T(n,n)
+    and for the all-ones pairs (l ones on each side), and it held for
+    every part of random pairs with up to 5 ones and 7 zeros a side; for
+    the algebra behind it see Gorsky-Oblomkov-Rasmussen-Shende,
+    arXiv:1207.4523.  Both extents are nondecreasing in M and N, and no
+    rule lengthens a sequence, so the root's bound covers every pair
+    below it.  A bound that is too small costs repacks, never an answer.
+    """
+    m, n = len(pair.v), len(pair.w)
+    te = (m * n - m - n + gcd(m, n)) // 2 + 1 if m and n else 1
+    return te, max(m, n) + 1
+
+
+def _base_case(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedSeries:
+    """(1 + a)^n / (1 - q)^n, n the length of the sequence that is not empty."""
+    n = len(pair.v) + len(pair.w)
+    num = LaurentPoly.from_qat({(0, j, 0): comb(n, j) for j in range(n + 1)}, layout)
     # (1+a)^n has no common factor with any 1 - q t^{1-i}: already canonical
     den = DenomVector.from_dict({1: n}) if n else DenomVector()
     return GradedSeries(num, den, canonical=True)
 
 
-def _rule2(pair: SeqPair, values: List[GradedSeries]) -> GradedSeries:
+def _rule2(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedSeries:
     l = pair.l - 1
     (child,) = values
     # t^l + a shares no factor with 1 - Q^{2i}T^{2-2i} (substitute
@@ -90,13 +114,13 @@ def _rule2(pair: SeqPair, values: List[GradedSeries]) -> GradedSeries:
     return GradedSeries(num, child.den, canonical=True)
 
 
-def _all_zeros(pair: SeqPair, values: List[GradedSeries]) -> GradedSeries:
+def _all_zeros(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedSeries:
     (child,) = values
     return GradedSeries(child.num, child.den.merged_sum(DenomVector.from_dict({1: 1})),
                         canonical=True)
 
 
-def _rule5(pair: SeqPair, values: List[GradedSeries]) -> GradedSeries:
+def _rule5(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedSeries:
     # t^{-l} p(1v,1w) + q t^{-l} p(0v,0w)
     l = pair.l
     first, second = values
@@ -104,20 +128,21 @@ def _rule5(pair: SeqPair, values: List[GradedSeries]) -> GradedSeries:
 
 
 class Rule(NamedTuple):
-    """A rule: the pairs a value depends on, and how their values combine."""
+    """A rule: the pairs a value depends on, and how their values combine
+    (the query's layout sizes the numerators a combine packs afresh)."""
 
     children: Callable[[SeqPair], Tuple[SeqPair, ...]]
-    combine: Callable[[SeqPair, List[GradedSeries]], GradedSeries]
+    combine: Callable[[SeqPair, List[GradedSeries], Layout], GradedSeries]
 
 
 RULES: Dict[RuleTag, Rule] = {
-    RuleTag.BaseEmptyLeft: Rule(
-        lambda p: (), lambda p, _: _one_plus_a_over_one_minus_q(len(p.w))),
-    RuleTag.BaseEmptyRight: Rule(
-        lambda p: (), lambda p, _: _one_plus_a_over_one_minus_q(len(p.v))),
+    RuleTag.BaseEmptyLeft: Rule(lambda p: (), _base_case),
+    RuleTag.BaseEmptyRight: Rule(lambda p: (), _base_case),
     RuleTag.Rule2_bothEndOne: Rule(lambda p: (SeqPair(p.v[:-1], p.w[:-1]),), _rule2),
-    RuleTag.Rule3_v0w1: Rule(lambda p: (SeqPair(p.v[:-1], "1" + p.w[:-1]),), lambda p, vs: vs[0]),
-    RuleTag.Rule4_v1w0: Rule(lambda p: (SeqPair("1" + p.v[:-1], p.w[:-1]),), lambda p, vs: vs[0]),
+    RuleTag.Rule3_v0w1: Rule(lambda p: (SeqPair(p.v[:-1], "1" + p.w[:-1]),),
+                             lambda p, vs, _: vs[0]),
+    RuleTag.Rule4_v1w0: Rule(lambda p: (SeqPair("1" + p.v[:-1], p.w[:-1]),),
+                             lambda p, vs, _: vs[0]),
     RuleTag.Rule5_bothEndZero: Rule(
         lambda p: (SeqPair("1" + p.v[:-1], "1" + p.w[:-1]),
                    SeqPair("0" + p.v[:-1], "0" + p.w[:-1])),
@@ -271,7 +296,10 @@ def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
     A pair's first visit looks up its rule and pushes its missing
     children; the second combines their stored values.  A hit is a
     lookup that finds a stored value, a miss a value computed here; both,
-    and the deepest stack, reach the memo's counters once.
+    and the deepest stack, reach the memo's counters once.  Base cases
+    are packed in the layout `query_layout(pair)`, so every sum built from
+    them shares it; a stored value from another layout (a cache file, an
+    earlier query) is repacked by the first sum that meets it.
     """
     if memo is None:
         memo = MemoTable()
@@ -279,6 +307,7 @@ def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
     if cached is not None:
         memo.record(1, 0, 0)
         return cached
+    layout = query_layout(pair)
     hits = misses = 0
     depth = 1
     stack: List[Tuple[SeqPair, Optional[Callable], Tuple[SeqPair, ...]]] = [(pair, None, ())]
@@ -287,7 +316,10 @@ def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
             depth = len(stack)
         current, combine, children = stack.pop()
         if combine is not None:  # second visit: every child is stored by now
-            memo.put(current, combine(current, [memo.peek(child) for child in children]))
+            value = combine(current, [memo.peek(child) for child in children], layout)
+            if DEBUG_DESCENT:
+                assert value.num.within(*layout), (current, layout)
+            memo.put(current, value)
             misses += 1
             continue
         if memo.peek(current) is not None:

@@ -63,9 +63,11 @@ def t46_series() -> GradedSeries:
 
 
 def colored_unknot_series(l: int) -> GradedSeries:
-    """prod_{i=1..l} (t^{i-1} + a) / (1 - q t^{1-i})."""
-    num = LaurentPoly.one()
-    for i in range(1, l + 1):
+    """prod_{i=1..l} (t^{i-1} + a) / (1 - q t^{1-i}), for l >= 1."""
+    if l < 1:
+        raise ValueError(f"need l >= 1, got {l}")
+    num = ONE_PLUS_A  # the i = 1 factor
+    for i in range(2, l + 1):
         num = num * _qat_poly([(1, 0, 0, i - 1), (1, 0, 1, 0)])
     return GradedSeries(num, DenomVector.from_dict({i: 1 for i in range(1, l + 1)}))
 

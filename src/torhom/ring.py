@@ -26,10 +26,13 @@ Layout.  A part is a box of cells in local coordinates: an origin
 (q0 + i, a0 + j, t0 + k) has index  i*ps + j*ts + k,  with 0 <= k < te <= ts
 and 0 <= j < ae <= ps // ts: t is the innermost axis and q the outermost.
 The whole part is the one signed integer  n = sum(c_cell * 2**(B * index)),
-every coefficient a balanced digit of width B.  A part packed from terms
-gets exactly its extents as slots; a sum that outgrows its slots rounds
-them up to a multiple of four.  Memory follows the box, so terms far apart
-pay for the empty cells between them.  Because q is
+every coefficient a balanced digit of width B.  The recursion packs its
+base cases with the slots of a bound on the query's root pair, so every
+part of one query shares one layout and its sums never repack.  Elsewhere
+a part packed from terms gets exactly its extents as slots, and a sum
+that outgrows its slots rounds them up to a multiple of four.  Memory
+follows the box and its slots, so terms far apart, or a small part in a
+large query's layout, pay for the empty cells.  Because q is
 outermost, multiplying by q is a shift by one whole plane of ps cells, and
 the lines along which (1 - q) divides never wrap inside the box.
 
@@ -95,9 +98,10 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _slots(n: int) -> int:
-    """Slots for an extent n: n rounded up to a multiple of four, which
-    left room for most later growth at T(9,9) to T(11,11), using less
-    memory and no more time than powers of two."""
+    """Slots for an extent n that a sum or product outgrew: n rounded up
+    to a multiple of four.  Inside a recursion query every part already
+    has the query's layout, so this sizes only arithmetic outside one
+    (products, references, and sums of parts from different queries)."""
     return (n + 3) & ~3
 
 
@@ -448,13 +452,15 @@ def _part_rows(coset: Tuple[int, int], p: _Part):
     return out
 
 
-def _pack(coset, rows) -> Optional[_Part]:
-    """Part of one coset from its (Q, A, T, coeff) rows."""
+def _pack(coset, rows, slots: Optional[Tuple[int, int]] = None) -> Optional[_Part]:
+    """Part of one coset from its (Q, A, T, coeff) rows, with at least
+    `slots` = (t-slots, a-slots) when given."""
     rq, rt = coset
     _, aexp, texp, coeffs = zip(*rows)
     a0, t0 = min(aexp), (min(texp) - rt) >> 1
     ae, te = max(aexp) - a0 + 1, ((max(texp) - rt) >> 1) - t0 + 1
-    ts, ps = te, te * ae  # a sum grows these when it must
+    ts, slots_a = (max(te, slots[0]), max(ae, slots[1])) if slots else (te, ae)
+    ps = ts * slots_a  # a sum grows these when it must
     skew = a0 * ts + t0
     # the cell index from q = 0, with q = (Q - rq + T - rt)/2 + A and
     # t = (T - rt)/2; the plane of a cell, key // ps, is q itself
@@ -509,9 +515,12 @@ class LaurentPoly:
         return cls({MONO_ONE: 1})
 
     @classmethod
-    def from_qat(cls, qat_terms: Mapping[Tuple[int, int, int], int]) -> "LaurentPoly":
-        """Build from a map {(i, j, k): coeff} of q^i a^j t^k terms."""
-        return cls({qat_monomial(i, j, k): c for (i, j, k), c in qat_terms.items()})
+    def from_qat(cls, qat_terms: Mapping[Tuple[int, int, int], int],
+                 slots: Optional[Tuple[int, int]] = None) -> "LaurentPoly":
+        """Build from a map {(i, j, k): coeff} of q^i a^j t^k terms, packed
+        with at least `slots` = (t-slots, a-slots) when given."""
+        rows = [(*qat_monomial(i, j, k), c) for (i, j, k), c in qat_terms.items() if c]
+        return cls._of(_parts_of_rows(rows, slots) if rows else {})
 
     # -- arithmetic -----------------------------------------------------
 
@@ -602,6 +611,10 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._parts
 
+    def within(self, te: int, ae: int) -> bool:
+        """True iff every part's box spans at most te t-cells and ae a-cells."""
+        return all(p.te <= te and p.ae <= ae for p in self._parts.values())
+
     def sorted_terms(self):
         return [((q, a, t), c) for q, a, t, c in self.rows()]
 
@@ -625,7 +638,8 @@ class LaurentPoly:
         return LaurentPoly._of(parts)
 
 
-def _parts_of_rows(rows) -> Dict[Tuple[int, int], _Part]:
+def _parts_of_rows(rows, slots: Optional[Tuple[int, int]] = None
+                   ) -> Dict[Tuple[int, int], _Part]:
     groups: Dict[Tuple[int, int], list] = {(0, 0): rows}
     if any([(q | t) & 1 for q, _, t, _ in rows]):  # terms off the sublattice
         groups = {}
@@ -633,7 +647,7 @@ def _parts_of_rows(rows) -> Dict[Tuple[int, int], _Part]:
             groups.setdefault((row[0] & 1, row[2] & 1), []).append(row)
     parts = {}
     for coset, group in groups.items():
-        part = _pack(coset, group)
+        part = _pack(coset, group, slots)
         if part is not None:
             parts[coset] = part
     return parts

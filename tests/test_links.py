@@ -16,6 +16,7 @@ from torhom.links import (
     torus_normalization,
 )
 from torhom.recursion import eval_p
+from torhom.reference import ONE_PLUS_A, colored_unknot_series
 from torhom.ring import series_equal
 from torhom.sequences import pair_validate
 
@@ -84,6 +85,13 @@ class TestColored:
     def test_both_orders_reported(self, memo):
         both = colored_torus_both(2, 3, 2, memo)
         assert set(both) == {"theorem", "example", "match_up_to_monomial"}
+
+    def test_unknot_reference(self, memo):
+        # the closed form starts from its i = 1 factor (1 + a)
+        assert colored_unknot_series(1) == colored_torus_homology(1, 1, 1, "theorem", memo)
+        assert colored_unknot_series(1).num == ONE_PLUS_A
+        with pytest.raises(ValueError):
+            colored_unknot_series(0)
 
 
 class TestNormalization:

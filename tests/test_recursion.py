@@ -1,17 +1,27 @@
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import torhom.recursion as recursion
+from torhom import links
 from torhom.recursion import (
     MemoTable,
     RuleTag,
     classify_rule,
     eval_p,
+    query_layout,
 )
-from torhom.ring import DenomVector, GradedSeries, LaurentPoly, qat_monomial, series_equal
+from torhom.ring import (
+    DenomVector,
+    GradedSeries,
+    LaurentPoly,
+    qat_monomial,
+    render,
+    series_equal,
+)
 from torhom.sequences import SeqPair, pair_validate
 
 
@@ -111,6 +121,78 @@ class TestDeterminism:
         finally:
             sys.setrecursionlimit(limit)
         assert got == GradedSeries.from_poly(ONE_PLUS_A)
+
+
+def torus(m, n):
+    return pair_validate("0" * m, "0" * n)
+
+
+def stored_parts(memo):
+    return [p for s in memo.values() for p in s.num._parts.values()]
+
+
+class TestQueryLayout:
+    @pytest.mark.parametrize("v, w, layout", [
+        ("0" * 8, "0" * 8, (29, 9)),
+        ("0" * 9, "0" * 9, (37, 10)),
+        ("0" * 10, "0" * 10, (46, 11)),
+        ("0" * 7, "0" * 11, (31, 12)),
+        ("", "000", (1, 4)),
+        ("00", "", (1, 3)),
+        ("", "", (1, 1)),
+    ])
+    def test_formula(self, v, w, layout):
+        assert query_layout(SeqPair(v, w)) == layout
+
+    def test_bound_covers_torus_links(self):
+        for m in range(1, 9):
+            for n in range(1, 9):
+                memo = MemoTable()
+                eval_p(torus(m, n), memo)
+                te, ae = query_layout(torus(m, n))
+                parts = stored_parts(memo)
+                assert all(p.te <= te and p.ae <= ae for p in parts), (m, n)
+                if m == n:  # the bound is exact on square links
+                    assert (max(p.te for p in parts), max(p.ae for p in parts)) == (te, ae)
+
+    def test_bound_covers_random_pairs(self):
+        # up to 5 ones and up to 7 zeros on each side, in random order
+        rng = random.Random(1909)
+        for _ in range(200):
+            ones = rng.randint(0, 5)
+            v, w = ("".join(rng.sample(seq, len(seq)))
+                    for seq in ("1" * ones + "0" * rng.randint(0, 7) for _ in "vw"))
+            pair = pair_validate(v, w)
+            memo = MemoTable()
+            eval_p(pair, memo)
+            te, ae = query_layout(pair)
+            assert all(p.te <= te and p.ae <= ae for p in stored_parts(memo)), pair
+
+    def test_one_layout_per_query(self):
+        memo = MemoTable()
+        eval_p(torus(9, 9), memo)
+        assert {(p.ts, p.ps) for p in stored_parts(memo)} == {(37, 370)}
+
+    def test_shared_memo_across_sizes(self):
+        shared = MemoTable()
+        queries = [lambda memo: eval_p(torus(6, 6), memo),
+                   lambda memo: eval_p(torus(8, 8), memo),
+                   lambda memo: eval_p(torus(7, 7), memo),
+                   lambda memo: links.colored_torus_homology(2, 3, 3, memo=memo)]
+        for query in queries:
+            assert render(query(shared), "json") == render(query(MemoTable()), "json")
+
+    def test_small_layout_changes_no_answer(self, monkeypatch):
+        want = render(eval_p(torus(6, 7), MemoTable()), "json")
+        monkeypatch.setattr(recursion, "query_layout", lambda pair: (1, 1))
+        assert render(eval_p(torus(6, 7), MemoTable()), "json") == want
+
+    def test_debug_mode_asserts_the_bound(self, monkeypatch):
+        monkeypatch.setattr(recursion, "DEBUG_DESCENT", True)
+        eval_p(torus(5, 6), MemoTable())  # the true bound holds
+        monkeypatch.setattr(recursion, "query_layout", lambda pair: (3, 3))
+        with pytest.raises(AssertionError):
+            eval_p(torus(5, 6), MemoTable())
 
 
 class TestMemo:

@@ -82,6 +82,27 @@ class TestPolyArith:
             {(4, 0, 0): 3, (2, 0, 0): 3})
         assert f.scale((0, 0, 0), 0).is_zero()
 
+    def test_minimum_slots(self):
+        terms = {(0, 0, 0): 1, (0, 1, 0): 2, (1, 0, 2): -1}
+        f = LaurentPoly.from_qat(terms, (5, 4))
+        (part,) = f._parts.values()
+        assert (part.ts, part.ps, part.te, part.ae) == (5, 20, 3, 2)
+        assert f == qat(terms)
+        assert f.terms == qat(terms).terms
+        # slots below the extents leave the exact extents
+        (part,) = LaurentPoly.from_qat(terms, (1, 1))._parts.values()
+        assert (part.ts, part.ps) == (3, 6)
+        # sums in one layout keep it
+        (part,) = (f + f.scale(qat_monomial(0, 1, 1)))._parts.values()
+        assert (part.ts, part.ps) == (5, 20)
+
+    def test_within(self):
+        f = qat({(0, 0, 0): 1, (0, 2, 3): 1})
+        assert f.within(4, 3)
+        assert not f.within(3, 3)
+        assert not f.within(4, 2)
+        assert LaurentPoly.zero().within(0, 0)
+
     @settings(max_examples=60, deadline=None)
     @given(polys, polys, polys)
     def test_ring_axioms(self, f, g, h):

@@ -1,6 +1,7 @@
 """Smoke test of the scripts under scripts/: each runs to completion on
 tiny arguments, so a change to the API they import fails here."""
 
+import json
 import os
 import subprocess
 import sys
@@ -24,3 +25,21 @@ def test_script_runs(script, args, expected):
                           env=dict(os.environ, PYTHONPATH=SRC))
     assert done.returncode == 0, done.stderr
     assert expected in done.stdout
+
+
+def test_benchmark_json(tmp_path):
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps({"runs": {"before": {"results": {}}}}))
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "benchmark.py"), "--json", str(path),
+         "--label", "after", "--workloads", "T(2,3)", "C(1,1,2)"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    runs = json.loads(path.read_text())["runs"]
+    assert runs["before"] == {"results": {}}  # another label's run is kept
+    record = runs["after"]
+    assert record["nproc"] >= 1 and record["python"] and record["repeat"] >= 1
+    assert set(record["results"]) == {"T(2,3)", "C(1,1,2)"}
+    for result in record["results"].values():
+        assert len(result["wall_s_runs"]) == record["repeat"]
+        assert result["wall_s"] > 0 and result["peak_rss_mb"] > 0 and result["entries"] > 0
