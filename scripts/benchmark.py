@@ -14,9 +14,14 @@ same machine.  Workloads are
 named T(m,n) for a torus link and C(m,n,l) for the Sym^l-colored T(m,n)
 in both sequence orderings; the default set is WORKLOADS.
 
+K(m,n) measures the `--cache` file of T(m,n).  Each repeat runs two
+children on one new file: a cold one that computes T(m,n) and saves the
+file (`save_s`), and a warm one whose wall time is loading the file plus
+looking T(m,n) up in it (`wall_s`; its save finds nothing to write).
+
 Usage: python scripts/benchmark.py [--max-n 10] [--shared]
        python scripts/benchmark.py --json BENCH.json [--label NAME]
-                                   [--workloads T(6,6) C(2,3,2) ...]
+                                   [--workloads T(6,6) C(2,3,2) K(8,8) ...]
 """
 
 import argparse
@@ -28,19 +33,21 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 from torhom.links import colored_torus_both
 from torhom.recursion import MemoTable, eval_p
 from torhom.sequences import pair_validate
 
 WORKLOADS = ([f"T({n},{n})" for n in range(6, 12)] + ["T(7,11)"]
-             + [f"C(2,3,{l})" for l in range(2, 5)])
+             + [f"C(2,3,{l})" for l in range(2, 5)] + ["K(8,8)"])
 
 REPEAT = 5
 
-_NAME = re.compile(r"(T)\((\d+),(\d+)\)|(C)\((\d+),(\d+),(\d+)\)")
+_NAME = re.compile(r"(T)\((\d+),(\d+)\)|(C)\((\d+),(\d+),(\d+)\)|(K)\((\d+),(\d+)\)")
 
 
 @dataclass
@@ -63,31 +70,55 @@ def run(cfg: BenchConfig) -> None:
 
 def workload_name(name: str) -> str:
     if not _NAME.fullmatch(name):
-        raise argparse.ArgumentTypeError(f"not a workload name T(m,n) or C(m,n,l): {name!r}")
+        raise argparse.ArgumentTypeError(
+            f"not a workload name T(m,n), C(m,n,l) or K(m,n): {name!r}")
     return name
 
 
-def run_one(name: str) -> dict:
-    """Answer one workload from an empty memo in this process."""
-    torus, m, n, colored, cm, cn, l = _NAME.fullmatch(name).groups()
-    memo = MemoTable()
+def run_one(name: str, cache: Optional[str] = None) -> dict:
+    """Answer one workload in this process, from an empty memo; K(m,n)
+    loads `cache` (if it exists) inside the timed region and saves it
+    after."""
+    _, m, n, colored, cm, cn, l, cached, km, kn = _NAME.fullmatch(name).groups()
     t0 = time.perf_counter()
-    if torus:
-        eval_p(pair_validate("0" * int(m), "0" * int(n)), memo)
-    else:
+    memo = MemoTable(path=cache)
+    if colored:
         colored_torus_both(int(cm), int(cn), int(l), memo)
+    else:
+        eval_p(pair_validate("0" * int(m or km), "0" * int(n or kn)), memo)
     wall = time.perf_counter() - t0
-    return {"wall_s": wall, "entries": len(memo),
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+    out = {"wall_s": wall, "entries": len(memo)}
+    if cached:
+        t0 = time.perf_counter()
+        memo.save()
+        out["save_s"] = time.perf_counter() - t0
+        out["cache_bytes"] = os.path.getsize(cache)
+    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return out
+
+
+def _child(name: str, cache: Optional[str] = None) -> dict:
+    argv = [sys.executable, os.path.abspath(__file__), "--one", name]
+    if cache:
+        argv += ["--cache", cache]
+    return json.loads(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+
+
+def _cache_sample(name: str) -> dict:
+    """A warm child's record, with the save time and file size of the cold
+    child before it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = os.path.join(tmp, "memo.tsv")
+        cold = _child(name, cache)
+        warm = _child(name, cache)
+    return dict(warm, save_s=cold["save_s"], cache_bytes=cold["cache_bytes"])
 
 
 def run_json(path: str, label: str, names) -> None:
     samples = {name: [] for name in names}
     for _ in range(REPEAT):  # interleaved, so a drift in host speed hits every workload
         for name in names:
-            out = subprocess.run([sys.executable, os.path.abspath(__file__), "--one", name],
-                                 capture_output=True, text=True, check=True).stdout
-            samples[name].append(json.loads(out))
+            samples[name].append(_cache_sample(name) if name[0] == "K" else _child(name))
     results = {}
     for name, runs in samples.items():
         results[name] = {
@@ -96,8 +127,15 @@ def run_json(path: str, label: str, names) -> None:
             "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
             "entries": runs[0]["entries"],
         }
-        print(f"{name:10s} {results[name]['wall_s']:8.3f}s  "
-              f"{results[name]['peak_rss_mb']:7.1f} MB")
+        line = (f"{name:10s} {results[name]['wall_s']:8.3f}s  "
+                f"{results[name]['peak_rss_mb']:7.1f} MB")
+        if "save_s" in runs[0]:
+            results[name].update(
+                save_s=statistics.median(r["save_s"] for r in runs),
+                save_s_runs=[round(r["save_s"], 4) for r in runs],
+                cache_bytes=runs[0]["cache_bytes"])
+            line += f"  save {results[name]['save_s']:.3f}s  {runs[0]['cache_bytes']} B"
+        print(line)
     record = {"nproc": os.cpu_count(), "python": platform.python_version(),
               "repeat": REPEAT, "results": results}
     data = {"runs": {}}
@@ -122,9 +160,13 @@ def main() -> None:
     parser.add_argument("--workloads", nargs="+", type=workload_name, default=WORKLOADS)
     parser.add_argument("--one", type=workload_name,
                         help="answer one workload here and print its record as JSON")
+    parser.add_argument("--cache", metavar="FILE",
+                        help="with --one K(m,n): the cache file to load and save")
     args = parser.parse_args()
+    if (args.cache is None) != (args.one is None or args.one[0] != "K"):
+        parser.error("--cache goes with --one K(m,n), and K(m,n) with --cache")
     if args.one:
-        print(json.dumps(run_one(args.one)))
+        print(json.dumps(run_one(args.one, args.cache)))
     elif args.json:
         run_json(args.json, args.label, args.workloads)
     else:

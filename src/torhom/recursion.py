@@ -13,9 +13,7 @@ pairs its value depends on and the step that combines their values;
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import re
 from dataclasses import dataclass
 from enum import Enum
 from math import comb, gcd
@@ -25,24 +23,14 @@ from .ring import (
     DenomVector,
     GradedSeries,
     LaurentPoly,
+    _canonical_parts,
+    decode_numerator,
+    encode_numerator,
     qat_monomial,
-    render,
 )
 from .sequences import SeqPair, pair_strictly_precedes, pair_validate
 
-ENCODER_VERSION = "torhom-series-json-1"
-
-# One cache line: the key v|w, a tab, then the payload in the shape
-# render(series, "json") gives it: (Q, A, T, coeff) rows of integers as
-# Python prints them, with nonzero coefficients, and (i, multiplicity)
-# denominator entries, both positive.  Plain groups only, so the pattern
-# also runs on Python 3.10.
-_INT = r"(?:-?[1-9][0-9]*|0)"
-_ROW = rf"\[{_INT},{_INT},{_INT},-?[1-9][0-9]*\]"
-_DEN = r"\[[1-9][0-9]*,[1-9][0-9]*\]"
-_CACHE_LINE = re.compile(
-    rf'(([01]*)\|([01]*))\t(\{{"num":\[(?:{_ROW}(?:,{_ROW})*)?\],'
-    rf'"den":\[(?:{_DEN}(?:,{_DEN})*)?\]\}})\n?')
+ENCODER_VERSION = "torhom-series-packed-2"
 
 DEBUG_DESCENT = bool(os.environ.get("TLH_DEBUG_DESCENT"))
 
@@ -165,13 +153,22 @@ class MemoTable:
     `get` counts one lookup; eval_p counts its own lookups and folds them
     in once per call.
 
-    An entry read from a cache file stays its payload text until a
-    lookup first needs it, so a warm query decodes one series instead of
-    the whole table; `load` still checks the shape of every line.
+    Cache file: a version header, then one line per entry, sorted by key:
+
+        <checksum>\t<v>|<w>\t<den>\t<parts>
+
+    `den` is `i:m,...` (empty for no factor), `parts` the numerator as
+    `ring.encode_numerator` writes it, and the checksum the 8-byte BLAKE2b
+    of everything after the first tab, in hex.  `load` checks every line's
+    checksum and key, so a damaged line exits 2 however far it is from the
+    query; a file cut at a line boundary is a smaller valid table.  An
+    entry stays its line until a lookup first needs it, so a warm query
+    decodes one series instead of the whole table, and `save` copies an
+    unchanged line verbatim.
     """
 
     def __init__(self, path: Optional[str] = None):
-        self._table: Dict[str, Union[GradedSeries, str]] = {}
+        self._table: Dict[str, Union[GradedSeries, bytes]] = {}
         self.hits = 0
         self.misses = 0
         self.max_depth = 0
@@ -183,7 +180,7 @@ class MemoTable:
     def get(self, pair: SeqPair) -> Optional[GradedSeries]:
         key = pair.key()
         value = self._table.get(key)
-        if isinstance(value, str):
+        if isinstance(value, bytes):
             value = self._decode(key, value)
         if value is None:
             self.misses += 1
@@ -194,17 +191,17 @@ class MemoTable:
     def peek(self, pair: SeqPair) -> Optional[GradedSeries]:
         key = pair.key()
         value = self._table.get(key)
-        if isinstance(value, str):  # checked inline: peek is the evaluator's hot path
+        if isinstance(value, bytes):  # checked inline: peek is the evaluator's hot path
             value = self._decode(key, value)
         return value
 
-    def _decode(self, key: str, payload: str) -> GradedSeries:
-        """Replace an entry still held as cache text by its series.
+    def _decode(self, key: str, line: bytes) -> GradedSeries:
+        """Replace an entry still held as its cache line by its series.
         Decoding leaves the table's contents as they were, so `_synced`
         stays."""
         try:
-            value = _series_from_json(payload)
-        except (TypeError, KeyError, ValueError) as exc:
+            value = _decode_series(line)
+        except ValueError as exc:
             raise ValueError(f"damaged cache entry {key!r}") from exc
         self._table[key] = value
         return value
@@ -222,8 +219,8 @@ class MemoTable:
         return len(self._table)
 
     def values(self):
-        for key, payload in [(k, v) for k, v in self._table.items() if isinstance(v, str)]:
-            self._decode(key, payload)
+        for key, line in [(k, v) for k, v in self._table.items() if isinstance(v, bytes)]:
+            self._decode(key, line)
         return self._table.values()
 
     def stats(self) -> MemoStats:
@@ -246,13 +243,13 @@ class MemoTable:
             return  # nothing was added since this file was read or written
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
-            with open(tmp, "w") as fh:
-                fh.write(self._version_line() + "\n")
+            with open(tmp, "wb") as fh:
+                fh.write(self._version_line().encode() + b"\n")
                 for key in sorted(self._table):
                     value = self._table[key]
-                    if not isinstance(value, str):
-                        value = render(value, "json")
-                    fh.write(f"{key}\t{value}\n")
+                    if not isinstance(value, bytes):
+                        value = _encode_series(key, value)
+                    fh.write(value + b"\n")
                 fh.flush()
                 os.fsync(fh.fileno())
             if os.path.exists(path):
@@ -266,27 +263,54 @@ class MemoTable:
 
     def load(self, path: str) -> None:
         synced = path if not self._table else None
-        with open(path) as fh:
-            header = fh.readline().rstrip("\n")
-            if header != self._version_line():
+        with open(path, "rb") as fh:
+            if fh.readline().rstrip(b"\n") != self._version_line().encode():
                 raise ValueError(f"cache version mismatch in {path}")
             for number, line in enumerate(fh, 2):
-                entry = _CACHE_LINE.fullmatch(line)
-                if entry is None:
+                line = line.rstrip(b"\n")
+                checksum, _, body = line.partition(b"\t")
+                if checksum != _checksum(body):
                     raise ValueError(f"damaged cache line {number} in {path}")
-                key, v, w, payload = entry.groups()
+                key = body.partition(b"\t")[0].decode("latin-1")
                 try:
+                    v, w = key.split("|")
                     pair_validate(v, w)
                 except ValueError as exc:
                     raise ValueError(f"bad cache key {key!r} in {path}: {exc}") from exc
-                self._table[key] = payload
+                self._table[key] = line
         self._synced = synced
 
 
-def _series_from_json(payload: str) -> GradedSeries:
-    data = json.loads(payload)
-    num = LaurentPoly.from_rows(data["num"])
-    den = DenomVector.from_dict({i: m for i, m in data["den"]})
+def _checksum(body: bytes) -> bytes:
+    return hashlib.blake2b(body, digest_size=8).hexdigest().encode()
+
+
+def _den_text(den: DenomVector) -> str:
+    return ",".join([f"{i}:{m}" for i, m in den.mult])
+
+
+def _encode_series(key: str, series: GradedSeries) -> bytes:
+    """The cache line of one entry, without its newline."""
+    body = f"{key}\t{_den_text(series.den)}\t{encode_numerator(series.num)}".encode()
+    return _checksum(body) + b"\t" + body
+
+
+def _decode_series(line: bytes) -> GradedSeries:
+    """The series of a cache line whose checksum and key `load` checked;
+    raises ValueError on a malformed field."""
+    _, _, den_text, num_text = line.decode("ascii").split("\t")
+    mult = {}
+    for item in den_text.split(",") if den_text else ():
+        i, m = item.split(":")
+        mult[int(i)] = int(m)
+    den = DenomVector.from_dict(mult)
+    if _den_text(den) != den_text:
+        raise ValueError(f"bad denominator {den_text!r}")
+    num = decode_numerator(num_text)
+    if num.is_zero() and not den.is_empty():
+        raise ValueError("a zero numerator over a denominator")
+    if DEBUG_DESCENT:
+        assert _canonical_parts(num, den) == (num, den), line[:80]
     return GradedSeries(num, den, canonical=True)
 
 

@@ -53,6 +53,15 @@ clearing a denominator does, is a shift and a subtraction.  Division by
 (1 - q) folds the q-planes onto each other to read every line sum, and
 builds the quotient only when they all vanish, by running sums with
 log-doubling shifts.
+
+Cache text.  ``encode_numerator`` writes each part as its coset, origin,
+extents, a digit width and the box's cells in hex: little-endian
+two's-complement digits of the narrowest width in 8, 16, 32, ... that
+holds every digit, t innermost, without the layout's spare slots, so the
+text does not depend on the layout.  It is cut from the part's bytes by
+slices, with no per-coefficient Python work.  ``decode_numerator``
+rebuilds each part in its box's own layout (ts = te, ps = te * ae), as
+packing it from terms would, and raises ValueError on any malformed field.
 """
 
 from __future__ import annotations
@@ -863,6 +872,81 @@ def equal_up_to_monomial(f: GradedSeries, g: GradedSeries) -> Optional[Monomial]
     if ng.scale(shift) == nf:
         return shift
     return None
+
+
+# -- cache text ---------------------------------------------------------
+
+def _encode_part(coset: Tuple[int, int], p: _Part) -> str:
+    """rq,rt,q0,a0,t0,qe,ae,te,width,hex: the box's cells, t innermost, as
+    little-endian two's-complement digits of the narrowest width in 8, 16,
+    32, ... that holds them all; the layout's slots are left out."""
+    bits, cells = p.bits, p.qe * p.ps
+    width = 8
+    while width < bits and not _fits(p.n, bits, cells, width - 1):
+        width <<= 1
+    top = _pattern(bits, 1 << (bits - 1), cells)
+    raw = ((p.n + top) ^ top).to_bytes(cells * bits // 8, "little")
+    step, keep = bits // 8, width // 8
+    if keep < step:  # the low bytes of each digit are its narrow digit
+        narrow = bytearray(cells * keep)
+        for k in range(keep):
+            narrow[k::keep] = raw[k::step]
+        raw = narrow
+    if (p.ts, p.ps) != (p.te, p.te * p.ae):  # drop the slots past each row's te cells
+        row, ts, ps = p.te * keep, p.ts * keep, p.ps * keep
+        raw = b"".join([raw[i * ps + j * ts:i * ps + j * ts + row]
+                        for i in range(p.qe) for j in range(p.ae)])
+    return f"{coset[0]},{coset[1]},{p.q0},{p.a0},{p.t0},{p.qe},{p.ae},{p.te},{width},{raw.hex()}"
+
+
+def _decode_part(item: str) -> Tuple[Tuple[int, int], _Part]:
+    """Inverse of _encode_part, in the box's own layout (ts = te,
+    ps = te * ae); raises ValueError on any malformed field."""
+    *head, text = item.split(",")
+    fields = [int(x) for x in head]
+    if len(fields) != 9 or list(map(str, fields)) != head:
+        raise ValueError(f"bad part header {item[:80]!r}")
+    rq, rt, q0, a0, t0, qe, ae, te, width = fields
+    if rq not in (0, 1) or rt not in (0, 1):
+        raise ValueError(f"bad coset ({rq}, {rt})")
+    if min(qe, ae, te) < 1:
+        raise ValueError(f"non-positive extent ({qe}, {ae}, {te})")
+    if width < 8 or width & (width - 1):
+        raise ValueError(f"unknown digit width {width}")
+    cells, keep = qe * ae * te, width // 8
+    if len(text) != 2 * cells * keep:
+        raise ValueError(f"{len(text)} hex digits for {cells} cells of width {width}")
+    raw = bytes.fromhex(text)
+    if len(raw) != cells * keep:  # fromhex skips whitespace
+        raise ValueError("whitespace in the digits")
+    bits = _bits_for(1 << (width - 1))
+    step = bits // 8
+    wide = bytearray(cells * step)  # each narrow digit in the low bytes of a wide one
+    for k in range(keep):
+        wide[k::step] = raw[k::keep]
+    top = _pattern(bits, 1 << (width - 1), cells)  # sign-extends every digit
+    n = (int.from_bytes(wide, "little") ^ top) - top
+    part = _make(n, bits, te, te * ae, q0, a0, t0, qe, ae, te,
+                 _room_for(1 << (width - 1), bits))
+    if part is None or (part.q0, part.qe) != (q0, qe):
+        raise ValueError("an empty q-plane at an end of the box")
+    return (rq, rt), part
+
+
+def encode_numerator(f: LaurentPoly) -> str:
+    """f's parts as cache text: `;`-joined, in coset order."""
+    return ";".join([_encode_part(coset, f._parts[coset]) for coset in sorted(f._parts)])
+
+
+def decode_numerator(text: str) -> LaurentPoly:
+    """Inverse of encode_numerator; raises ValueError on malformed text."""
+    parts: Dict[Tuple[int, int], _Part] = {}
+    for item in text.split(";") if text else ():
+        coset, part = _decode_part(item)
+        if coset in parts:
+            raise ValueError(f"duplicate coset {coset}")
+        parts[coset] = part
+    return LaurentPoly._of(parts)
 
 
 # -- rendering ----------------------------------------------------------

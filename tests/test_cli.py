@@ -1,13 +1,23 @@
+import contextlib
+import hashlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torhom.recursion as recursion
 from torhom.cli import main
 from torhom.links import TorusLinkSpec, torus_link_homology
 from torhom.recursion import MemoTable
 from torhom.ring import render
+
+
+def cache_line(body: str) -> str:
+    """A cache line with a valid checksum, newline included."""
+    return f"{hashlib.blake2b(body.encode(), digest_size=8).hexdigest()}\t{body}\n"
 
 
 def run(capsys, argv):
@@ -171,30 +181,45 @@ class TestCache:
         assert len(path.read_bytes()) > len(before[1])
 
     def test_damaged_cache_entry_exits_two(self, capsys, tmp_path):
+        # each payload has a valid checksum, so only decoding can reject it
         path = tmp_path / "memo.tsv"
-        for payload in ('{"num":[[0,0,0,1.5]],"den":[]}', '{"num":[[0,0,1]],"den":[]}',
-                        '{"den":[]}'):
-            path.write_text(f"{MemoTable._version_line()}\n|\t{payload}\n")
-            code, _, err = run(capsys, ["pair", "0", "0", "--cache", str(path)])
-            assert code == 2 and err.startswith("error: ")
+        for payload in ("\t0,0,0,0,0,1,1,1,8,0",                      # odd hex length
+                        "\t0,0,0,0,0,1,1,1,8,zz",                     # not hex
+                        "\t0,0,0,0,0,1,1,1,12,01",                    # unknown width
+                        "\t0,0,0,0,0,0,1,1,8,",                       # non-positive extent
+                        "\t2,0,0,0,0,1,1,1,8,01",                     # bad coset
+                        "\t0,0,0,0,0,2,1,1,8,0100",                   # empty top q-plane
+                        "\t0,0,0,0,0,1,1,1,8,01;0,0,0,0,0,1,1,1,8,01",  # duplicate coset
+                        "\t0,0,0,00,0,1,1,1,8,01",                    # leading zero
+                        "0:1\t0,0,0,0,0,1,1,1,8,01",                  # denominator index 0
+                        "1:1,1:1\t0,0,0,0,0,1,1,1,8,01",              # repeated factor
+                        "1:1\t",                                      # zero over a factor
+                        "\t0,0,0,0,0,1,1,1,01",                       # nine fields
+                        "0,0,0,0,0,1,1,1,8,01"):                      # no denominator
+            path.write_text(MemoTable._version_line() + "\n" + cache_line("|\t" + payload))
+            code, out, err = run(capsys, ["pair", "0", "0", "--cache", str(path)])
+            assert (code, out) == (2, "")
+            assert err.startswith("error: damaged cache entry '|'") and err.count("\n") == 1
 
     @pytest.mark.parametrize("damage", [
-        ("[0,0,0,1]", "[0,0,0,1.5]"),     # non-integer coefficient
-        ("[0,0,0,1]", "[0,0,0,01]"),      # leading zero
-        ("[0,0,0,1]", "[-0,0,0,1]"),      # negative zero
-        ("[0,0,0,1]", "[0,0,0,0]"),       # zero coefficient
-        ("[0,0,0,1]", "[0,0,1]"),         # three fields
-        ('"den":[]', '"den":[[0,1]]'),    # denominator index 0
-        ("]}", "]} "),                    # trailing text
-        ("\t", " "),                     # no tab after the key
+        ("8,01\n", "8,02\n"),       # a digit
+        ("8,01\n", "8,ff\n"),       # a digit's sign
+        (",1,1,1,8", ",1,1,2,8"),   # an extent
+        (",8,01", ",16,01"),        # the width
+        ("\t\t0,0", "\t\t1,0"),     # the coset
+        ("\t\t", "\t1:1\t"),        # the denominator
+        ("01\n", "01 \n"),          # trailing text
+        ("\t", " "),               # no tab after the checksum
     ])
     def test_damaged_entry_off_the_query_path_exits_two(self, capsys, tmp_path, damage):
+        # the damage leaves the checksum as it was, so loading rejects the line
         path = tmp_path / "memo.tsv"
         run_json(capsys, ["torus", "4", "4", "--cache", str(path)])
         lines = path.read_text().splitlines(keepends=True)
         # the last line is the base case p(,) = 1, which a warm T(4,4) never reads
-        assert lines[-1] == '|\t{"num":[[0,0,0,1]],"den":[]}\n'
-        lines[-1] = lines[-1].replace(*damage)
+        assert lines[-1] == "8382f8007151015b\t|\t\t0,0,0,0,0,1,1,1,8,01\n"
+        checksum, rest = lines[-1][:16], lines[-1][16:]
+        lines[-1] = checksum + rest.replace(*damage, 1)
         path.write_text("".join(lines))
         code, out, err = run(capsys, ["torus", "4", "4", "--cache", str(path)])
         assert (code, out) == (2, "")
@@ -206,7 +231,7 @@ class TestCache:
         path = tmp_path / "memo.tsv"
         run_json(capsys, ["torus", "2", "2", "--cache", str(path)])
         with path.open("a") as fh:
-            fh.write(f'{key}\t{{"num":[[0,0,0,1]],"den":[]}}\n')
+            fh.write(cache_line(f"{key}\t\t0,0,0,0,0,1,1,1,8,01"))
         code, out, err = run(capsys, ["torus", "2", "2", "--cache", str(path)])
         assert (code, out) == (2, "")
         assert err.startswith(f"error: bad cache key '{key}'") and "weight mismatch" in err
@@ -215,9 +240,9 @@ class TestCache:
         path = str(tmp_path / "memo.tsv")
         cold = run_json(capsys, ["torus", "6", "6", "--cache", path])
         decoded = []
-        decode = recursion._series_from_json
-        monkeypatch.setattr(recursion, "_series_from_json",
-                            lambda payload: decoded.append(payload) or decode(payload))
+        decode = recursion._decode_series
+        monkeypatch.setattr(recursion, "_decode_series",
+                            lambda line: decoded.append(line) or decode(line))
         warm = run_json(capsys, ["torus", "6", "6", "--cache", path])
         assert len(decoded) == 1
         assert warm["result"] == cold["result"]
@@ -277,6 +302,80 @@ class TestTruncatedCache:
     @pytest.mark.parametrize("seed", range(40))
     def test_cut_at_a_byte_offset(self, capsys, tmp_path, cold, seed):
         self.run_cut(capsys, tmp_path, cold, random.Random(seed).randrange(len(cold[0])))
+
+
+class TestDamagedCache:
+    """A cache file with any byte changed either exits 2 or changes nothing:
+    each line's checksum covers its coefficients, not just its shape."""
+
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("t44") / "memo.tsv"
+        memo = MemoTable()
+        result = torus_link_homology(TorusLinkSpec(4, 4), memo)
+        memo.save(str(path))
+        return path.read_bytes(), json.loads(render(result, "json"))
+
+    def test_single_byte_change(self, cold, tmp_path_factory):
+        data, result = cold
+        path = tmp_path_factory.mktemp("fuzz") / "memo.tsv"
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.integers(0, len(data) - 1), st.integers(1, 255))
+        def check(offset, flip):
+            damaged = bytearray(data)
+            damaged[offset] ^= flip
+            path.write_bytes(damaged)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["torus", "4", "4", "--format", "json", "--cache", str(path)])
+            if code == 2:
+                assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+                assert err.getvalue().count("\n") == 1
+            else:
+                assert code == 0 and json.loads(out.getvalue())["result"] == result
+
+        check()
+
+    def test_changed_coefficient_exits_two(self, capsys, tmp_path, cold):
+        data, result = cold
+        lines = data.decode().splitlines(keepends=True)
+        number = next(i for i, line in enumerate(lines) if "\t0000|0000\t" in line)
+        checksum, body = lines[number].rstrip("\n").split("\t", 1)
+        head, digits = body.rsplit(",", 1)
+        cell = next(k for k in range(0, len(digits), 2) if digits[k:k + 2] == "01")
+        changed = f"{head},{digits[:cell]}02{digits[cell + 2:]}"
+        path = tmp_path / "memo.tsv"
+        path.write_text("".join(lines[:number] + [f"{checksum}\t{changed}\n"]
+                                + lines[number + 1:]))
+        code, out, err = run(capsys, ["torus", "4", "4", "--cache", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: damaged cache line {number + 1} in ")
+        # the same change under a fresh checksum decodes, to another answer
+        path.write_text("".join(lines[:number] + [cache_line(changed)] + lines[number + 1:]))
+        assert run_json(capsys, ["torus", "4", "4", "--cache", str(path)])["result"] != result
+
+    def test_malformed_entry_exits_two_once_read(self, capsys, tmp_path, cold):
+        data, result = cold
+        lines = data.decode().splitlines(keepends=True)
+        number = next(i for i, line in enumerate(lines) if "\t1|1\t" in line)
+        lines[number] = cache_line("1|1\t\t0,0,0,0,0,2,2,1,8,01010000")  # empty top q-plane
+        path = tmp_path / "memo.tsv"
+        path.write_text("".join(lines))
+        # a warm T(4,4) reads only its own entry
+        assert run_json(capsys, ["torus", "4", "4", "--cache", str(path)])["result"] == result
+        code, out, err = run(capsys, ["pair", "1", "1", "--cache", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: damaged cache entry '1|1'") and err.count("\n") == 1
+
+    def test_version_one_file_exits_two(self, capsys, tmp_path):
+        v1 = "torhom-series-json-1"
+        path = tmp_path / "memo.tsv"
+        path.write_text(f"{v1} {hashlib.sha256(v1.encode()).hexdigest()[:16]}\n"
+                        '|\t{"num":[[0,0,0,1]],"den":[]}\n')
+        code, out, err = run(capsys, ["torus", "2", "2", "--cache", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: cache version mismatch in {path}\n"
 
 
 class TestCheckFailurePath:

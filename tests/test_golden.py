@@ -1,7 +1,9 @@
-"""Byte-level goldens recorded from the dict-of-terms kernel.
+"""Byte-level goldens.
 
-The digests below were taken from the last version whose numerators were
-dicts of terms; the packed kernel must reproduce them byte for byte.
+The result digest was taken from the last version whose numerators were
+dicts of terms; the packed kernel must reproduce it byte for byte.  The
+cache digest is that of the packed cache format, torhom-series-packed-2;
+it changes only with ENCODER_VERSION.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ from torhom.recursion import MemoTable
 # SHA-256 of the compact JSON of the "result" object of `torhom torus 8 8 --format json`
 T88_RESULT = "1a8dbcacb071da18e3a27809dab77b2108d005b1a391a99aec7189d771cd7ef9"
 # SHA-256 of the file written by `torhom torus 6 6 --format json --cache FILE`
-T66_CACHE = "3cca4ff33ea79372cf7cb6fe4bdd94ed3389338f27ba406ca29df7fa28af692c"
+T66_CACHE = "65cfc8f5d8cc6bf87691e4796a33686875e2999a3bbdb424bd945f11e3cf500d"
 
 
 def sha256(data: bytes) -> str:

@@ -18,6 +18,8 @@ from torhom.ring import (
     DenomVector,
     GradedSeries,
     LaurentPoly,
+    decode_numerator,
+    encode_numerator,
     qat_monomial,
     render,
     series_equal,
@@ -249,21 +251,21 @@ class TestPersistence:
         memo.save()
         before = path.read_bytes()
         eval_p(pair_validate("0000", "0000"), memo)
-        rendered = []
-        render = recursion.render
+        encoded = []
+        encode = recursion._encode_series
 
-        def failing_render(series, fmt):
-            if len(rendered) == 3:
+        def failing_encode(key, series):
+            if len(encoded) == 3:
                 raise RuntimeError("interrupted")
-            rendered.append(fmt)
-            return render(series, fmt)
+            encoded.append(key)
+            return encode(key, series)
 
-        monkeypatch.setattr(recursion, "render", failing_render)
+        monkeypatch.setattr(recursion, "_encode_series", failing_encode)
         with pytest.raises(RuntimeError, match="interrupted"):
             memo.save()
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["cache.tsv"]
-        monkeypatch.setattr(recursion, "render", render)
+        monkeypatch.setattr(recursion, "_encode_series", encode)
         path.chmod(0o600)
         memo.save()
         assert path.stat().st_mode & 0o777 == 0o600
@@ -276,12 +278,42 @@ class TestPersistence:
         eval_p(pair_validate("0", "0"), memo)
         memo.save(path)
 
-        def broken(payload):
-            raise KeyError("num")
+        def broken(line):
+            raise ValueError("bad part")
 
-        monkeypatch.setattr(recursion, "_series_from_json", broken)
+        monkeypatch.setattr(recursion, "_decode_series", broken)
         with pytest.raises(ValueError, match=r"damaged cache entry '0\|0'"):
             MemoTable(path=path).peek(SeqPair("0", "0"))
+
+    def test_debug_mode_checks_that_decoded_entries_are_canonical(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(recursion, "DEBUG_DESCENT", True)
+        path = str(tmp_path / "cache.tsv")
+        memo = MemoTable()
+        eval_p(pair_validate("0" * 5, "0" * 5), memo)
+        memo.save(path)
+        assert len(list(MemoTable(path=path).values())) == 63  # all canonical
+        # (1 - q) / (1 - q) under a valid checksum: decodable, not canonical
+        one_minus_q = qat({(0, 0, 0): 1, (1, 0, 0): -1})
+        line = recursion._encode_series(
+            "0|0", GradedSeries(one_minus_q, DenomVector.from_dict({1: 1}), canonical=True))
+        with open(path, "wb") as fh:
+            fh.write(MemoTable._version_line().encode() + b"\n" + line + b"\n")
+        with pytest.raises(AssertionError):
+            MemoTable(path=path).peek(SeqPair("0", "0"))
+        monkeypatch.setattr(recursion, "DEBUG_DESCENT", False)
+        assert MemoTable(path=path).peek(SeqPair("0", "0")).num == one_minus_q
+
+    def test_stored_bytes_are_a_function_of_the_value(self):
+        # every part the recursion stores at T(7,7) has a tight box, so its
+        # cache text is that of the same terms packed afresh
+        memo = MemoTable()
+        eval_p(pair_validate("0" * 7, "0" * 7), memo)
+        values = list(memo.values())
+        assert len(values) == 255
+        for value in values:
+            assert encode_numerator(value.num) == \
+                encode_numerator(LaurentPoly.from_rows(value.num.rows()))
+            assert decode_numerator(encode_numerator(value.num)) == value.num
 
 
 class TestParallel:

@@ -16,8 +16,10 @@ from torhom.ring import (
     DenomVector,
     GradedSeries,
     LaurentPoly,
+    decode_numerator,
     denom_monomial,
     divide_one_minus,
+    encode_numerator,
     expand_series,
     render,
 )
@@ -124,6 +126,28 @@ def test_expansion_matches_geometric_series(f, depth):
         power = power.scale(q)
     got = expand_series(GradedSeries(pf, DenomVector.from_dict({1: 1}), canonical=True), depth)
     assert same(got, want)
+
+
+# coefficients whose digits need each cache width: 8, 16, 32, 64 and 128 bits
+wide_coeffs = st.one_of(st.integers(-100, 100), st.integers(-2**14, 2**14),
+                        st.integers(-2**30, 2**30), st.integers(-2**62, 2**62),
+                        st.integers(-2**100, 2**100)).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(monomials, wide_coeffs, max_size=8),
+       st.dictionaries(monomials, wide_coeffs, max_size=8), shifts)
+def test_cache_text_round_trip(f, g, m):
+    # a difference of shifted values: mixed cosets, boxes padded to their
+    # layout's slots, and rows emptied by cancellation
+    value = LaurentPoly(f) - LaurentPoly(g).scale(m)
+    text = encode_numerator(value)
+    back = decode_numerator(text)
+    assert back == value
+    assert dict(back.terms) == (DictPoly(f) - DictPoly(g).scale(m)).terms
+    assert encode_numerator(back) == text
+    # the other order of the sum: cosets inserted in another order, another layout
+    assert encode_numerator(-LaurentPoly(g).scale(m) + LaurentPoly(f)) == text
 
 
 class TestDigitWidth:

@@ -43,3 +43,18 @@ def test_benchmark_json(tmp_path):
     for result in record["results"].values():
         assert len(result["wall_s_runs"]) == record["repeat"]
         assert result["wall_s"] > 0 and result["peak_rss_mb"] > 0 and result["entries"] > 0
+
+
+def test_benchmark_json_cache_workload(tmp_path):
+    path = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "benchmark.py"), "--json", str(path),
+         "--workloads", "K(2,3)"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    record = json.loads(path.read_text())["runs"]["run"]
+    result = record["results"]["K(2,3)"]
+    assert result["entries"] == 9 and result["cache_bytes"] > 0
+    for key in ("wall_s", "save_s"):
+        assert result[key] > 0 and len(result[f"{key}_runs"]) == record["repeat"]
+    assert os.listdir(tmp_path) == ["bench.json"]  # the cache files are gone
