@@ -13,24 +13,23 @@ import inspect
 import json
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from . import checks, fillings, links
 from .recursion import MemoTable, eval_p
-from .ring import GradedSeries, expand_series, render
+from .ring import GradedSeries, expand_series, render, series_payload
 from .sequences import WeightMismatch, inversions, pair_validate
 
 
-def _series_payload(s: GradedSeries) -> Dict:
-    return json.loads(render(s, "json"))
-
-
-def _emit(args, envelope: Dict, human_lines: List[str], stats: Dict) -> None:
+def _emit(args, envelope: Callable[[], Dict], human_lines: Callable[[], List[str]],
+          stats: Dict) -> None:
+    """Print the JSON envelope or the human lines; only the one printed is built."""
     if args.format == "json":
-        envelope["timing"] = stats
-        print(json.dumps(envelope, separators=(",", ":")))
+        env = envelope()
+        env["timing"] = stats
+        print(json.dumps(env, separators=(",", ":")))
     else:
-        for line in human_lines:
+        for line in human_lines():
             print(line)
         print(f"memo entries: {stats['entries']}", file=sys.stderr)
         print(f"elapsed: {stats['seconds']:.3f}s  hits={stats['hits']} "
@@ -63,10 +62,10 @@ def _result_lines(args, label: str, s: GradedSeries) -> List[str]:
 
 
 def _envelope(args, command: str, params: Dict, s: GradedSeries) -> Dict:
-    env = {"command": command, "params": params, "result": _series_payload(s)}
+    env = {"command": command, "params": params, "result": series_payload(s)}
     if args.expand is not None:
         env["expand_depth"] = args.expand
-        env["expansion"] = _series_payload(
+        env["expansion"] = series_payload(
             GradedSeries.from_poly(expand_series(s, args.expand)))
     return env
 
@@ -86,10 +85,10 @@ def cmd_torus(args) -> int:
         label = f"normalized {label}"
     _finish_memo(args, memo)
     _emit(args,
-          _envelope(args, "torus",
-                    {"m": spec.m, "n": spec.n, "normalized": args.normalized},
-                    series),
-          _result_lines(args, label, series),
+          lambda: _envelope(args, "torus",
+                            {"m": spec.m, "n": spec.n, "normalized": args.normalized},
+                            series),
+          lambda: _result_lines(args, label, series),
           _stats(memo, t0))
     return 0
 
@@ -105,8 +104,8 @@ def cmd_pair(args) -> int:
     series = eval_p(pair, memo)
     _finish_memo(args, memo)
     _emit(args,
-          _envelope(args, "pair", {"v": pair.v, "w": pair.w}, series),
-          _result_lines(args, f"p({pair.v or 'empty'},{pair.w or 'empty'})", series),
+          lambda: _envelope(args, "pair", {"v": pair.v, "w": pair.w}, series),
+          lambda: _result_lines(args, f"p({pair.v or 'empty'},{pair.w or 'empty'})", series),
           _stats(memo, t0))
     return 0
 
@@ -125,22 +124,30 @@ def cmd_colored(args) -> int:
         return 2
     _finish_memo(args, memo)
     orders = [o for o in ("theorem", "example") if o in both]
-    primary = both[orders[0]]
-    env = _envelope(args, "colored",
-                    {"m": args.m, "n": args.n, "l": args.l, "order": args.order},
-                    primary)
-    lines = []
-    for order in orders:
-        lines.extend(_result_lines(args, f"colored({args.m},{args.n};l={args.l})[{order}]",
-                                   both[order]))
-        if order != orders[0]:
-            env[f"result_{order}"] = _series_payload(both[order])
-    if "match_up_to_monomial" in both:
-        shift = both["match_up_to_monomial"]
-        env["orders_match_up_to_monomial"] = list(shift) if shift is not None else None
-        lines.append(f"orders match up to monomial: "
-                     f"{'Q^%d A^%d T^%d' % shift if shift is not None else 'no'}")
-    _emit(args, env, lines, _stats(memo, t0))
+    compared = "match_up_to_monomial" in both
+    shift = both.get("match_up_to_monomial")
+
+    def envelope() -> Dict:
+        env = _envelope(args, "colored",
+                        {"m": args.m, "n": args.n, "l": args.l, "order": args.order},
+                        both[orders[0]])
+        for order in orders[1:]:
+            env[f"result_{order}"] = series_payload(both[order])
+        if compared:
+            env["orders_match_up_to_monomial"] = list(shift) if shift is not None else None
+        return env
+
+    def human_lines() -> List[str]:
+        lines = []
+        for order in orders:
+            lines.extend(_result_lines(
+                args, f"colored({args.m},{args.n};l={args.l})[{order}]", both[order]))
+        if compared:
+            lines.append(f"orders match up to monomial: "
+                         f"{'Q^%d A^%d T^%d' % shift if shift is not None else 'no'}")
+        return lines
+
+    _emit(args, envelope, human_lines, _stats(memo, t0))
     return 0
 
 
@@ -161,21 +168,30 @@ def cmd_sigma(args) -> int:
         series = fillings.f_sigma(sig, memo)
         label = f"f({args.sigma or 'empty'})"
     _finish_memo(args, memo)
-    env = _envelope(args, "sigma",
-                    {"r": args.r, "sigma": list(entries), "g": args.g}, series)
-    env["v"] = pair.v
-    env["w"] = pair.w
-    lines = [f"v = {pair.v}", f"w = {pair.w}"]
-    lines.extend(_result_lines(args, label, series))
+    sigma_stats = None
     if args.stats:
-        inv = inversions(entries)
-        c = fillings.c_statistic(sig)
-        reversed_entries = list(fillings.rev(sig).entries)
-        env["stats"] = {"inv": inv, "c": c, "rev": reversed_entries}
-        lines.append(f"inv = {inv}")
-        lines.append(f"c = {c}")
-        lines.append(f"rev = {','.join(map(str, reversed_entries))}")
-    _emit(args, env, lines, _stats(memo, t0))
+        sigma_stats = {"inv": inversions(entries), "c": fillings.c_statistic(sig),
+                 "rev": list(fillings.rev(sig).entries)}
+
+    def envelope() -> Dict:
+        env = _envelope(args, "sigma",
+                        {"r": args.r, "sigma": list(entries), "g": args.g}, series)
+        env["v"] = pair.v
+        env["w"] = pair.w
+        if sigma_stats is not None:
+            env["stats"] = sigma_stats
+        return env
+
+    def human_lines() -> List[str]:
+        lines = [f"v = {pair.v}", f"w = {pair.w}"]
+        lines.extend(_result_lines(args, label, series))
+        if sigma_stats is not None:
+            lines.append(f"inv = {sigma_stats['inv']}")
+            lines.append(f"c = {sigma_stats['c']}")
+            lines.append(f"rev = {','.join(map(str, sigma_stats['rev']))}")
+        return lines
+
+    _emit(args, envelope, human_lines, _stats(memo, t0))
     return 0
 
 

@@ -23,7 +23,7 @@ from .ring import (
     DenomVector,
     GradedSeries,
     LaurentPoly,
-    _canonical_parts,
+    _is_canonical,
     decode_numerator,
     encode_numerator,
     qat_monomial,
@@ -309,9 +309,10 @@ def _decode_series(line: bytes) -> GradedSeries:
     num = decode_numerator(num_text)
     if num.is_zero() and not den.is_empty():
         raise ValueError("a zero numerator over a denominator")
+    series = GradedSeries(num, den, canonical=True)
     if DEBUG_DESCENT:
-        assert _canonical_parts(num, den) == (num, den), line[:80]
-    return GradedSeries(num, den, canonical=True)
+        assert _is_canonical(series), line[:80]
+    return series
 
 
 def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
@@ -341,7 +342,8 @@ def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
         current, combine, children = stack.pop()
         if combine is not None:  # second visit: every child is stored by now
             value = combine(current, [memo.peek(child) for child in children], layout)
-            if DEBUG_DESCENT:
+            if DEBUG_DESCENT:  # every rule's shortcut to a canonical value
+                assert _is_canonical(value), current
                 assert value.num.within(*layout), (current, layout)
             memo.put(current, value)
             misses += 1

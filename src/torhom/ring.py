@@ -61,7 +61,9 @@ holds every digit, t innermost, without the layout's spare slots, so the
 text does not depend on the layout.  It is cut from the part's bytes by
 slices, with no per-coefficient Python work.  ``decode_numerator``
 rebuilds each part in its box's own layout (ts = te, ps = te * ae), as
-packing it from terms would, and raises ValueError on any malformed field.
+packing it from terms would, at the digits' own width (at least 32) unless
+a digit needs the invariant's headroom, and raises ValueError on any
+malformed field.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, itemgetter, sub
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 Monomial = Tuple[int, int, int]  # (qexp, aexp, texp) on the (Q,A,T) lattice
 
@@ -741,6 +743,23 @@ class GradedSeries:
 
     Canonical: the numerator is not divisible by any active denominator
     factor, and a zero numerator carries an empty denominator.
+
+    Sums try to divide only by the factors both summands carry with the
+    same multiplicity; no other factor can cancel.  Write
+    P_i = 1 - q t^{1-i} and take canonical A / D_A and B / D_B with, say,
+    d_A(i) < d_B(i).  The sum's numerator over the least common
+    denominator is A P_i^k U + B V with k >= 1 and V a product of factors
+    P_j, j != i.  In the Laurent ring of the whole (Q, A, T) lattice
+    P_i = (1 - m_i)(1 + m_i) with m_i = Q^i T^{1-i} primitive, so both
+    factors are prime and neither divides any P_j.  If P_i divided the
+    sum, it would divide B V, so both primes would divide B, and so would
+    P_i; but B is canonical and d_B(i) > 0.  Dividing the sum by other
+    factors cannot bring P_i in.  The same argument covers a sum with the
+    zero series, whose denominator is empty.  `with_extra_denominator`
+    leaves the numerator as it is, so it tries only the factors that are
+    new to the series.  Products get no shortcut: off the sublattice two
+    canonical numerators can share the primes of P_i between them, as in
+    (1 - Q)/(1 - q) * (1 + Q)/(1 - q) = 1/(1 - q).
     """
 
     __slots__ = ("num", "den")
@@ -751,7 +770,7 @@ class GradedSeries:
             self.num = num
             self.den = den
         else:
-            self.num, self.den = _canonical_parts(num, den)
+            self.num, self.den = _canonical_parts(num, den, [i for i, _ in den.mult])
 
     # -- constructors ---------------------------------------------------
 
@@ -773,7 +792,8 @@ class GradedSeries:
         lcd = self.den.merged_max(other.den)
         n1 = _cleared(self.num, lcd, self.den)
         n2 = _cleared(other.num, lcd, other.den)
-        return GradedSeries(n1 + n2, lcd)
+        shared = [i for i, m in self.den.mult if (i, m) in other.den.mult]
+        return GradedSeries(*_canonical_parts(n1 + n2, lcd, shared), canonical=True)
 
     def __neg__(self) -> "GradedSeries":
         return GradedSeries(-self.num, self.den, canonical=True)
@@ -791,7 +811,10 @@ class GradedSeries:
 
     def with_extra_denominator(self, factors: Mapping[int, int]) -> "GradedSeries":
         extra = DenomVector.from_dict(dict(factors))
-        return GradedSeries(self.num, self.den.merged_sum(extra))
+        have = self.den.as_dict()
+        new = [i for i, _ in extra.mult if i not in have]
+        return GradedSeries(*_canonical_parts(self.num, self.den.merged_sum(extra), new),
+                            canonical=True)
 
     def __eq__(self, other: object) -> bool:
         # canonical representatives are unique, so syntactic equality suffices
@@ -809,11 +832,15 @@ class GradedSeries:
         return f"GradedSeries({self.num!r}, {self.den!r})"
 
 
-def _canonical_parts(num: LaurentPoly, den: DenomVector) -> Tuple[LaurentPoly, DenomVector]:
+def _canonical_parts(num: LaurentPoly, den: DenomVector, factors: Iterable[int]
+                     ) -> Tuple[LaurentPoly, DenomVector]:
+    """num / den in lowest terms, dividing by the factors i in `factors`
+    (ascending, each active in den) as often as they divide; the caller
+    proves that no other factor of den divides num."""
     if num.is_zero():
         return LaurentPoly.zero(), DenomVector()
     d = den.as_dict()
-    for i in sorted(d):
+    for i in factors:
         direction = denom_monomial(i)
         while d[i] > 0:
             quo = divide_one_minus(num, direction)
@@ -826,6 +853,11 @@ def _canonical_parts(num: LaurentPoly, den: DenomVector) -> Tuple[LaurentPoly, D
         if d[i] == 0:
             del d[i]
     return num, DenomVector.from_dict(d)
+
+
+def _is_canonical(s: GradedSeries) -> bool:
+    """True iff s is a fixed point of canonicalizing by every factor."""
+    return _canonical_parts(s.num, s.den, [i for i, _ in s.den.mult]) == (s.num, s.den)
 
 
 def series_equal(f: GradedSeries, g: GradedSeries) -> bool:
@@ -899,6 +931,19 @@ def _encode_part(coset: Tuple[int, int], p: _Part) -> str:
     return f"{coset[0]},{coset[1]},{p.q0},{p.a0},{p.t0},{p.qe},{p.ae},{p.te},{width},{raw.hex()}"
 
 
+def _spread(raw: bytes, width: int, bits: int, cells: int) -> int:
+    """The int whose digits of width `bits` are the `cells` little-endian
+    two's-complement digits of width `width` <= bits in raw."""
+    step, keep = bits // 8, width // 8
+    if step > keep:
+        wide = bytearray(cells * step)  # each narrow digit in the low bytes of a wide one
+        for k in range(keep):
+            wide[k::step] = raw[k::keep]
+        raw = wide
+    top = _pattern(bits, 1 << (width - 1), cells)  # sign-extends every digit
+    return (int.from_bytes(raw, "little") ^ top) - top
+
+
 def _decode_part(item: str) -> Tuple[Tuple[int, int], _Part]:
     """Inverse of _encode_part, in the box's own layout (ts = te,
     ps = te * ae); raises ValueError on any malformed field."""
@@ -919,15 +964,14 @@ def _decode_part(item: str) -> Tuple[Tuple[int, int], _Part]:
     raw = bytes.fromhex(text)
     if len(raw) != cells * keep:  # fromhex skips whitespace
         raise ValueError("whitespace in the digits")
-    bits = _bits_for(1 << (width - 1))
-    step = bits // 8
-    wide = bytearray(cells * step)  # each narrow digit in the low bytes of a wide one
-    for k in range(keep):
-        wide[k::step] = raw[k::keep]
-    top = _pattern(bits, 1 << (width - 1), cells)  # sign-extends every digit
-    n = (int.from_bytes(wide, "little") ^ top) - top
+    # the digits' own width, or twice it when a digit needs the invariant's headroom
+    bits = max(width, _MIN_BITS)
+    n = _spread(raw, width, bits, cells)
+    if bits == width and not _fits(n, bits, cells, bits - 3):
+        bits <<= 1
+        n = _spread(raw, width, bits, cells)
     part = _make(n, bits, te, te * ae, q0, a0, t0, qe, ae, te,
-                 _room_for(1 << (width - 1), bits))
+                 _room_for(1 << min(width - 1, bits - 3), bits))
     if part is None or (part.q0, part.qe) != (q0, qe):
         raise ValueError("an empty q-plane at an end of the box")
     return (rq, rt), part
@@ -1048,11 +1092,15 @@ def _denom_text(den: DenomVector, latex: bool) -> str:
     return ("" if latex else "*").join(parts) if not latex else " ".join(parts)
 
 
+def series_payload(s: GradedSeries) -> Dict[str, list]:
+    """The JSON value of s: its numerator rows (tuples encode as JSON
+    arrays) and its [i, multiplicity] denominator pairs."""
+    return {"num": s.num.rows(), "den": [[i, m] for i, m in s.den.mult]}
+
+
 def render(s: GradedSeries, fmt: str = "human") -> str:
     if fmt == "json":
-        num = s.num.rows()  # tuples encode as JSON arrays
-        den = [[i, m] for i, m in s.den.mult]
-        return json.dumps({"num": num, "den": den}, separators=(",", ":"))
+        return json.dumps(series_payload(s), separators=(",", ":"))
     qat = _on_sublattice(s.num)
     if fmt == "human":
         num_text = _poly_text_qat(s.num, False) if qat else _poly_text_QAT(s.num, False)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torhom.cli as cli
 import torhom.recursion as recursion
 from torhom.cli import main
 from torhom.links import TorusLinkSpec, torus_link_homology
@@ -101,6 +102,23 @@ class TestTorus:
         plain = run_json(capsys, ["torus", "2", "3"])
         shifted = [[q - 4, a + 1, t + 1, c] for q, a, t, c in plain["result"]["num"]]
         assert data["result"]["num"] == sorted(shifted)
+
+
+class TestOutputBuiltOnce:
+    @pytest.mark.parametrize("argv", [
+        ["torus", "3", "4", "--expand", "2"], ["pair", "0110", "1001"],
+        ["colored", "2", "3", "2"], ["sigma", "3", "1,0,2", "--stats"]])
+    def test_only_the_printed_form_is_built(self, capsys, monkeypatch, argv):
+        def unused(*args):
+            raise AssertionError("built but not printed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_result_lines", unused)
+            assert run(capsys, argv + ["--format", "json"])[0] == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_envelope", unused)
+            patch.setattr(cli, "series_payload", unused)
+            assert run(capsys, argv)[0] == 0
 
 
 class TestPair:

@@ -189,6 +189,25 @@ class TestQueryLayout:
         monkeypatch.setattr(recursion, "query_layout", lambda pair: (1, 1))
         assert render(eval_p(torus(6, 7), MemoTable()), "json") == want
 
+    def test_debug_mode_asserts_every_stored_value_is_canonical(self, monkeypatch):
+        monkeypatch.setattr(recursion, "DEBUG_DESCENT", True)
+        eval_p(torus(4, 5), MemoTable())  # base, rule 2, 3/4, 5 and all-zeros values
+        one_minus_q = qat({(0, 0, 0): 1, (1, 0, 0): -1})
+
+        def padded(pair, values, layout):  # the right value, not in lowest terms
+            value = recursion._all_zeros(pair, values, layout)
+            return GradedSeries(value.num * one_minus_q,
+                                value.den.merged_sum(DenomVector.from_dict({1: 1})),
+                                canonical=True)
+
+        rule = recursion.RULES[RuleTag.AllZeros]
+        monkeypatch.setitem(recursion.RULES, RuleTag.AllZeros, rule._replace(combine=padded))
+        with pytest.raises(AssertionError):
+            eval_p(torus(2, 3), MemoTable())
+        monkeypatch.setattr(recursion, "DEBUG_DESCENT", False)
+        assert series_equal(eval_p(torus(2, 3), MemoTable()),
+                            links.torus_link_homology(links.TorusLinkSpec(2, 3)))
+
     def test_debug_mode_asserts_the_bound(self, monkeypatch):
         monkeypatch.setattr(recursion, "DEBUG_DESCENT", True)
         eval_p(torus(5, 6), MemoTable())  # the true bound holds

@@ -9,8 +9,11 @@ from torhom.ring import (
     GradedSeries,
     LatticeError,
     LaurentPoly,
+    _cleared,
+    decode_numerator,
     denom_monomial,
     divide_one_minus,
+    encode_numerator,
     equal_up_to_monomial,
     expand_series,
     monomial_to_qat,
@@ -32,6 +35,35 @@ T_PLUS_A = qat({(0, 0, 1): 1, (0, 1, 0): 1})
 monomials = st.tuples(st.integers(-6, 6), st.integers(-3, 3), st.integers(-6, 6))
 coeffs = st.integers(-9, 9).filter(bool)
 polys = st.dictionaries(monomials, coeffs, max_size=6).map(LaurentPoly)
+
+# small polynomials with terms in each of the four cosets (Q mod 2, T mod 2)
+COSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
+small = st.integers(-2, 2)
+coset_terms = st.dictionaries(st.tuples(small, small, small), coeffs, min_size=1, max_size=3)
+coset_polys = st.tuples(*[coset_terms] * len(COSETS)).map(lambda groups: LaurentPoly(
+    {(2 * q + rq, a, 2 * t + rt): c
+     for (rq, rt), terms in zip(COSETS, groups) for (q, a, t), c in terms.items()}))
+dens = st.dictionaries(st.sampled_from([1, 2, 3]), st.integers(1, 2), max_size=3).map(
+    DenomVector.from_dict)
+factor_lists = st.lists(st.sampled_from([1, 2, 3]), max_size=2)
+
+
+def P(i):
+    """The denominator factor 1 - q t^{1-i}."""
+    return LaurentPoly({(0, 0, 0): 1, denom_monomial(i): -1})
+
+
+def product_of(factors):
+    out = LaurentPoly.one()
+    for i in factors:
+        out = out * P(i)
+    return out
+
+
+def fully_canonical_sum(f, g):
+    """f + g canonicalized by every factor of the least common denominator."""
+    lcd = f.den.merged_max(g.den)
+    return GradedSeries(_cleared(f.num, lcd, f.den) + _cleared(g.num, lcd, g.den), lcd)
 
 
 class TestLattice:
@@ -177,6 +209,59 @@ class TestSeries:
         assert s == GradedSeries.from_poly(f)
         assert GradedSeries(s.num, s.den) == s
 
+    @settings(max_examples=150, deadline=None)
+    @given(coset_polys, coset_polys, coset_polys, factor_lists, dens,
+           st.one_of(st.none(), dens))
+    def test_sum_matches_full_canonicalization(self, x, h1, h2, factors, d1, d2):
+        # f + g = common * (h1 + h2) / d: the factors common and d share cancel
+        # when both summands carry them equally (d2 None: the same denominator)
+        common = product_of(factors)
+        f = GradedSeries(x + common * h1, d1)
+        g = GradedSeries(common * h2 - x, d1 if d2 is None else d2)
+        for got in (f + g, g + f):
+            want = fully_canonical_sum(f, g)
+            assert (got.num, got.den) == (want.num, want.den)
+        want = fully_canonical_sum(f, -g)
+        got = f - g
+        assert (got.num, got.den) == (want.num, want.den)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coset_polys, factor_lists, dens, dens)
+    def test_extra_denominator_matches_full_canonicalization(self, h, factors, den, extra):
+        f = GradedSeries(product_of(factors) * h, den)
+        got = f.with_extra_denominator(extra.as_dict())
+        want = GradedSeries(f.num, f.den.merged_sum(extra))
+        assert (got.num, got.den) == (want.num, want.den)
+
+    def test_equal_factors_cancel_in_a_sum(self):
+        q = qat({(1, 0, 0): 1})
+        one_minus_q = DenomVector.from_dict({1: 1})
+        assert (GradedSeries(LaurentPoly.one(), one_minus_q)
+                + GradedSeries(-q, one_minus_q)) == GradedSeries.one()
+        # (1 + a)/D + (-q t^{-1} - a)/D = (1 - q t^{-1})/D with D = (1 - q)(1 - q t^{-1})
+        d = DenomVector.from_dict({1: 1, 2: 1})
+        f = GradedSeries(ONE_PLUS_A, d)
+        g = GradedSeries(P(2) - ONE_PLUS_A, d)
+        assert (f.den, g.den) == (d, d)
+        assert f + g == GradedSeries(LaurentPoly.one(), one_minus_q)
+        total = f + (-f)
+        assert total.is_zero() and total.den.is_empty()
+
+    def test_extra_factor_cancels_with_the_numerator(self):
+        f = GradedSeries.from_poly(P(3) * ONE_PLUS_A)
+        got = f.with_extra_denominator({1: 1, 3: 2})
+        assert got == GradedSeries(ONE_PLUS_A, DenomVector.from_dict({1: 1, 3: 1}))
+
+    def test_product_of_canonical_series_can_cancel(self):
+        # off the sublattice (1 - Q)(1 + Q) = 1 - q: each factor is
+        # canonical over (1 - q), but their product is not
+        one_minus_Q = LaurentPoly({(0, 0, 0): 1, (1, 0, 0): -1})
+        one_plus_Q = LaurentPoly({(0, 0, 0): 1, (1, 0, 0): 1})
+        x = GradedSeries(one_minus_Q, DenomVector.from_dict({1: 1}))
+        y = GradedSeries(one_plus_Q, DenomVector.from_dict({1: 1}))
+        assert x.den.as_dict() == y.den.as_dict() == {1: 1}
+        assert x * y == GradedSeries(LaurentPoly.one(), DenomVector.from_dict({1: 1}))
+
     def test_value_equality_across_representations(self):
         a = GradedSeries(ONE_PLUS_A, DenomVector.from_dict({1: 1}))
         factor = LaurentPoly({(0, 0, 0): 1, denom_monomial(2): -1})
@@ -199,6 +284,21 @@ class TestSeries:
                          DenomVector.from_dict({1: 1, 2: 1}),
                          canonical=True)  # deliberately non-canonical value
         assert expand_series(a, 6) == expand_series(b, 6)
+
+
+class TestCacheText:
+    @pytest.mark.parametrize("low, high, bits", [
+        (-2**29, 2**29 - 1, 32), (-2**15 - 1, 2**15, 32), (-5, 2**30, 64), (-2**31, 5, 64)])
+    def test_32_bit_digits_decode_at_the_narrowest_width(self, low, high, bits):
+        # digits in [-2**29, 2**29) keep the 32-bit layout a computation holds them in
+        f = LaurentPoly.from_qat({(0, 0, 0): low, (1, 1, 2): high, (2, 0, 1): 3})
+        text = encode_numerator(f)
+        assert text.split(",")[8] == "32"  # the digit width written
+        g = decode_numerator(text)
+        assert [p.bits for p in g._parts.values()] == [bits]
+        assert g == f and g.terms == f.terms
+        assert encode_numerator(g) == text
+        assert g + g == f + f and (g + g).terms == {m: 2 * c for m, c in f.terms.items()}
 
 
 class TestUpToMonomial:
