@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 check-suite failure, 2 usage or domain error.
+Exit codes: 0 success, 1 check-suite failure, 2 usage, domain or cache-file
+error.
 Output on stdout is deterministic for fixed inputs and flags; timing and
 memo counters go to the envelope's timing block (json) or to stderr
 (human).
@@ -248,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pair", help="evaluate the recursion at a pair v, w")
     p.add_argument("v")
     p.add_argument("w")
-    p.add_argument("--normalized", action="store_true", help=argparse.SUPPRESS)
     add_series_flags(p)
     p.set_defaults(func=cmd_pair)
 
@@ -289,7 +289,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or a --cache path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,11 +19,11 @@ from enum import Enum
 from math import comb, gcd
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
+from . import ring
 from .ring import (
     DenomVector,
     GradedSeries,
     LaurentPoly,
-    _is_canonical,
     decode_numerator,
     encode_numerator,
     qat_monomial,
@@ -31,8 +31,6 @@ from .ring import (
 from .sequences import SeqPair, pair_strictly_precedes, pair_validate
 
 ENCODER_VERSION = "torhom-series-packed-2"
-
-DEBUG_DESCENT = bool(os.environ.get("TLH_DEBUG_DESCENT"))
 
 
 class RuleTag(Enum):
@@ -309,10 +307,7 @@ def _decode_series(line: bytes) -> GradedSeries:
     num = decode_numerator(num_text)
     if num.is_zero() and not den.is_empty():
         raise ValueError("a zero numerator over a denominator")
-    series = GradedSeries(num, den, canonical=True)
-    if DEBUG_DESCENT:
-        assert _is_canonical(series), line[:80]
-    return series
+    return GradedSeries(num, den, canonical=True)
 
 
 def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
@@ -342,8 +337,7 @@ def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
         current, combine, children = stack.pop()
         if combine is not None:  # second visit: every child is stored by now
             value = combine(current, [memo.peek(child) for child in children], layout)
-            if DEBUG_DESCENT:  # every rule's shortcut to a canonical value
-                assert _is_canonical(value), current
+            if ring.DEBUG_DESCENT:
                 assert value.num.within(*layout), (current, layout)
             memo.put(current, value)
             misses += 1
@@ -353,7 +347,7 @@ def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
             continue
         children_of, combine = RULES[classify_rule(current)]
         children = children_of(current)
-        if DEBUG_DESCENT:
+        if ring.DEBUG_DESCENT:
             for child in children:
                 assert pair_strictly_precedes(child, current), (current, child)
         stack.append((current, combine, children))

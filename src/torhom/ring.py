@@ -33,8 +33,7 @@ a part packed from terms gets exactly its extents as slots, and a sum
 that outgrows its slots rounds them up to a multiple of four.  Memory
 follows the box and its slots, so terms far apart, or a small part in a
 large query's layout, pay for the empty cells.  Because q is
-outermost, multiplying by q is a shift by one whole plane of ps cells, and
-the lines along which (1 - q) divides never wrap inside the box.
+outermost, multiplying by q t^{1-i} is a shift by ps - (i - 1) cells.
 
 Digit invariant.  Every stored digit satisfies |c| <= 2**(B - 3 - room)
 for the part's `room` >= 0.  The sum of two parts at room 0 has digits
@@ -50,9 +49,12 @@ a coset: the result box is the union of theirs, in the wider of their
 layouts (grown when the union does not fit); a part whose layout differs
 is repacked with row copies through ``array``.  Multiplying by 1 - X, as
 clearing a denominator does, is a shift and a subtraction.  Division by
-(1 - q) folds the q-planes onto each other to read every line sum, and
-builds the quotient only when they all vanish, by running sums with
-log-doubling shifts.
+1 - q t^{1-i} is one fold along that shift for every i: with t-slots
+ts >= te + qe (i - 1) (the part is relaid when it has fewer) no line of
+the box wraps onto another, so folding blocks of ps - (i - 1) cells onto
+each other reads every line sum.  Only when they all vanish is the
+quotient built, by running sums with log-doubling shifts, and relaid to
+the part's own layout.
 
 Cache text.  ``encode_numerator`` writes each part as its coset, origin,
 extents, a digit width and the box's cells in hex: little-endian
@@ -69,6 +71,7 @@ malformed field.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from array import array
 from collections import deque
@@ -81,6 +84,10 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 Monomial = Tuple[int, int, int]  # (qexp, aexp, texp) on the (Q,A,T) lattice
 
 MONO_ONE: Monomial = (0, 0, 0)
+
+# Debug mode: GradedSeries checks every canonical=True shortcut, and
+# recursion.eval_p checks descent and its layout bound.
+DEBUG_DESCENT = bool(os.environ.get("TLH_DEBUG_DESCENT"))
 
 
 class LatticeError(ValueError):
@@ -315,24 +322,6 @@ def _mul_parts(x: _Part, y: _Part, dq: int, dt: int) -> Optional[_Part]:
                  qe, ae, te, _room_for(bound, bits))
 
 
-def _widened_by(p: _Part, extra: int) -> _Part:
-    """p repacked at a width with at least `extra` more bits per digit."""
-    bits = p.bits
-    while bits < p.bits + extra:
-        bits <<= 1
-    return _Part(_relaid(p, bits, p.ts, p.ps), bits, p.ts, p.ps,
-                 p.q0, p.a0, p.t0, p.qe, p.ae, p.te, p.room + bits - p.bits)
-
-
-def _times(p: _Part, coeff: int) -> _Part:
-    if coeff == -1:
-        return p.moved(0, 0, 0, -p.n)
-    grow = abs(coeff).bit_length()
-    p = _widened_by(p, grow)
-    return _Part(p.n * coeff, p.bits, p.ts, p.ps, p.q0, p.a0, p.t0, p.qe, p.ae, p.te,
-                 p.room - grow)
-
-
 def _with_headroom(p: _Part, spare: int) -> _Part:
     """p with room >= spare: a sum of at most 2**spare of its digits keeps
     the digit invariant, with room - spare to spare."""
@@ -340,7 +329,11 @@ def _with_headroom(p: _Part, spare: int) -> _Part:
         return p
     if _fits(p.n, p.bits, p.qe * p.ps, p.bits - 3 - spare):
         return _Part(p.n, p.bits, p.ts, p.ps, p.q0, p.a0, p.t0, p.qe, p.ae, p.te, spare)
-    return _widened_by(p, spare)
+    bits = p.bits
+    while bits < p.bits + spare:
+        bits <<= 1
+    return _Part(_relaid(p, bits, p.ts, p.ps), bits, p.ts, p.ps,
+                 p.q0, p.a0, p.t0, p.qe, p.ae, p.te, p.room + bits - p.bits)
 
 
 def _balanced_low(n: int, nbits: int) -> int:
@@ -349,81 +342,49 @@ def _balanced_low(n: int, nbits: int) -> int:
     return low - (1 << nbits) if low >> (nbits - 1) else low
 
 
-def _divide_q(p: _Part) -> Optional[_Part]:
-    """p / (1 - q): each line is one cell position across the q-planes."""
+def _divided(p: _Part, e: int) -> Optional[_Part]:
+    """p / (1 - q t^{-e}), or None if it does not divide.
+
+    q t^{-e} moves a cell s = ps - e further along the index.  Once
+    ts >= te + qe*e (p is relaid to such t-slots when it has fewer), no
+    line c + Z*(1, 0, -e) through the box reaches another line's cells: one
+    that leaves the box below t0 runs on through empty slots.  So each
+    line is one residue class mod s, and folding blocks of s cells onto
+    each other reads every line sum.  When they all vanish the running
+    sums along s are the quotient, whose box starts e t-cells later; it is
+    relaid to p's own layout.  For e = 0 the blocks are the q-planes.
+    """
     if p.qe < 2:
         return None
     spare = p.qe.bit_length()
     p = _with_headroom(p, spare)
-    plane = p.bits * p.ps
-    # fold the planes onto each other; what is left holds every line sum
-    s, planes = p.n, p.qe
-    while planes > 1:
-        half = (planes + 1) >> 1
-        k = half * plane
+    bits, ts, ps, n = p.bits, p.ts, p.ps, p.n
+    if ts < p.te + p.qe * e:
+        ts = p.te + p.qe * e
+        ps = ts * p.ae
+        n = _relaid(p, bits, ts, ps)
+    step = bits * (ps - e)
+    # fold the blocks onto each other; what is left holds every line sum
+    s, blocks = n, -(-p.qe * ps // (ps - e))
+    while blocks > 1:
+        half = (blocks + 1) >> 1
+        k = half * step
         low = _balanced_low(s, k)
         s = low + ((s - low) >> k)
-        planes = half
+        blocks = half
     if s:
         return None
-    # quotient = running sums along q: p * (1 + q + q^2 + ...), doubling the span
-    g, span = p.n, 1
+    # quotient = running sums along the lines, doubling the span
+    g, span = n, 1
     while span < p.qe:
-        g += g << (span * plane)
+        g += g << (span * step)
         span <<= 1
-    return _make(_balanced_low(g, (p.qe - 1) * plane), p.bits, p.ts, p.ps,
-                 p.q0, p.a0, p.t0, p.qe - 1, p.ae, p.te, p.room - spare)
-
-
-def _divide_general(p: _Part, dq: int, da: int, dt: int) -> Optional[_Part]:
-    """p / (1 - M) for M = q^dq a^da t^dt, lexicographically positive.
-
-    In a layout with ts > |dt| and ps // ts > |da|, M is a positive shift
-    s of the cell index.  If p = (1 - M) g, then g is the exact 1-D
-    quotient of p by (1 - x^s), which running sums recover; so the
-    candidate is cut to g's box and checked by multiplying back.
-    """
-    ext = (p.qe - abs(dq), p.ae - abs(da), p.te - abs(dt))
-    if min(ext) <= 0:
-        return None
-    ts = max(p.ts, _slots(abs(dt) + 1))
-    ps = ts * max(p.ps // p.ts, _slots(abs(da) + 1))
-    p = _with_headroom(p, max(p.qe, p.ae, p.te).bit_length())
-    bits, cells = p.bits, p.qe * ps
-    g, span = _relaid(p, bits, ts, ps), dq * ps + da * ts + dt
-    while span < cells:
-        g += g << (span * bits)
-        span <<= 1
-    g = _balanced_low(g, cells * bits)
-    if not _fits(g, bits, cells, bits - 3):
-        return None  # a quotient's digits are line sums, within the headroom
-    src = _cells(g, bits, cells)
-    # p = g - M g: along each axis g's box starts |d| later when d < 0
-    lo = (max(-dq, 0), max(-da, 0), max(-dt, 0))
-    dst = _zeros(bits, ext[0] * ps)
-    for i in range(ext[0]):
-        for j in range(ext[1]):
-            s = (i + lo[0]) * ps + (j + lo[1]) * ts + lo[2]
-            d = i * ps + j * ts
-            dst[d:d + ext[2]] = src[s:s + ext[2]]
-    quo = _make(_from_cells(dst, bits), bits, ts, ps, p.q0 + lo[0], p.a0 + lo[1], p.t0 + lo[2],
-                *ext, 0)
-    if quo is None:
-        return None
-    back = _add_parts(quo, quo.moved(dq, da, dt), -1)
-    if back is None or _add_parts(back, p, -1) is not None:
-        return None
-    return quo
-
-
-def _divide_part(p: _Part, dq: int, da: int, dt: int) -> Optional[_Part]:
-    if (dq, da, dt) < (0, 0, 0):
-        # 1 - M = -M (1 - M^-1)
-        quo = _divide_part(p, -dq, -da, -dt)
-        return None if quo is None else quo.moved(-dq, -da, -dt, -quo.n)
-    if (dq, da, dt) == (1, 0, 0):
-        return _divide_q(p)
-    return _divide_general(p, dq, da, dt)
+    g = _balanced_low(g, (p.qe - 1) * ps * bits) >> (e * bits)
+    if (ts, ps) != (p.ts, p.ps):
+        quo = _Part(g, bits, ts, ps, p.q0, p.a0, p.t0 + e, p.qe - 1, p.ae, p.te - e, 0)
+        g = _relaid(quo, bits, p.ts, p.ps)
+    return _make(g, bits, p.ts, p.ps, p.q0, p.a0, p.t0 + e, p.qe - 1, p.ae, p.te - e,
+                 p.room - spare)
 
 
 _PLANE_ORDER: Dict[Tuple[int, int], tuple] = {}  # (ts, ps) -> see _plane_order
@@ -568,18 +529,14 @@ class LaurentPoly:
                     out = out + LaurentPoly._of({(rq1 ^ rq2, rt1 ^ rt2): p})
         return out
 
-    def scale(self, m: Monomial, coeff: int = 1) -> "LaurentPoly":
-        """Multiply by coeff * Q^a A^b T^c: moves each part's origin."""
-        if coeff == 0:
-            return LaurentPoly.zero()
+    def scale(self, m: Monomial) -> "LaurentPoly":
+        """Multiply by Q^a A^b T^c: moves each part's origin."""
         dQ, dA, dT = m
         parts = {}
         for (rq, rt), p in self._parts.items():
             sq, st = rq + dQ, rt + dT
             coset = (sq & 1, st & 1)
             dt = (st - coset[1]) >> 1
-            if coeff != 1:
-                p = _times(p, coeff)
             parts[coset] = p.moved(((sq - coset[0]) >> 1) + dA + dt, dA, dt)
         return LaurentPoly._of(parts)
 
@@ -632,6 +589,10 @@ class LaurentPoly:
     def has_even_t(self) -> bool:
         return all(rt == 0 for _, rt in self._parts)
 
+    def on_sublattice(self) -> bool:
+        """True iff every term is a (q,a,t)-monomial, read off the cosets."""
+        return set(self._parts) <= {(0, 0)}
+
     def truncated(self, limit: int) -> "LaurentPoly":
         """The terms with Q + 2A + T <= limit, i.e. q-degree <= limit / 2."""
         parts = {}
@@ -669,23 +630,18 @@ def denom_monomial(i: int) -> Monomial:
     return (2 * i, 0, 2 - 2 * i)
 
 
-def divide_one_minus(f: LaurentPoly, direction: Monomial) -> Optional[LaurentPoly]:
-    """Exact quotient f / (1 - M) with M the given lattice direction.
+def divide_one_minus(f: LaurentPoly, i: int) -> Optional[LaurentPoly]:
+    """Exact quotient f / (1 - q t^{1-i}), or None if it does not divide.
 
-    Returns None if not divisible.  Along each line e + Z*M write
-    f = sum_k f_k M^k; then f = (1 - M) g iff sum_k f_k = 0, with
-    g_k = sum_{j <= k} f_j.  A direction off the sublattice links two
-    cosets; then f / (1 - M) = f (1 + M) / (1 - M^2).
+    Along each line c + Z*M, M = q t^{1-i}, write f = sum_k f_k M^k; then
+    f = (1 - M) g iff sum_k f_k = 0, with g_k = sum_{j <= k} f_j.  M moves
+    every coset onto itself, by one q-plane and i - 1 t-cells back.
     """
-    if direction == MONO_ONE:
-        raise ValueError("cannot divide by 1 - 1")
-    dQ, dA, dT = direction
-    if dQ % 2 or dT % 2:
-        return divide_one_minus(f + f.scale(direction), (2 * dQ, 2 * dA, 2 * dT))
-    dq, da, dt = monomial_to_qat(direction)
+    if i < 1:
+        raise ValueError(f"no denominator factor i = {i}")
     parts = {}
     for coset, p in f._parts.items():
-        quo = _divide_part(p, dq, da, dt)
+        quo = _divided(p, i - 1)
         if quo is None:
             return None
         parts[coset] = quo
@@ -769,6 +725,8 @@ class GradedSeries:
         if canonical:
             self.num = num
             self.den = den
+            if DEBUG_DESCENT:  # the caller's shortcut must be a fixed point
+                assert _is_canonical(self), den
         else:
             self.num, self.den = _canonical_parts(num, den, [i for i, _ in den.mult])
 
@@ -804,10 +762,8 @@ class GradedSeries:
     def __mul__(self, other: "GradedSeries") -> "GradedSeries":
         return GradedSeries(self.num * other.num, self.den.merged_sum(other.den))
 
-    def scale(self, m: Monomial, coeff: int = 1) -> "GradedSeries":
-        if coeff == 0:
-            return GradedSeries.zero()
-        return GradedSeries(self.num.scale(m, coeff), self.den, canonical=True)
+    def scale(self, m: Monomial) -> "GradedSeries":
+        return GradedSeries(self.num.scale(m), self.den, canonical=True)
 
     def with_extra_denominator(self, factors: Mapping[int, int]) -> "GradedSeries":
         extra = DenomVector.from_dict(dict(factors))
@@ -841,9 +797,8 @@ def _canonical_parts(num: LaurentPoly, den: DenomVector, factors: Iterable[int]
         return LaurentPoly.zero(), DenomVector()
     d = den.as_dict()
     for i in factors:
-        direction = denom_monomial(i)
         while d[i] > 0:
-            quo = divide_one_minus(num, direction)
+            quo = divide_one_minus(num, i)
             if quo is None:
                 break
             num = quo
@@ -1004,78 +959,38 @@ def _fmt_power(var: str, e: int, latex: bool) -> str:
     return f"{var}^{e}" if 0 <= e <= 9 else f"{var}^({e})"
 
 
-def _fmt_qat_monomial(i: int, j: int, k: int, latex: bool = False) -> str:
-    parts = []
-    if i:
-        parts.append(_fmt_power("q", i, latex))
-    if j:
-        parts.append(_fmt_power("a", j, latex))
-    if k:
-        parts.append(_fmt_power("t", k, latex))
-    if not parts:
-        return "1"
-    return ("" if latex else "*").join(parts) if not latex else " ".join(parts)
-
-
-def _fmt_QAT_monomial(m: Monomial, latex: bool = False) -> str:
-    parts = []
-    for var, e in zip("QAT", m):
-        if e:
-            parts.append(_fmt_power(var, e, latex))
+def _fmt_monomial(names: str, exps: Tuple[int, int, int], latex: bool) -> str:
+    parts = [_fmt_power(var, e, latex) for var, e in zip(names, exps) if e]
     if not parts:
         return "1"
     return " ".join(parts) if latex else "*".join(parts)
 
 
-def _group_terms_qat(f: LaurentPoly):
-    """Terms as {a-degree: {t-degree: {q-degree: coeff}}}, sorted."""
-    grouped: Dict[int, Dict[int, Dict[int, int]]] = {}
-    for m, c in f.terms.items():
-        i, j, k = monomial_to_qat(m)
-        grouped.setdefault(j, {}).setdefault(k, {})[i] = c
-    return grouped
-
-def _fmt_signed(text: str, coeff: int, first: bool) -> str:
+def _fmt_signed(text: str, coeff: int, first: bool, latex: bool) -> str:
     mag = abs(coeff)
     if text == "1":
         body = str(mag)
     elif mag == 1:
         body = text
     else:
-        body = f"{mag}{text}" if text.startswith("(") else f"{mag}*{text}"
+        body = f"{mag} {text}" if latex else f"{mag}*{text}"
     if first:
         return f"-{body}" if coeff < 0 else body
     return f" - {body}" if coeff < 0 else f" + {body}"
 
 
-def _poly_text_qat(f: LaurentPoly, latex: bool) -> str:
+def _poly_text(f: LaurentPoly, latex: bool) -> str:
+    """f in q, a, t ordered by a, then t, then q when every term lies on
+    the sublattice; otherwise in Q, A, T in lexicographic order."""
     if f.is_zero():
         return "0"
-    grouped = _group_terms_qat(f)
-    chunks = []
-    first = True
-    for j in sorted(grouped):
-        for k in sorted(grouped[j]):
-            for i in sorted(grouped[j][k]):
-                c = grouped[j][k][i]
-                chunks.append(_fmt_signed(_fmt_qat_monomial(i, j, k, latex), c, first))
-                first = False
-    return "".join(chunks)
-
-
-def _poly_text_QAT(f: LaurentPoly, latex: bool) -> str:
-    if f.is_zero():
-        return "0"
-    chunks = []
-    first = True
-    for m, c in f.sorted_terms():
-        chunks.append(_fmt_signed(_fmt_QAT_monomial(m, latex), c, first))
-        first = False
-    return "".join(chunks)
-
-
-def _on_sublattice(f: LaurentPoly) -> bool:
-    return all(q % 2 == 0 and t % 2 == 0 for (q, _, t) in f.terms)
+    if f.on_sublattice():
+        keyed = sorted((j, k, i, c) for m, c in f.terms.items() for i, j, k in [monomial_to_qat(m)])
+        terms = [("qat", (i, j, k), c) for j, k, i, c in keyed]
+    else:
+        terms = [("QAT", m, c) for m, c in f.sorted_terms()]
+    return "".join([_fmt_signed(_fmt_monomial(names, m, latex), c, n == 0, latex)
+                    for n, (names, m, c) in enumerate(terms)])
 
 
 def _denom_text(den: DenomVector, latex: bool) -> str:
@@ -1089,7 +1004,7 @@ def _denom_text(den: DenomVector, latex: bool) -> str:
         if m > 1:
             base += f"^{{{m}}}" if latex else f"^{m}"
         parts.append(base)
-    return ("" if latex else "*").join(parts) if not latex else " ".join(parts)
+    return " ".join(parts) if latex else "*".join(parts)
 
 
 def series_payload(s: GradedSeries) -> Dict[str, list]:
@@ -1101,15 +1016,11 @@ def series_payload(s: GradedSeries) -> Dict[str, list]:
 def render(s: GradedSeries, fmt: str = "human") -> str:
     if fmt == "json":
         return json.dumps(series_payload(s), separators=(",", ":"))
-    qat = _on_sublattice(s.num)
-    if fmt == "human":
-        num_text = _poly_text_qat(s.num, False) if qat else _poly_text_QAT(s.num, False)
-        if s.den.is_empty():
-            return num_text
-        return f"({num_text}) / ({_denom_text(s.den, False)})"
-    if fmt == "latex":
-        num_text = _poly_text_qat(s.num, True) if qat else _poly_text_QAT(s.num, True)
-        if s.den.is_empty():
-            return num_text
-        return f"\\frac{{{num_text}}}{{{_denom_text(s.den, True)}}}"
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in ("human", "latex"):
+        raise ValueError(f"unknown format {fmt!r}")
+    latex = fmt == "latex"
+    num_text = _poly_text(s.num, latex)
+    if s.den.is_empty():
+        return num_text
+    den_text = _denom_text(s.den, latex)
+    return f"\\frac{{{num_text}}}{{{den_text}}}" if latex else f"({num_text}) / ({den_text})"

@@ -72,6 +72,9 @@ class DictPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def on_sublattice(self) -> bool:
+        return all(q % 2 == 0 and t % 2 == 0 for q, _, t in self.terms)
+
     def sorted_terms(self):
         return sorted(self.terms.items())
 

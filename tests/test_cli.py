@@ -64,6 +64,23 @@ class TestExitCodes:
         assert err == "error: check symmetry does not take --r\n"
         assert run(capsys, ["check", "roundtrip", "--seed", "1"])[0] == 2
 
+    def test_pair_rejects_normalized(self, capsys):
+        code, out, err = run(capsys, ["pair", "01", "10", "--normalized"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --normalized" in err
+
+    def test_cache_path_that_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["torus", "2", "3", "--cache", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_cache_path_in_a_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "c.tsv"
+        code, out, err = run(capsys, ["torus", "2", "3", "--cache", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTorus:
     def test_human_output(self, capsys):

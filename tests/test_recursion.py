@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import torhom.recursion as recursion
+import torhom.ring as ring
 from torhom import links
 from torhom.recursion import (
     MemoTable,
@@ -108,7 +109,7 @@ class TestDeterminism:
         assert a == b
 
     def test_descent_asserted(self, monkeypatch):
-        monkeypatch.setattr(recursion, "DEBUG_DESCENT", True)
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
         eval_p(pair_validate("0010", "0100"), MemoTable())  # must not raise
 
     def test_long_pair_no_recursion_limit(self):
@@ -190,7 +191,7 @@ class TestQueryLayout:
         assert render(eval_p(torus(6, 7), MemoTable()), "json") == want
 
     def test_debug_mode_asserts_every_stored_value_is_canonical(self, monkeypatch):
-        monkeypatch.setattr(recursion, "DEBUG_DESCENT", True)
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
         eval_p(torus(4, 5), MemoTable())  # base, rule 2, 3/4, 5 and all-zeros values
         one_minus_q = qat({(0, 0, 0): 1, (1, 0, 0): -1})
 
@@ -204,12 +205,12 @@ class TestQueryLayout:
         monkeypatch.setitem(recursion.RULES, RuleTag.AllZeros, rule._replace(combine=padded))
         with pytest.raises(AssertionError):
             eval_p(torus(2, 3), MemoTable())
-        monkeypatch.setattr(recursion, "DEBUG_DESCENT", False)
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", False)
         assert series_equal(eval_p(torus(2, 3), MemoTable()),
                             links.torus_link_homology(links.TorusLinkSpec(2, 3)))
 
     def test_debug_mode_asserts_the_bound(self, monkeypatch):
-        monkeypatch.setattr(recursion, "DEBUG_DESCENT", True)
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
         eval_p(torus(5, 6), MemoTable())  # the true bound holds
         monkeypatch.setattr(recursion, "query_layout", lambda pair: (3, 3))
         with pytest.raises(AssertionError):
@@ -305,21 +306,22 @@ class TestPersistence:
             MemoTable(path=path).peek(SeqPair("0", "0"))
 
     def test_debug_mode_checks_that_decoded_entries_are_canonical(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(recursion, "DEBUG_DESCENT", True)
+        # (1 - q) / (1 - q) under a valid checksum: decodable, not canonical
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", False)
+        one_minus_q = qat({(0, 0, 0): 1, (1, 0, 0): -1})
+        line = recursion._encode_series(
+            "0|0", GradedSeries(one_minus_q, DenomVector.from_dict({1: 1}), canonical=True))
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
         path = str(tmp_path / "cache.tsv")
         memo = MemoTable()
         eval_p(pair_validate("0" * 5, "0" * 5), memo)
         memo.save(path)
         assert len(list(MemoTable(path=path).values())) == 63  # all canonical
-        # (1 - q) / (1 - q) under a valid checksum: decodable, not canonical
-        one_minus_q = qat({(0, 0, 0): 1, (1, 0, 0): -1})
-        line = recursion._encode_series(
-            "0|0", GradedSeries(one_minus_q, DenomVector.from_dict({1: 1}), canonical=True))
         with open(path, "wb") as fh:
             fh.write(MemoTable._version_line().encode() + b"\n" + line + b"\n")
         with pytest.raises(AssertionError):
             MemoTable(path=path).peek(SeqPair("0", "0"))
-        monkeypatch.setattr(recursion, "DEBUG_DESCENT", False)
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", False)
         assert MemoTable(path=path).peek(SeqPair("0", "0")).num == one_minus_q
 
     def test_stored_bytes_are_a_function_of_the_value(self):

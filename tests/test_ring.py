@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torhom.ring as ring
 from torhom.ring import (
     DenomVector,
     GradedSeries,
@@ -110,9 +111,10 @@ class TestPolyArith:
 
     def test_scale(self):
         f = qat({(1, 0, 0): 1, (0, 0, 0): 1})
-        assert f.scale((2, 0, 0), 3) == LaurentPoly(
-            {(4, 0, 0): 3, (2, 0, 0): 3})
-        assert f.scale((0, 0, 0), 0).is_zero()
+        assert f.scale((2, 0, 0)) == LaurentPoly({(4, 0, 0): 1, (2, 0, 0): 1})
+        assert f.scale((0, 0, 0)) == f
+        # a shift off the sublattice moves the part to another coset
+        assert f.scale((1, 2, -1)) == LaurentPoly({(3, 2, -1): 1, (1, 2, -1): 1})
 
     def test_minimum_slots(self):
         terms = {(0, 0, 0): 1, (0, 1, 0): 2, (1, 0, 2): -1}
@@ -153,19 +155,17 @@ class TestPolyArith:
 
 class TestDivision:
     def test_exact_factor_cancels(self):
-        one_minus_q = LaurentPoly({(0, 0, 0): 1, denom_monomial(1): -1})
-        quo = divide_one_minus(one_minus_q * ONE_PLUS_A, denom_monomial(1))
+        quo = divide_one_minus(P(1) * ONE_PLUS_A, 1)
         assert quo == ONE_PLUS_A
 
     def test_not_divisible(self):
-        assert divide_one_minus(ONE_PLUS_A, denom_monomial(1)) is None
+        assert divide_one_minus(ONE_PLUS_A, 1) is None
 
     @settings(max_examples=60, deadline=None)
     @given(polys)
     def test_multiply_then_divide_round_trip(self, f):
         for i in (1, 2, 3):
-            factor = LaurentPoly({(0, 0, 0): 1, denom_monomial(i): -1})
-            assert divide_one_minus(factor * f, denom_monomial(i)) == f
+            assert divide_one_minus(P(i) * f, i) == f
 
 
 class TestDenomVector:
@@ -277,13 +277,35 @@ class TestSeries:
     def test_expand_zero(self):
         assert expand_series(GradedSeries.zero(), 5).is_zero()
 
-    def test_expand_agrees_across_representations(self):
+    def test_expand_agrees_across_representations(self, monkeypatch):
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", False)
         a = GradedSeries(ONE_PLUS_A, DenomVector.from_dict({1: 1}))
         factor = LaurentPoly({(0, 0, 0): 1, denom_monomial(2): -1})
         b = GradedSeries(ONE_PLUS_A * factor,
                          DenomVector.from_dict({1: 1, 2: 1}),
                          canonical=True)  # deliberately non-canonical value
         assert expand_series(a, 6) == expand_series(b, 6)
+
+    def test_debug_mode_checks_shortcuts_outside_the_recursion(self, monkeypatch):
+        # with_extra_denominator claims its result canonical after dividing
+        # by the new factors only; break that shortcut so it divides by none
+        real = ring._canonical_parts
+
+        def no_shortcut(num, den, factors):
+            factors = list(factors)
+            return real(num, den, factors if factors == [i for i, _ in den.mult] else [])
+
+        f = GradedSeries(P(3) * ONE_PLUS_A, DenomVector.from_dict({1: 1}))
+        monkeypatch.setattr(ring, "_canonical_parts", no_shortcut)
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", False)
+        wrong = f.with_extra_denominator({3: 1})
+        assert wrong.den.as_dict() == {1: 1, 3: 1}  # P(3) over P(3), not reduced
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
+        with pytest.raises(AssertionError):
+            f.with_extra_denominator({3: 1})
+        monkeypatch.setattr(ring, "_canonical_parts", real)
+        assert f.with_extra_denominator({3: 1}) == GradedSeries(
+            ONE_PLUS_A, DenomVector.from_dict({1: 1}))
 
 
 class TestCacheText:
@@ -350,6 +372,16 @@ class TestRender:
         s = GradedSeries(ONE_PLUS_A, DenomVector.from_dict({1: 1}))
         out = render(s, "latex")
         assert out.startswith("\\frac{") and "(1 - q)" in out
+
+    def test_coefficients_in_each_format(self):
+        f = qat({(1, 1, -2): 2, (0, 0, 1): -3, (0, 0, 0): 1})
+        s = GradedSeries(f, DenomVector.from_dict({2: 1}))
+        assert render(s, "latex") == "\\frac{1 - 3 t + 2 q a t^{-2}}{(1 - q t^{-1})}"
+        assert render(s, "human") == "(1 - 3*t + 2*q*a*t^(-2)) / ((1-q*t^(-1)))"
+        # off the sublattice the terms are written in Q, A, T
+        g = GradedSeries.from_poly(LaurentPoly({(1, 0, 0): -2, (0, 1, 3): 1}))
+        assert render(g, "latex") == "A T^{3} - 2 Q"
+        assert render(g, "human") == "A*T^3 - 2*Q"
 
     def test_denominator_text(self):
         s = GradedSeries(ONE_PLUS_A, DenomVector.from_dict({1: 2, 2: 1}))
