@@ -18,8 +18,6 @@ from .sequences import (
     bit_inversions,
     inversions,
     pair_validate,
-    shuffle_permutation,
-    shuffle_permutation_closed,
     weight,
 )
 from .recursion import MemoTable, RuleTag, classify_rule, eval_p

@@ -17,11 +17,19 @@ from .sequences import SeqPair, pair_validate
 
 CheckResult = Tuple[str, bool, str]
 
+# sizes no caller varies; the command-line flags set only the suites' arguments
+SYMMETRY_RANDOM_COUNT = 200
+SYMMETRY_RANDOM_MAX_LEN = 16
+TORUS_MAX = 6  # positivity and parity also run T(m,n), m, n <= TORUS_MAX
+LEMMA53_RANDOM_COUNT = 100
+LEMMA53_RANDOM_R_MAX = 5
+LEMMA53_RANDOM_LEN_MAX = 6
+UNKNOT_M_MAX = 12
 
-def _valid_pairs(max_v_len: int, max_w_len: int,
-                 max_total: Optional[int] = None) -> Iterable[SeqPair]:
-    for a in range(max_v_len + 1):
-        for b in range(max_w_len + 1):
+
+def _valid_pairs(max_len: int, max_total: Optional[int] = None) -> Iterable[SeqPair]:
+    for a in range(max_len + 1):
+        for b in range(max_len + 1):
             if max_total is not None and a + b > max_total:
                 continue
             for v_bits in itertools.product("01", repeat=a):
@@ -81,14 +89,13 @@ def suite_paper_values(memo: Optional[MemoTable] = None) -> List[CheckResult]:
     return out
 
 
-def suite_symmetry(length: int = 10, seed: int = 0, random_count: int = 200,
-                   random_max_len: int = 16,
+def suite_symmetry(length: int = 10, seed: int = 0,
                    memo: Optional[MemoTable] = None) -> List[CheckResult]:
     memo = memo or MemoTable()
     out: List[CheckResult] = []
     bad = 0
     total = 0
-    for pair in _valid_pairs(length, length, max_total=length):
+    for pair in _valid_pairs(length, max_total=length):
         total += 1
         lhs = eval_p(pair, memo)
         rhs = eval_p(SeqPair(pair.w, pair.v), memo)
@@ -98,12 +105,12 @@ def suite_symmetry(length: int = 10, seed: int = 0, random_count: int = 200,
     out.append((f"symmetry exhaustive len<={length} ({total} pairs)", bad == 0, ""))
     rng = random.Random(seed)
     bad = 0
-    for _ in range(random_count):
-        pair = _random_pair(rng, random_max_len)
+    for _ in range(SYMMETRY_RANDOM_COUNT):
+        pair = _random_pair(rng, SYMMETRY_RANDOM_MAX_LEN)
         if eval_p(pair, memo) != eval_p(SeqPair(pair.w, pair.v), memo):
             bad += 1
             out.append((f"symmetry random {pair.v}|{pair.w}", False, ""))
-    out.append((f"symmetry random x{random_count} seed={seed}", bad == 0, ""))
+    out.append((f"symmetry random x{SYMMETRY_RANDOM_COUNT} seed={seed}", bad == 0, ""))
     bad = 0
     for v, w in (("0" * 11, "0" * 9), ("0" * 12, "0" * 10), ("10" * 6, "0" * 10 + "1" * 6)):
         if eval_p(SeqPair(v, w), memo) != eval_p(SeqPair(w, v), memo):
@@ -113,13 +120,13 @@ def suite_symmetry(length: int = 10, seed: int = 0, random_count: int = 200,
     return out
 
 
-def suite_positivity(length: int = 6, depth: int = 12, torus_max: int = 6,
+def suite_positivity(length: int = 6, depth: int = 12,
                      memo: Optional[MemoTable] = None) -> List[CheckResult]:
     memo = memo or MemoTable()
     out: List[CheckResult] = []
     bad = 0
     total = 0
-    for pair in _valid_pairs(length, length):
+    for pair in _valid_pairs(length):
         total += 1
         expanded = expand_series(eval_p(pair, memo), depth)
         if any(c < 0 for c in expanded.terms.values()):
@@ -127,28 +134,27 @@ def suite_positivity(length: int = 6, depth: int = 12, torus_max: int = 6,
             out.append((f"positivity {pair.v}|{pair.w}", False, ""))
     out.append((f"positivity pairs len<={length} depth={depth} ({total} pairs)", bad == 0, ""))
     bad = 0
-    for m in range(1, torus_max + 1):
-        for n in range(1, torus_max + 1):
+    for m in range(1, TORUS_MAX + 1):
+        for n in range(1, TORUS_MAX + 1):
             expanded = expand_series(
                 links.torus_link_homology(links.TorusLinkSpec(m, n), memo), depth)
             if any(c < 0 for c in expanded.terms.values()):
                 bad += 1
                 out.append((f"positivity T({m},{n})", False, ""))
-    out.append((f"positivity torus m,n<={torus_max}", bad == 0, ""))
+    out.append((f"positivity torus m,n<={TORUS_MAX}", bad == 0, ""))
     return out
 
 
-def suite_parity(length: int = 6, torus_max: int = 6,
-                 memo: Optional[MemoTable] = None) -> List[CheckResult]:
+def suite_parity(length: int = 6, memo: Optional[MemoTable] = None) -> List[CheckResult]:
     memo = memo or MemoTable()
     bad = 0
     total = 0
-    for pair in _valid_pairs(length, length):
+    for pair in _valid_pairs(length):
         total += 1
         if not eval_p(pair, memo).num.has_even_t():
             bad += 1
-    for m in range(1, torus_max + 1):
-        for n in range(1, torus_max + 1):
+    for m in range(1, TORUS_MAX + 1):
+        for n in range(1, TORUS_MAX + 1):
             total += 1
             if not links.torus_link_homology(links.TorusLinkSpec(m, n), memo).num.has_even_t():
                 bad += 1
@@ -156,8 +162,6 @@ def suite_parity(length: int = 6, torus_max: int = 6,
 
 
 def suite_lemma53(r_max: int = 3, length: int = 4, seed: int = 0,
-                  random_count: int = 100, random_r_max: int = 5,
-                  random_len_max: int = 6,
                   memo: Optional[MemoTable] = None) -> List[CheckResult]:
     memo = memo or MemoTable()
     out: List[CheckResult] = []
@@ -174,15 +178,15 @@ def suite_lemma53(r_max: int = 3, length: int = 4, seed: int = 0,
     out.append((f"lemma53 exhaustive r<={r_max} N<={length} ({total} identities)", bad == 0, ""))
     rng = random.Random(seed)
     bad = 0
-    for _ in range(random_count):
-        r = rng.randint(1, random_r_max)
-        n = rng.randint(0, random_len_max)
+    for _ in range(LEMMA53_RANDOM_COUNT):
+        r = rng.randint(1, LEMMA53_RANDOM_R_MAX)
+        n = rng.randint(0, LEMMA53_RANDOM_LEN_MAX)
         sigma = tuple(rng.randint(0, r) for _ in range(n))
         for check in fillings.verify_lemma53(r, sigma, memo):
             if not check.passed:
                 bad += 1
                 out.append((f"lemma53 random r={r} sigma={sigma} {check.name}", False, ""))
-    out.append((f"lemma53 random x{random_count} seed={seed}", bad == 0, ""))
+    out.append((f"lemma53 random x{LEMMA53_RANDOM_COUNT} seed={seed}", bad == 0, ""))
     return out
 
 
@@ -198,8 +202,7 @@ def suite_roundtrip(r_max: int = 4, length: int = 5) -> List[CheckResult]:
                 filling = fillings.filling_from_sigma(sig)
                 if fillings.sigma_from_filling(filling) != sig:
                     bad_sigma += 1
-                w = fillings.w_of_filling(filling)
-                if fillings.filling_from_w(r, n, w) != filling:
+                if fillings.filling_from_w(r, n, fillings.w_of_sigma(sig)) != filling:
                     bad_w += 1
                 if n >= 1 and not _rotation_matches(sig):
                     bad_rot += 1
@@ -224,11 +227,11 @@ def _rotation_matches(sig: fillings.SigmaSeq) -> bool:
             and fillings.sigma_from_filling(f1).entries == (r - 1,) + head)
 
 
-def suite_unknot_family(m_max: int = 12, memo: Optional[MemoTable] = None) -> List[CheckResult]:
+def suite_unknot_family(memo: Optional[MemoTable] = None) -> List[CheckResult]:
     memo = memo or MemoTable()
     expected = eval_p(pair_validate("0", "0"), memo)
     out: List[CheckResult] = []
-    for m in range(1, m_max + 1):
+    for m in range(1, UNKNOT_M_MAX + 1):
         got = eval_p(pair_validate("0" * m, "0"), memo)
         out.append((f"p(0^{m}, 0) = (1+a)/(1-q)", got == expected, ""))
     return out

@@ -9,6 +9,10 @@ The per-row "at most one 1" constraint stated alongside the bijection
 cannot hold for all sequences (two columns with the same occupied row
 collide); validation here enforces the column structure only, which is
 what the sequence calculus below actually uses.
+
+The pair (v, w) of a sequence is read straight off sigma.  The grid code
+(filling_from_sigma, filling_from_w, rotate) is the reference that the
+roundtrip suite checks this readout and the rotation rules against.
 """
 
 from __future__ import annotations
@@ -109,27 +113,17 @@ def sigma_from_filling(t: Filling) -> SigmaSeq:
     return SigmaSeq.of(t.r, [t.column_zero_count(j) for j in range(t.N)])
 
 
-def v_of_filling(t: Filling) -> str:
-    return "".join("0" if t.column_zero_count(j) == t.r else "1" for j in range(t.N))
-
-
-def w_of_filling(t: Filling) -> str:
-    """Entries read left to right, bottom row first, stars skipped."""
-    out = []
-    for i in range(t.r - 1, -1, -1):
-        for j in range(t.N):
-            c = t.cells[i][j]
-            if c != STAR:
-                out.append(c)
-    return "".join(out)
-
-
 def v_of_sigma(s: SigmaSeq) -> str:
-    return v_of_filling(filling_from_sigma(s))
+    """A one for each occupied column, that is each entry below r."""
+    return "".join("1" if e < s.r else "0" for e in s.entries)
 
 
 def w_of_sigma(s: SigmaSeq) -> str:
-    return w_of_filling(filling_from_sigma(s))
+    """The filling's entries read left to right, bottom row first, stars
+    skipped: row i (from 0 at the top) holds a zero in each column with
+    more than i zeros and a one in each column with exactly i."""
+    return "".join("0" if e > i else "1"
+                   for i in range(s.r - 1, -1, -1) for e in s.entries if e >= i)
 
 
 def filling_from_w(r: int, N: int, w: str) -> Filling:

@@ -19,10 +19,6 @@ class ColorError(ValueError):
     pass
 
 
-class ParityError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class TorusLinkSpec:
     m: int
@@ -89,29 +85,16 @@ def colored_torus_both(m: int, n: int, l: int,
     return out
 
 
-@dataclass(frozen=True)
-class NormalizationData:
-    e: int        # writhe
-    c: int        # component count
-    strands: int  # braid width
-
-    def shift_exponent(self) -> int:
-        if (self.e + self.c - self.strands) % 2:
-            raise ParityError(
-                f"e + c - strands = {self.e + self.c - self.strands} is odd")
-        return (self.e + self.c - self.strands) // 2
-
-
-def torus_normalization(spec: TorusLinkSpec) -> NormalizationData:
-    # the cabled crossing of the (m,n) diagram carries m*n positive
-    # crossings; the closure has gcd(m,n) components on m+n strands
-    return NormalizationData(e=spec.m * spec.n, c=gcd(spec.m, spec.n),
-                             strands=spec.m + spec.n)
-
-
 def normalization_shift(spec: TorusLinkSpec) -> Monomial:
-    """The monomial (Q^-4 A T)^s with s = (e + c - strands)/2."""
-    s = torus_normalization(spec).shift_exponent()
+    """The monomial (Q^-4 A T)^s with s = (e + c - strands)/2.
+
+    The (m,n) diagram has writhe e = mn and closes up to c = gcd(m,n)
+    components on m + n strands, so e + c - strands = (m-1)(n-1) + c - 1.
+    If m and n are both even, (m-1)(n-1) and c - 1 are both odd; otherwise
+    (m-1)(n-1) and c - 1 are both even.  The sum is always even.
+    """
+    m, n = spec.m, spec.n
+    s = (m * n + gcd(m, n) - m - n) // 2
     return (-4 * s, s, s)
 
 

@@ -172,6 +172,9 @@ class MemoTable:
         self.max_depth = 0
         self.path = path
         self._synced: Optional[str] = None  # a file that holds exactly this table
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            # found now, not when `save` opens its temp file after the work
+            raise ValueError(f"cache directory of {path} does not exist")
         if path and os.path.exists(path):
             self.load(path)
 

@@ -471,11 +471,6 @@ class LaurentPoly:
         res._parts = parts
         return res
 
-    @classmethod
-    def from_rows(cls, rows) -> "LaurentPoly":
-        """Build from (Q, A, T, coeff) rows, as `rows()` and the cache give them."""
-        return cls._of(_parts_of_rows(rows) if rows else {})
-
     # -- constructors ---------------------------------------------------
 
     @classmethod

@@ -1,8 +1,8 @@
-"""Binary sequences, sequence pairs, and shuffle permutations.
+"""Binary sequences and the sequence pairs (v, w) the recursion runs on.
 
 Bit strings are plain Python strings over '0'/'1', read left to right
-(index 1 first).  Permutations are one-line image tuples: perm[i] is the
-image of position i, 0-indexed.
+(index 1 first).  Shuffled links, Sym^l colorings and grid fillings all
+reach the recursion as such a pair, so no braid permutation is built.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ class WeightMismatch(ValueError):
         super().__init__(f"weight mismatch: |v|={wv}, |w|={ww}")
         self.wv = wv
         self.ww = ww
-
-
-class EmptyInput(ValueError):
-    pass
 
 
 def parse_bits(s: str) -> str:
@@ -102,63 +98,3 @@ def pair_rank(p: SeqPair) -> Tuple[int, int, int]:
 
 def pair_strictly_precedes(p: SeqPair, q: SeqPair) -> bool:
     return pair_rank(p) < pair_rank(q)
-
-
-Perm = Tuple[int, ...]
-
-
-def identity_perm(n: int) -> Perm:
-    return tuple(range(n))
-
-
-def compose(x: Perm, y: Perm) -> Perm:
-    """x after y: (x*y)(i) = x(y(i))."""
-    return tuple(x[y[i]] for i in range(len(y)))
-
-
-def transposition(n: int, i: int) -> Perm:
-    """s_i in S_n swapping positions i, i+1 (1-indexed i)."""
-    images = list(range(n))
-    images[i - 1], images[i] = images[i], images[i - 1]
-    return tuple(images)
-
-
-def shuffle_permutation(v: str) -> Perm:
-    """Permutation sending the first k positions to the zero slots of v and
-    the last l positions to the one slots, built by the inductive rules:
-    append 1 keeps the permutation, append 0 composes with a descending
-    run of adjacent transpositions."""
-    v = parse_bits(v)
-    if not v:
-        raise EmptyInput("shuffle permutation of the empty sequence")
-    perm: Perm = (0,)
-    ones = 1 if v[0] == "1" else 0
-    for r in range(2, len(v) + 1):
-        c = v[r - 1]
-        extended = perm + (r - 1,)
-        if c == "1":
-            perm = extended
-            ones += 1
-        else:
-            for i in range(r - 1, r - 1 - ones, -1):
-                extended = compose(extended, transposition(r, i))
-            perm = extended
-    return perm
-
-
-def shuffle_permutation_closed(v: str) -> Perm:
-    """The closed-form product over the zero positions i_1 < ... < i_k:
-    the j-th factor is the descending run s_{i_j - 1} ... s_j, empty when
-    i_j = j.  Factors compose left to right with the rightmost applied
-    first."""
-    v = parse_bits(v)
-    if not v:
-        raise EmptyInput("shuffle permutation of the empty sequence")
-    r = len(v)
-    zeros = [i + 1 for i, c in enumerate(v) if c == "0"]
-    perm = identity_perm(r)
-    for j, ij in enumerate(zeros, start=1):
-        for i in range(ij - 1, j - 1, -1):
-            perm = compose(perm, transposition(r, i))
-    return perm
-

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torhom.cli as cli
+import torhom.links as links
 import torhom.recursion as recursion
 from torhom.cli import main
 from torhom.links import TorusLinkSpec, torus_link_homology
@@ -74,11 +75,18 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_cache_path_in_a_missing_directory(self, capsys, tmp_path):
+    def test_cache_path_in_a_missing_directory(self, capsys, tmp_path, monkeypatch):
+        # refused when the memo is opened: before any evaluation, naming the given path
+        def never(*args, **kwargs):
+            raise AssertionError("evaluated before the cache path was checked")
+
+        for module in (cli, recursion, links):
+            monkeypatch.setattr(module, "eval_p", never)
         path = tmp_path / "missing" / "c.tsv"
         code, out, err = run(capsys, ["torus", "2", "3", "--cache", str(path)])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{path} " in err and ".tmp" not in err
         assert list(tmp_path.iterdir()) == []
 
 

@@ -20,7 +20,6 @@ from torhom.fillings import (
     sigma_from_filling,
     v_of_sigma,
     verify_lemma53,
-    w_of_filling,
     w_of_sigma,
 )
 from torhom.recursion import eval_p
@@ -93,10 +92,12 @@ class TestRoundTrips:
             assert sigma_from_filling(filling_from_sigma(sig)) == sig
 
     def test_sigma_w_filling_sigma(self):
+        # the readout taken straight off sigma rebuilds sigma's own grid
         for sig in all_sigmas(4, 5):
             grid = filling_from_sigma(sig)
-            rebuilt = filling_from_w(sig.r, sig.N, w_of_filling(grid))
-            assert rebuilt == grid
+            assert filling_from_w(sig.r, sig.N, w_of_sigma(sig)) == grid
+            assert [c == "1" for c in v_of_sigma(sig)] == \
+                ["1" in grid.column(j) for j in range(sig.N)]
 
     def test_w_rejects_wrong_length(self):
         with pytest.raises(ReconstructionError):

@@ -3,8 +3,6 @@ import pytest
 from torhom.links import (
     ColorError,
     DomainError,
-    NormalizationData,
-    ParityError,
     TorusLinkSpec,
     colored_sequences,
     colored_torus_both,
@@ -13,7 +11,6 @@ from torhom.links import (
     normalized_homology,
     shuffled_link_homology,
     torus_link_homology,
-    torus_normalization,
 )
 from torhom.recursion import eval_p
 from torhom.reference import ONE_PLUS_A, colored_unknot_series
@@ -95,19 +92,13 @@ class TestColored:
 
 
 class TestNormalization:
-    def test_torus_data(self):
-        data = torus_normalization(TorusLinkSpec(4, 6))
-        assert (data.e, data.c, data.strands) == (24, 2, 10)
-
     def test_shift_examples(self):
         assert normalization_shift(TorusLinkSpec(1, 1)) == (0, 0, 0)
         # trefoil and Hopf link both shift by (Q^-4 A T)^1
         assert normalization_shift(TorusLinkSpec(2, 3)) == (-4, 1, 1)
         assert normalization_shift(TorusLinkSpec(2, 2)) == (-4, 1, 1)
-
-    def test_parity_guard(self):
-        with pytest.raises(ParityError):
-            NormalizationData(e=2, c=1, strands=2).shift_exponent()
+        # e = 24 crossings, c = 2 components, 10 strands: s = 8
+        assert normalization_shift(TorusLinkSpec(4, 6)) == (-32, 8, 8)
 
     def test_normalized_is_scaled(self, memo):
         spec = TorusLinkSpec(2, 3)

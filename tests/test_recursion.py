@@ -333,7 +333,7 @@ class TestPersistence:
         assert len(values) == 255
         for value in values:
             assert encode_numerator(value.num) == \
-                encode_numerator(LaurentPoly.from_rows(value.num.rows()))
+                encode_numerator(LaurentPoly(value.num.terms))
             assert decode_numerator(encode_numerator(value.num)) == value.num
 
 

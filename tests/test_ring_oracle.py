@@ -46,7 +46,7 @@ def test_round_trip_through_terms(terms):
     p, o = pair(terms)
     assert same(p, o)
     assert p.rows() == o.rows()
-    assert LaurentPoly.from_rows(p.rows()) == p
+    assert LaurentPoly(p.terms) == p
     assert p.has_even_t() == all(t % 2 == 0 for (_, _, t) in o.terms)
     assert p.on_sublattice() == o.on_sublattice()
 
@@ -109,9 +109,29 @@ sublattice_maps = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(0, 3
                                             st.integers(-3, 3)), coeffs, min_size=1, max_size=8)
 
 
+@st.composite
+def wrapping_cells(draw):
+    """Cells c at (0, 0, tb) and -c at (qe - 1, ae - 1, tb + te - e), packed
+    with te + (qe - 1) e t-slots and no spare a-slots.  Their indices differ
+    by qe (ps - e), so a fold along ps - e in this layout would add them,
+    though no line joins them; the fold needs te + qe e t-slots.  Pairs at
+    tb = 0 and tb = e - 1 make the box's t-extent te.  Returns (terms,
+    slots, i, extents) for the divisor 1 - q t^{1-i}, i = e + 1."""
+    e, qe, ae = draw(st.integers(1, 4)), draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    te = draw(st.integers(e, e + 3))
+    dq, da, dt = draw(st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(-3, 3)))
+    terms = {}
+    for tb in (0, e - 1):
+        c = draw(coeffs)
+        terms[dq, da, dt + tb] = c
+        terms[dq + qe - 1, da + ae - 1, dt + tb + te - e] = -c
+    return terms, (te + (qe - 1) * e, ae), e + 1, (qe, ae, te)
+
+
 @settings(max_examples=150, deadline=None)
-@given(sublattice_maps, sublattice_maps, factor_indices, st.integers(0, 12), st.integers(0, 3))
-def test_division_keeps_a_padded_layout(h, g, i, spare_t, spare_a):
+@given(sublattice_maps, sublattice_maps, factor_indices, st.integers(0, 12), st.integers(0, 3),
+       wrapping_cells())
+def test_division_keeps_a_padded_layout(h, g, i, spare_t, spare_a, wrap):
     # parts packed with spare slots, as in a recursion query, divide in
     # their own layout when the slots already hold the fold, and are
     # relaid for the fold when they do not; either way a quotient keeps it
@@ -127,6 +147,13 @@ def test_division_keeps_a_padded_layout(h, g, i, spare_t, spare_a):
         assert (got is None) == (want is None)
         if want is not None:
             assert same(got, want)
+    # a layout whose t-slots already number te + (qe - 1) e is relaid for the fold
+    terms, slots, j, extents = wrap
+    x = LaurentPoly.from_qat(terms, slots)
+    (part,) = x._parts.values()
+    assert (part.qe, part.ae, part.te, part.ts) == (*extents, slots[0])
+    assert oracle_divide(DictPoly(x.terms), denom_monomial(j)) is None
+    assert divide_one_minus(x, j) is None
 
 
 def test_lines_leaving_the_box_do_not_wrap():

@@ -58,3 +58,19 @@ def test_benchmark_json_cache_workload(tmp_path):
     for key in ("wall_s", "save_s"):
         assert result[key] > 0 and len(result[f"{key}_runs"]) == record["repeat"]
     assert os.listdir(tmp_path) == ["bench.json"]  # the cache files are gone
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench/ wraps torhom functions by name and draws its identity-batch
+    # queries through torhom; a deletion that breaks either fails here rather
+    # than in a traced benchmark run.  A child process keeps the wrappers out
+    # of this one.
+    code = ("import json, tracing, workloads\n"
+            "tracer = tracing.Tracer()\n"
+            "tracer.install()\n"
+            "print(json.dumps([tracer.missing, len(workloads.session_queries(7, 0))]))\n")
+    path = os.pathsep.join([SRC, os.path.join(ROOT, "perfbench")])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], 500]

@@ -5,20 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torhom.sequences import (
-    EmptyInput,
     SeqPair,
     WeightMismatch,
     bit_inversions,
-    compose,
-    identity_perm,
     inversions,
     pair_rank,
     pair_strictly_precedes,
     pair_validate,
     parse_bits,
-    shuffle_permutation,
-    shuffle_permutation_closed,
-    transposition,
     weight,
 )
 
@@ -93,39 +87,3 @@ class TestOrder:
             for child in RULES[tag].children(p):
                 assert pair_strictly_precedes(child, p), (p, child)
         assert reached == set(RuleTag)
-
-
-class TestPermutations:
-    def test_compose_and_transposition(self):
-        s1 = transposition(3, 1)
-        s2 = transposition(3, 2)
-        assert compose(s1, s2) == (1, 2, 0)
-        assert compose(s2, s1) == (2, 0, 1)
-        assert compose(identity_perm(3), s1) == s1
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
-            shuffle_permutation("")
-
-    def test_known_values(self):
-        assert shuffle_permutation("01") == (0, 1)
-        assert shuffle_permutation("10") == (1, 0)
-        assert shuffle_permutation("100") == (1, 2, 0)
-
-    def test_closed_formula_agrees(self):
-        for v in all_bitstrings(10):
-            if v:
-                assert shuffle_permutation(v) == shuffle_permutation_closed(v)
-
-    def test_block_mapping(self):
-        # first k positions land on the zero slots in order, the last l
-        # on the one slots in order
-        for v in all_bitstrings(8):
-            if not v:
-                continue
-            perm = shuffle_permutation(v)
-            zeros = [i for i, c in enumerate(v) if c == "0"]
-            ones = [i for i, c in enumerate(v) if c == "1"]
-            k = len(zeros)
-            assert list(perm[:k]) == zeros
-            assert list(perm[k:]) == ones
