@@ -39,7 +39,12 @@ def _emit(args, envelope: Callable[[], Dict], human_lines: Callable[[], List[str
 
 
 def _memo(args) -> MemoTable:
-    return MemoTable(path=getattr(args, "cache", None))
+    """The memo table of a series command whose --expand and --cache ask for something."""
+    if args.expand is not None and args.expand < 0:
+        raise ValueError(f"--expand must be at least 0, got {args.expand}")
+    if args.cache == "":
+        raise ValueError("--cache needs a file name")
+    return MemoTable(path=args.cache)
 
 
 def _finish_memo(args, memo: MemoTable) -> None:
@@ -79,11 +84,11 @@ def cmd_torus(args) -> int:
         return 2
     memo = _memo(args)
     t0 = time.time()
-    series = eval_p(pair_validate("0" * spec.m, "0" * spec.n), memo)
     label = f"T({spec.m},{spec.n})"
     if args.normalized:
-        series = series.scale(links.normalization_shift(spec))
-        label = f"normalized {label}"
+        series, label = links.normalized_homology(spec, memo), f"normalized {label}"
+    else:
+        series = links.torus_link_homology(spec, memo)
     _finish_memo(args, memo)
     _emit(args,
           lambda: _envelope(args, "torus",
@@ -196,20 +201,24 @@ def cmd_sigma(args) -> int:
     return 0
 
 
-# check flag -> the suite parameter it sets
-CHECK_FLAGS = (("r", "r_max"), ("len", "length"), ("depth", "depth"), ("seed", "seed"))
+# check flag -> the suite parameter it sets, and its least value (a suite checks nothing below)
+CHECK_FLAGS = (("r", "r_max", 1), ("len", "length", 0), ("depth", "depth", 0),
+               ("seed", "seed", None))
 
 
 def cmd_check(args) -> int:
     suite = checks.SUITES[args.suite]
     params = inspect.signature(suite).parameters
     kwargs = {}
-    for flag, name in CHECK_FLAGS:
+    for flag, name, least in CHECK_FLAGS:
         value = getattr(args, flag)
         if value is None:
             continue
         if name not in params:
             print(f"error: check {args.suite} does not take --{flag}", file=sys.stderr)
+            return 2
+        if least is not None and value < least:
+            print(f"error: --{flag} must be at least {least}, got {value}", file=sys.stderr)
             return 2
         kwargs[name] = value
     results = suite(**kwargs)

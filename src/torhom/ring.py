@@ -35,6 +35,12 @@ follows the box and its slots, so terms far apart, or a small part in a
 large query's layout, pay for the empty cells.  Because q is
 outermost, multiplying by q t^{1-i} is a shift by ps - (i - 1) cells.
 
+Codec.  One set of byte routines changes a part's digit width or layout,
+for the arithmetic and the cache alike: n as little-endian two's-complement
+digits (``_bytes``), each digit's low bytes at another width (``_recut``;
+``_int`` reads the result back as a part's int, sign-extending a widened
+digit), and one slice per row into another (ts, ps) (``_relayout``).
+
 Digit invariant.  Every stored digit satisfies |c| <= 2**(B - 3 - room)
 for the part's `room` >= 0.  The sum of two parts at room 0 has digits
 below 2**(B - 2), which still decode uniquely; a sum whose room would fall
@@ -47,8 +53,8 @@ sums.  B is 32, 64, 128, ...; a digit never wraps.
 Operations.  Scaling only moves the origin.  Addition aligns two parts of
 a coset: the result box is the union of theirs, in the wider of their
 layouts (grown when the union does not fit); a part whose layout differs
-is repacked with row copies through ``array``.  Multiplying by 1 - X, as
-clearing a denominator does, is a shift and a subtraction.  Division by
+is relaid through the codec.  Multiplying by 1 - X, as clearing a
+denominator does, is a shift and a subtraction.  Division by
 1 - q t^{1-i} is one fold along that shift for every i: with t-slots
 ts >= te + qe (i - 1) (the part is relaid when it has fewer) no line of
 the box wraps onto another, so folding blocks of ps - (i - 1) cells onto
@@ -57,15 +63,12 @@ quotient built, by running sums with log-doubling shifts, and relaid to
 the part's own layout.
 
 Cache text.  ``encode_numerator`` writes each part as its coset, origin,
-extents, a digit width and the box's cells in hex: little-endian
-two's-complement digits of the narrowest width in 8, 16, 32, ... that
-holds every digit, t innermost, without the layout's spare slots, so the
-text does not depend on the layout.  It is cut from the part's bytes by
-slices, with no per-coefficient Python work.  ``decode_numerator``
-rebuilds each part in its box's own layout (ts = te, ps = te * ae), as
-packing it from terms would, at the digits' own width (at least 32) unless
-a digit needs the invariant's headroom, and raises ValueError on any
-malformed field.
+extents, a digit width and the box's cells in hex: the codec's bytes cut
+to the narrowest width in 8, 16, 32, ... that holds every digit and relaid
+to the box's own layout (ts = te, ps = te * ae), so the text does not
+depend on the layout.  ``decode_numerator`` reads them back into that
+layout at the digits' own width (at least 32) unless a digit needs the
+invariant's headroom, and raises ValueError on any malformed field.
 """
 
 from __future__ import annotations
@@ -74,10 +77,9 @@ import json
 import os
 import sys
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import add, itemgetter, sub
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -163,16 +165,36 @@ def _fits(n: int, bits: int, cells: int, limit: int) -> bool:
     return not (n + bias) & high
 
 
-def _zeros(bits: int, cells: int):
-    if bits in _TYPECODE:
-        return array(_TYPECODE[bits], bytes(cells * bits // 8))
-    return [0] * cells
+def _bytes(n: int, bits: int, cells: int) -> bytes:
+    """n's balanced digits of width `bits` as little-endian two's-complement
+    bytes, lowest digit first."""
+    top = _pattern(bits, 1 << (bits - 1), cells)
+    return ((n + top) ^ top).to_bytes(cells * bits // 8, "little")
+
+
+def _recut(raw, width: int, bits: int, cells: int):
+    """raw's `cells` digits of width `width` at width `bits`: the low bytes
+    of each digit, zero-padded when bits > width."""
+    step, keep = bits // 8, width // 8
+    if step == keep:
+        return raw
+    out = bytearray(cells * step)
+    for k in range(min(step, keep)):
+        out[k::step] = raw[k::keep]
+    return out
+
+
+def _int(raw, width: int, bits: int, cells: int) -> int:
+    """The packed int whose digits of width `bits` are raw's `cells`
+    two's-complement digits of width `width`: sign-extended when bits >
+    width, cut to their low bits (which must hold them) when bits < width."""
+    top = _pattern(bits, 1 << (min(width, bits) - 1), cells)
+    return (int.from_bytes(_recut(raw, width, bits, cells), "little") ^ top) - top
 
 
 def _cells(n: int, bits: int, cells: int):
     """The balanced digits of n, lowest first: an array, or a list past 64 bits."""
-    top = _pattern(bits, 1 << (bits - 1), cells)
-    raw = ((n + top) ^ top).to_bytes(cells * bits // 8, "little")  # two's complement digits
+    raw = _bytes(n, bits, cells)
     if bits in _TYPECODE:
         out = array(_TYPECODE[bits])
         out.frombytes(raw)
@@ -182,24 +204,6 @@ def _cells(n: int, bits: int, cells: int):
     width = bits // 8
     return [int.from_bytes(raw[i:i + width], "little", signed=True)
             for i in range(0, len(raw), width)]
-
-
-def _from_cells(cells, bits: int) -> int:
-    if bits in _TYPECODE:
-        if _BIG_ENDIAN:
-            cells = array(cells.typecode, cells)
-            cells.byteswap()
-        raw = cells.tobytes()
-    else:
-        raw = b"".join(c.to_bytes(bits // 8, "little", signed=True) for c in cells)
-    top = _pattern(bits, 1 << (bits - 1), len(cells))
-    return (int.from_bytes(raw, "little") ^ top) - top
-
-
-def _widened(cells, bits: int):
-    if bits in _TYPECODE:
-        return array(_TYPECODE[bits], cells)
-    return list(cells)
 
 
 class _Part:
@@ -225,29 +229,31 @@ class _Part:
                      self.q0 + dq, self.a0 + da, self.t0 + dt, self.qe, self.ae, self.te,
                      self.room)
 
-    def cells(self):
-        return _cells(self.n, self.bits, self.qe * self.ps)
-
     def maxabs(self) -> int:
-        cells = self.cells()
+        cells = _cells(self.n, self.bits, self.qe * self.ps)
         return max(max(cells), -min(cells))
 
 
-def _relaid(p: _Part, bits: int, ts: int, ps: int) -> int:
-    """p's value in the layout (bits, ts, ps), same origin."""
+def _relayout(raw, step: int, p: _Part, ts: int, ps: int):
+    """raw, p's cells at `step` bytes a digit, moved from p's layout to
+    (ts, ps): its rows of te digits joined with zeros in the empty slots."""
     if (p.ts, p.ps) == (ts, ps):
-        if p.bits == bits:
-            return p.n
-        return _from_cells(_widened(p.cells(), bits), bits)
-    src = _widened(p.cells(), bits) if bits != p.bits else p.cells()
-    dst = _zeros(bits, p.qe * ps)
-    te = p.te
-    for i in range(p.qe):
-        for j in range(p.ae):
-            s = i * p.ps + j * p.ts
-            d = i * ps + j * ts
-            dst[d:d + te] = src[s:s + te]
-    return _from_cells(dst, bits)
+        return raw
+    row, sts, sps = p.te * step, p.ts * step, p.ps * step
+    # zeros after a row, and after a plane's last row (its a-slots too)
+    gap, end = bytes((ts - p.te) * step), bytes((ps - p.ae * ts + ts - p.te) * step)
+    planes = [gap.join([raw[s:s + row] for s in range(i * sps, i * sps + p.ae * sts, sts)])
+              for i in range(p.qe)]
+    return end.join(planes + [b""])
+
+
+def _relaid(p: _Part, bits: int, ts: int, ps: int) -> int:
+    """p's value in the layout (bits, ts, ps), same origin; its digits must
+    fit when bits < p.bits."""
+    if (p.bits, p.ts, p.ps) == (bits, ts, ps):
+        return p.n
+    raw = _relayout(_bytes(p.n, p.bits, p.qe * p.ps), p.bits // 8, p, ts, ps)
+    return _int(raw, p.bits, bits, p.qe * ps)
 
 
 _SPARE = 8  # spare bits a passed digit test tries to certify, so most sums skip it
@@ -270,7 +276,7 @@ def _make(n, bits, ts, ps, q0, a0, t0, qe, ae, te, room) -> Optional[_Part]:
         elif _fits(n, bits, cells, bits - 3):
             room = 0
         else:
-            n = _from_cells(_widened(_cells(n, bits, cells), 2 * bits), 2 * bits)
+            n = _int(_bytes(n, bits, cells), bits, 2 * bits, cells)
             bits, room = 2 * bits, bits - 1
     plane = bits * ps
     if not n & ((1 << plane) - 1):
@@ -409,7 +415,7 @@ def _plane_order(ts: int, ps: int):
 
 def _part_rows(coset: Tuple[int, int], p: _Part):
     """(Q, A, T, coeff) of every nonzero cell, each q-plane in order."""
-    cells = p.cells()
+    cells = _cells(p.n, p.bits, p.qe * p.ps)
     ps = p.ps
     gather, qrel, arel, trel = _plane_order(p.ts, ps)
     rq, rt = coset
@@ -424,9 +430,10 @@ def _part_rows(coset: Tuple[int, int], p: _Part):
     return out
 
 
-def _pack(coset, rows, slots: Optional[Tuple[int, int]] = None) -> Optional[_Part]:
-    """Part of one coset from its (Q, A, T, coeff) rows, with at least
-    `slots` = (t-slots, a-slots) when given."""
+def _pack(coset, rows, slots: Optional[Tuple[int, int]] = None) -> _Part:
+    """Part of one coset from its (Q, A, T, coeff) rows, each monomial once
+    and every coeff nonzero, with at least `slots` = (t-slots, a-slots)
+    when given."""
     rq, rt = coset
     _, aexp, texp, coeffs = zip(*rows)
     a0, t0 = min(aexp), (min(texp) - rt) >> 1
@@ -442,9 +449,12 @@ def _pack(coset, rows, slots: Optional[Tuple[int, int]] = None) -> Optional[_Par
     qe = max(keys) // ps - low + 1
     maxabs = max(max(coeffs), -min(coeffs))
     bits = _bits_for(maxabs)
-    cells = _zeros(bits, qe * ps)
-    deque(map(cells.__setitem__, map(sub, keys, repeat(low * ps)), coeffs), maxlen=0)
-    return _make(_from_cells(cells, bits), bits, ts, ps, low, a0, t0, qe, ae, te,
+    step, base = bits // 8, low * ps
+    raw = bytearray(qe * ps * step)
+    for key, c in zip(keys, coeffs):
+        at = (key - base) * step
+        raw[at:at + step] = c.to_bytes(step, "little", signed=True)
+    return _make(_int(raw, bits, bits, qe * ps), bits, ts, ps, low, a0, t0, qe, ae, te,
                  _room_for(maxabs, bits))
 
 
@@ -612,12 +622,7 @@ def _parts_of_rows(rows, slots: Optional[Tuple[int, int]] = None
         groups = {}
         for row in rows:
             groups.setdefault((row[0] & 1, row[2] & 1), []).append(row)
-    parts = {}
-    for coset, group in groups.items():
-        part = _pack(coset, group, slots)
-        if part is not None:
-            parts[coset] = part
-    return parts
+    return {coset: _pack(coset, group, slots) for coset, group in groups.items()}
 
 
 def denom_monomial(i: int) -> Monomial:
@@ -866,32 +871,9 @@ def _encode_part(coset: Tuple[int, int], p: _Part) -> str:
     width = 8
     while width < bits and not _fits(p.n, bits, cells, width - 1):
         width <<= 1
-    top = _pattern(bits, 1 << (bits - 1), cells)
-    raw = ((p.n + top) ^ top).to_bytes(cells * bits // 8, "little")
-    step, keep = bits // 8, width // 8
-    if keep < step:  # the low bytes of each digit are its narrow digit
-        narrow = bytearray(cells * keep)
-        for k in range(keep):
-            narrow[k::keep] = raw[k::step]
-        raw = narrow
-    if (p.ts, p.ps) != (p.te, p.te * p.ae):  # drop the slots past each row's te cells
-        row, ts, ps = p.te * keep, p.ts * keep, p.ps * keep
-        raw = b"".join([raw[i * ps + j * ts:i * ps + j * ts + row]
-                        for i in range(p.qe) for j in range(p.ae)])
+    raw = _recut(_bytes(p.n, bits, cells), bits, width, cells)
+    raw = _relayout(raw, width // 8, p, p.te, p.te * p.ae)  # drops the slots
     return f"{coset[0]},{coset[1]},{p.q0},{p.a0},{p.t0},{p.qe},{p.ae},{p.te},{width},{raw.hex()}"
-
-
-def _spread(raw: bytes, width: int, bits: int, cells: int) -> int:
-    """The int whose digits of width `bits` are the `cells` little-endian
-    two's-complement digits of width `width` <= bits in raw."""
-    step, keep = bits // 8, width // 8
-    if step > keep:
-        wide = bytearray(cells * step)  # each narrow digit in the low bytes of a wide one
-        for k in range(keep):
-            wide[k::step] = raw[k::keep]
-        raw = wide
-    top = _pattern(bits, 1 << (width - 1), cells)  # sign-extends every digit
-    return (int.from_bytes(raw, "little") ^ top) - top
 
 
 def _decode_part(item: str) -> Tuple[Tuple[int, int], _Part]:
@@ -916,10 +898,10 @@ def _decode_part(item: str) -> Tuple[Tuple[int, int], _Part]:
         raise ValueError("whitespace in the digits")
     # the digits' own width, or twice it when a digit needs the invariant's headroom
     bits = max(width, _MIN_BITS)
-    n = _spread(raw, width, bits, cells)
+    n = _int(raw, width, bits, cells)
     if bits == width and not _fits(n, bits, cells, bits - 3):
         bits <<= 1
-        n = _spread(raw, width, bits, cells)
+        n = _int(raw, width, bits, cells)
     part = _make(n, bits, te, te * ae, q0, a0, t0, qe, ae, te,
                  _room_for(1 << min(width - 1, bits - 3), bits))
     if part is None or (part.q0, part.qe) != (q0, qe):

@@ -65,6 +65,33 @@ class TestExitCodes:
         assert err == "error: check symmetry does not take --r\n"
         assert run(capsys, ["check", "roundtrip", "--seed", "1"])[0] == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["check", "positivity", "--len", "2", "--depth", "-3"], "--depth"),
+        (["check", "symmetry", "--len", "-1"], "--len"),
+        (["check", "lemma53", "--r", "0"], "--r"),
+        (["check", "roundtrip", "--r", "-2"], "--r"),
+        (["torus", "3", "3", "--expand", "-1"], "--expand"),
+        (["colored", "2", "3", "2", "--expand", "-2"], "--expand"),
+        (["torus", "2", "3", "--cache", ""], "--cache"),
+        (["sigma", "3", "1,0", "--cache", ""], "--cache"),
+    ])
+    def test_flags_that_leave_nothing_to_show(self, capsys, monkeypatch, argv, flag):
+        # each would pass a check on no cases, print an empty expansion or
+        # write no cache file; refused before any evaluation
+        def never(*args, **kwargs):
+            raise AssertionError("evaluated despite a refused flag")
+
+        for module in (cli, recursion, links):
+            monkeypatch.setattr(module, "eval_p", never)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+    def test_least_flag_values_are_accepted(self, capsys):
+        assert run(capsys, ["check", "symmetry", "--len", "0"])[0] == 0
+        assert run(capsys, ["check", "positivity", "--len", "1", "--depth", "0"])[0] == 0
+        assert run(capsys, ["torus", "2", "3", "--expand", "0"])[0] == 0
+
     def test_pair_rejects_normalized(self, capsys):
         code, out, err = run(capsys, ["pair", "01", "10", "--normalized"])
         assert (code, out) == (2, "")

@@ -209,8 +209,11 @@ wide_coeffs = st.one_of(st.integers(-100, 100), st.integers(-2**14, 2**14),
 
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(monomials, wide_coeffs, max_size=8),
-       st.dictionaries(monomials, wide_coeffs, max_size=8), shifts)
-def test_cache_text_round_trip(f, g, m):
+       st.dictionaries(monomials, wide_coeffs, max_size=8), shifts,
+       st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-2, 3), st.integers(-3, 3)),
+                       wide_coeffs, max_size=8),
+       st.tuples(st.integers(1, 12), st.integers(1, 6)))
+def test_cache_text_round_trip(f, g, m, h, slots):
     # a difference of shifted values: mixed cosets, boxes padded to their
     # layout's slots, and rows emptied by cancellation
     value = LaurentPoly(f) - LaurentPoly(g).scale(m)
@@ -221,6 +224,12 @@ def test_cache_text_round_trip(f, g, m):
     assert encode_numerator(back) == text
     # the other order of the sum: cosets inserted in another order, another layout
     assert encode_numerator(-LaurentPoly(g).scale(m) + LaurentPoly(f)) == text
+    # packed with spare slots, as the recursion packs its base cases: the
+    # text of the value packed from its terms, at every digit width
+    padded = LaurentPoly.from_qat(h, slots)
+    text = encode_numerator(padded)
+    assert text == encode_numerator(LaurentPoly(padded.terms))
+    assert decode_numerator(text) == padded
 
 
 class TestDigitWidth:
@@ -241,6 +250,18 @@ class TestDigitWidth:
             p, o = p + p, o + o
             assert same(p, o)
         assert max(self.digits(p)) >= 256
+
+    def test_products_that_narrow(self):
+        # a 64-bit operand whose digits are back at 2**29 times a monomial:
+        # the product's digits fit 32 bits, so its operand is narrowed
+        f = {(0, 0, 0): 2**29, (2, 0, 0): -2**29, (0, 1, 2): 5}
+        p = LaurentPoly(f)
+        wide = (p + p) - p
+        assert self.digits(wide) == {64} and dict(wide.terms) == f
+        m = {(2, 0, -2): 1}
+        prod = wide * LaurentPoly(m)
+        assert same(prod, DictPoly(f) * DictPoly(m))
+        assert self.digits(prod) == {32}
 
     def test_products_and_quotients_of_wide_digits(self):
         p, o = pair({(0, 0, 0): 2**70 + 1, (2, 1, -2): -(2**69), (-2, 0, 4): 3})
