@@ -1,26 +1,21 @@
-"""Timing sweep over torus links, as text or as a JSON benchmark record.
+"""Wall time and peak RSS of a set of workloads, each in child processes.
 
-Text mode prints one line per square size T(n,n) with elapsed time and
-memo statistics; with --shared one memo table serves every size, so
-cache reuse across sizes is visible.
-
-With --json PATH, each workload runs REPEAT times, each time in a fresh
-child process, and the record holds its median wall time (around the
-query only, from an empty memo) and median peak RSS
-(`resource.getrusage`), with nproc and the Python version.  The record
-is stored under --label in PATH; other labels already in the file are
-kept, so one file can hold the runs of two versions measured on the
-same machine.  Workloads are
-named T(m,n) for a torus link and C(m,n,l) for the Sym^l-colored T(m,n)
-in both sequence orderings; the default set is WORKLOADS.
+Each workload runs REPEAT times, each time in a fresh child process, and
+one line per workload prints its median wall time (around the query only,
+from an empty memo) and median peak RSS (`resource.getrusage`).  With
+--json PATH the record, with nproc and the Python version, is also stored
+under --label in PATH; other labels already in the file are kept, so one
+file can hold the runs of two versions measured on the same machine.
+Workloads are named T(m,n) for a torus link and C(m,n,l) for the
+Sym^l-colored T(m,n) in both sequence orderings; the default set is
+WORKLOADS.
 
 K(m,n) measures the `--cache` file of T(m,n).  Each repeat runs two
 children on one new file: a cold one that computes T(m,n) and saves the
 file (`save_s`), and a warm one whose wall time is loading the file plus
 looking T(m,n) up in it (`wall_s`; its save finds nothing to write).
 
-Usage: python scripts/benchmark.py [--max-n 10] [--shared]
-       python scripts/benchmark.py --json BENCH.json [--label NAME]
+Usage: python scripts/benchmark.py [--json BENCH.json [--label NAME]]
                                    [--workloads T(6,6) C(2,3,2) K(8,8) ...]
 """
 
@@ -35,7 +30,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from torhom.links import colored_torus_both
@@ -48,24 +42,6 @@ WORKLOADS = ([f"T({n},{n})" for n in range(6, 12)] + ["T(7,11)"]
 REPEAT = 5
 
 _NAME = re.compile(r"(T)\((\d+),(\d+)\)|(C)\((\d+),(\d+),(\d+)\)|(K)\((\d+),(\d+)\)")
-
-
-@dataclass
-class BenchConfig:
-    max_n: int = 10
-    shared: bool = False
-
-
-def run(cfg: BenchConfig) -> None:
-    shared_memo = MemoTable()
-    for n in range(1, cfg.max_n + 1):
-        memo = shared_memo if cfg.shared else MemoTable()
-        t0 = time.perf_counter()
-        series = eval_p(pair_validate("0" * n, "0" * n), memo)
-        elapsed = time.perf_counter() - t0
-        stats = memo.stats()
-        print(f"T({n:2d},{n:2d})  {elapsed:8.3f}s  entries={stats.entries:6d}  "
-              f"terms={len(series.num.terms):7d}  den={series.den.as_dict()}")
 
 
 def workload_name(name: str) -> str:
@@ -114,7 +90,7 @@ def _cache_sample(name: str) -> dict:
     return dict(warm, save_s=cold["save_s"], cache_bytes=cold["cache_bytes"])
 
 
-def run_json(path: str, label: str, names) -> None:
+def measure(names, path: Optional[str], label: str) -> None:
     samples = {name: [] for name in names}
     for _ in range(REPEAT):  # interleaved, so a drift in host speed hits every workload
         for name in names:
@@ -136,6 +112,8 @@ def run_json(path: str, label: str, names) -> None:
                 cache_bytes=runs[0]["cache_bytes"])
             line += f"  save {results[name]['save_s']:.3f}s  {runs[0]['cache_bytes']} B"
         print(line)
+    if not path:
+        return
     record = {"nproc": os.cpu_count(), "python": platform.python_version(),
               "repeat": REPEAT, "results": results}
     data = {"runs": {}}
@@ -151,12 +129,8 @@ def run_json(path: str, label: str, names) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--max-n", type=int, default=10)
-    parser.add_argument("--shared", action="store_true",
-                        help="share one memo table across all sizes")
-    parser.add_argument("--json", metavar="PATH",
-                        help="run the workloads in child processes and record them in PATH")
-    parser.add_argument("--label", default="run", help="key of this run in the --json file")
+    parser.add_argument("--json", metavar="PATH", help="also record the workloads in PATH")
+    parser.add_argument("--label", help="key of this run in the --json file (default: run)")
     parser.add_argument("--workloads", nargs="+", type=workload_name, default=WORKLOADS)
     parser.add_argument("--one", type=workload_name,
                         help="answer one workload here and print its record as JSON")
@@ -165,12 +139,12 @@ def main() -> None:
     args = parser.parse_args()
     if (args.cache is None) != (args.one is None or args.one[0] != "K"):
         parser.error("--cache goes with --one K(m,n), and K(m,n) with --cache")
+    if args.label is not None and args.json is None:
+        parser.error("--label goes with --json")
     if args.one:
         print(json.dumps(run_one(args.one, args.cache)))
-    elif args.json:
-        run_json(args.json, args.label, args.workloads)
     else:
-        run(BenchConfig(max_n=args.max_n, shared=args.shared))
+        measure(args.workloads, args.json, args.label or "run")
 
 
 if __name__ == "__main__":

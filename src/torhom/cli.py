@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 check-suite failure, 2 usage, domain or cache-file
-error.
+error, or an input too large for memory.
 Output on stdout is deterministic for fixed inputs and flags; timing and
 memo counters go to the envelope's timing block (json) or to stderr
 (human).
@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional
 from . import checks, fillings, links
 from .recursion import MemoTable, eval_p
 from .ring import GradedSeries, expand_series, render, series_payload
-from .sequences import WeightMismatch, inversions, pair_validate
+from .sequences import inversions, pair_validate
 
 
 def _emit(args, envelope: Callable[[], Dict], human_lines: Callable[[], List[str]],
@@ -47,23 +47,25 @@ def _memo(args) -> MemoTable:
     return MemoTable(path=args.cache)
 
 
-def _finish_memo(args, memo: MemoTable) -> None:
-    if getattr(args, "cache", None):
+def _finish(args, memo: MemoTable, t0: float) -> Dict:
+    """Save the memo table if --cache names a file; the run's timing block."""
+    if args.cache:
         memo.save()
-
-
-def _stats(memo: MemoTable, t0: float) -> Dict:
     s = memo.stats()
     return {"seconds": time.time() - t0, "entries": s.entries,
             "hits": s.hits, "misses": s.misses, "max_depth": s.max_depth}
+
+
+def _expansion(args, s: GradedSeries) -> GradedSeries:
+    return GradedSeries.from_poly(expand_series(s, args.expand))
 
 
 def _result_lines(args, label: str, s: GradedSeries) -> List[str]:
     fmt = args.format
     lines = [f"{label} = {render(s, fmt)}"]
     if args.expand is not None:
-        expanded = GradedSeries.from_poly(expand_series(s, args.expand))
-        lines.append(f"expansion(q-degree <= {args.expand}) = {render(expanded, fmt)}")
+        lines.append(f"expansion(q-degree <= {args.expand}) = "
+                     f"{render(_expansion(args, s), fmt)}")
     return lines
 
 
@@ -71,17 +73,12 @@ def _envelope(args, command: str, params: Dict, s: GradedSeries) -> Dict:
     env = {"command": command, "params": params, "result": series_payload(s)}
     if args.expand is not None:
         env["expand_depth"] = args.expand
-        env["expansion"] = series_payload(
-            GradedSeries.from_poly(expand_series(s, args.expand)))
+        env["expansion"] = series_payload(_expansion(args, s))
     return env
 
 
 def cmd_torus(args) -> int:
-    try:
-        spec = links.TorusLinkSpec(args.m, args.n)
-    except links.DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = links.TorusLinkSpec(args.m, args.n)
     memo = _memo(args)
     t0 = time.time()
     label = f"T({spec.m},{spec.n})"
@@ -89,46 +86,35 @@ def cmd_torus(args) -> int:
         series, label = links.normalized_homology(spec, memo), f"normalized {label}"
     else:
         series = links.torus_link_homology(spec, memo)
-    _finish_memo(args, memo)
     _emit(args,
           lambda: _envelope(args, "torus",
                             {"m": spec.m, "n": spec.n, "normalized": args.normalized},
                             series),
           lambda: _result_lines(args, label, series),
-          _stats(memo, t0))
+          _finish(args, memo, t0))
     return 0
 
 
 def cmd_pair(args) -> int:
-    try:
-        pair = pair_validate(args.v, args.w)
-    except (WeightMismatch, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pair = pair_validate(args.v, args.w)
     memo = _memo(args)
     t0 = time.time()
     series = eval_p(pair, memo)
-    _finish_memo(args, memo)
     _emit(args,
           lambda: _envelope(args, "pair", {"v": pair.v, "w": pair.w}, series),
           lambda: _result_lines(args, f"p({pair.v or 'empty'},{pair.w or 'empty'})", series),
-          _stats(memo, t0))
+          _finish(args, memo, t0))
     return 0
 
 
 def cmd_colored(args) -> int:
     memo = _memo(args)
     t0 = time.time()
-    try:
-        if args.order == "both":
-            both = links.colored_torus_both(args.m, args.n, args.l, memo)
-        else:
-            both = {args.order: links.colored_torus_homology(
-                args.m, args.n, args.l, args.order, memo)}
-    except links.DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _finish_memo(args, memo)
+    if args.order == "both":
+        both = links.colored_torus_both(args.m, args.n, args.l, memo)
+    else:
+        both = {args.order: links.colored_torus_homology(
+            args.m, args.n, args.l, args.order, memo)}
     orders = [o for o in ("theorem", "example") if o in both]
     compared = "match_up_to_monomial" in both
     shift = both.get("match_up_to_monomial")
@@ -139,6 +125,8 @@ def cmd_colored(args) -> int:
                         both[orders[0]])
         for order in orders[1:]:
             env[f"result_{order}"] = series_payload(both[order])
+            if args.expand is not None:
+                env[f"expansion_{order}"] = series_payload(_expansion(args, both[order]))
         if compared:
             env["orders_match_up_to_monomial"] = list(shift) if shift is not None else None
         return env
@@ -153,17 +141,13 @@ def cmd_colored(args) -> int:
                          f"{'Q^%d A^%d T^%d' % shift if shift is not None else 'no'}")
         return lines
 
-    _emit(args, envelope, human_lines, _stats(memo, t0))
+    _emit(args, envelope, human_lines, _finish(args, memo, t0))
     return 0
 
 
 def cmd_sigma(args) -> int:
-    try:
-        entries = tuple(int(x) for x in args.sigma.split(",")) if args.sigma else ()
-        sig = fillings.SigmaSeq.of(args.r, entries)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    entries = tuple(int(x) for x in args.sigma.split(",")) if args.sigma else ()
+    sig = fillings.SigmaSeq.of(args.r, entries)
     memo = _memo(args)
     t0 = time.time()
     pair = fillings.seq_pair_of_sigma(sig)
@@ -173,7 +157,6 @@ def cmd_sigma(args) -> int:
     else:
         series = fillings.f_sigma(sig, memo)
         label = f"f({args.sigma or 'empty'})"
-    _finish_memo(args, memo)
     sigma_stats = None
     if args.stats:
         sigma_stats = {"inv": inversions(entries), "c": fillings.c_statistic(sig),
@@ -197,7 +180,7 @@ def cmd_sigma(args) -> int:
             lines.append(f"rev = {','.join(map(str, sigma_stats['rev']))}")
         return lines
 
-    _emit(args, envelope, human_lines, _stats(memo, t0))
+    _emit(args, envelope, human_lines, _finish(args, memo, t0))
     return 0
 
 
@@ -215,11 +198,9 @@ def cmd_check(args) -> int:
         if value is None:
             continue
         if name not in params:
-            print(f"error: check {args.suite} does not take --{flag}", file=sys.stderr)
-            return 2
+            raise ValueError(f"check {args.suite} does not take --{flag}")
         if least is not None and value < least:
-            print(f"error: --{flag} must be at least {least}, got {value}", file=sys.stderr)
-            return 2
+            raise ValueError(f"--{flag} must be at least {least}, got {value}")
         kwargs[name] = value
     results = suite(**kwargs)
     failed = 0
@@ -298,8 +279,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # bad input, or a --cache path that cannot be used
-        print(f"error: {exc}", file=sys.stderr)
+    # bad input, a --cache path that cannot be used, or an input too large to build
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}",
+              file=sys.stderr)
         return 2
 
 

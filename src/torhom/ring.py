@@ -117,12 +117,14 @@ _TYPECODE = {array(code).itemsize * 8: code for code in "iq"}
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _slots(n: int) -> int:
-    """Slots for an extent n that a sum or product outgrew: n rounded up
-    to a multiple of four.  Inside a recursion query every part already
-    has the query's layout, so this sizes only arithmetic outside one
-    (products, references, and sums of parts from different queries)."""
-    return (n + 3) & ~3
+def _slots(x: int, y: int, n: int) -> int:
+    """Slots for an extent n of a sum or product of parts with x and y slots:
+    the wider of those, or n rounded up to a multiple of four where it
+    outgrows both.  Every part of one recursion query has the query's
+    layout, so only arithmetic outside one grows: products, references,
+    and sums of parts from different queries."""
+    wide = max(x, y)
+    return wide if n <= wide else (n + 3) & ~3
 
 
 def _bits_for(maxabs: int) -> int:
@@ -297,8 +299,8 @@ def _add_parts(x: _Part, y: _Part, sign: int = 1) -> Optional[_Part]:
     bits = max(x.bits, y.bits)
     ts, ps = x.ts, x.ps
     if (y.ts, y.ps) != (ts, ps) or te > ts or ae * ts > ps:
-        ts = max(x.ts, y.ts, _slots(te))
-        ps = ts * max(x.ps // x.ts, y.ps // y.ts, _slots(ae))
+        ts = _slots(x.ts, y.ts, te)
+        ps = ts * _slots(x.ps // x.ts, y.ps // y.ts, ae)
     nx = _relaid(x, bits, ts, ps)
     if y.n is x.n and (y.bits, y.ts, y.ps) == (x.bits, x.ts, x.ps):
         ny = nx  # one value at two origins, e.g. rule 2's t^l f + a f
@@ -313,13 +315,8 @@ def _add_parts(x: _Part, y: _Part, sign: int = 1) -> Optional[_Part]:
 def _mul_parts(x: _Part, y: _Part, dq: int, dt: int) -> Optional[_Part]:
     """Kronecker product of two parts; (dq, dt) is the coset carry."""
     qe, ae, te = x.qe + y.qe - 1, x.ae + y.ae - 1, x.te + y.te - 1
-    ts = max(x.ts, y.ts)
-    if te > ts:
-        ts = _slots(te)
-    slots_a = max(x.ps // x.ts, y.ps // y.ts)
-    if ae > slots_a:
-        slots_a = _slots(ae)
-    ps = ts * slots_a
+    ts = _slots(x.ts, y.ts, te)
+    ps = ts * _slots(x.ps // x.ts, y.ps // y.ts, ae)
     # a product digit sums at most min(#cells) products of two digits
     bound = x.maxabs() * y.maxabs() * min(x.qe * x.ae * x.te, y.qe * y.ae * y.te)
     bits = _bits_for(bound)
@@ -711,7 +708,10 @@ class GradedSeries:
     sum, it would divide B V, so both primes would divide B, and so would
     P_i; but B is canonical and d_B(i) > 0.  Dividing the sum by other
     factors cannot bring P_i in.  The same argument covers a sum with the
-    zero series, whose denominator is empty.  `with_extra_denominator`
+    zero series, whose denominator is empty.  The same primes make the
+    canonical form unique (A / D_A = B / D_B with d_A(i) > d_B(i) puts P_i
+    in A), so equality compares forms; a monomial M is a unit, so M B / D_B
+    is canonical too, as `equal_up_to_monomial` uses.  `with_extra_denominator`
     leaves the numerator as it is, so it tries only the factors that are
     new to the series.  Products get no shortcut: off the sublattice two
     canonical numerators can share the primes of P_i between them, as in
@@ -816,11 +816,9 @@ def _is_canonical(s: GradedSeries) -> bool:
 
 
 def series_equal(f: GradedSeries, g: GradedSeries) -> bool:
-    """Value equality via cross-multiplied numerators."""
-    if f.den == g.den:
-        return f.num == g.num
-    lcd = f.den.merged_max(g.den)
-    return _cleared(f.num, lcd, f.den) == _cleared(g.num, lcd, g.den)
+    """Value equality: canonical forms are unique (see GradedSeries), so
+    two series are equal exactly when their forms are."""
+    return f == g
 
 
 def expand_series(s: GradedSeries, depth: int) -> LaurentPoly:
@@ -843,20 +841,21 @@ def expand_series(s: GradedSeries, depth: int) -> LaurentPoly:
 
 
 def equal_up_to_monomial(f: GradedSeries, g: GradedSeries) -> Optional[Monomial]:
-    """Return M with f = M * g (cross-multiplied), or None.
+    """Return M with f = M * g, or None.
 
-    The candidate shift is fixed by the lexicographically least terms:
-    a monomial shift preserves lexicographic order of exponents.
+    M * g is canonical with g's denominator (see GradedSeries), so only
+    numerators over one denominator are compared.  The candidate shift is
+    fixed by the lexicographically least terms: a monomial shift preserves
+    lexicographic order of exponents.
     """
-    lcd = f.den.merged_max(g.den)
-    nf = _cleared(f.num, lcd, f.den)
-    ng = _cleared(g.num, lcd, g.den)
-    if nf.is_zero() or ng.is_zero():
-        return MONO_ONE if nf.is_zero() and ng.is_zero() else None
-    mf = min(nf.terms)
-    mg = min(ng.terms)
+    if f.den != g.den:
+        return None
+    if f.is_zero() or g.is_zero():
+        return MONO_ONE if f.is_zero() and g.is_zero() else None
+    mf = min(f.num.terms)
+    mg = min(g.num.terms)
     shift = (mf[0] - mg[0], mf[1] - mg[1], mf[2] - mg[2])
-    if ng.scale(shift) == nf:
+    if g.num.scale(shift) == f.num:
         return shift
     return None
 

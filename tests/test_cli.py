@@ -14,7 +14,7 @@ import torhom.recursion as recursion
 from torhom.cli import main
 from torhom.links import TorusLinkSpec, torus_link_homology
 from torhom.recursion import MemoTable
-from torhom.ring import render
+from torhom.ring import GradedSeries, expand_series, render, series_payload
 
 
 def cache_line(body: str) -> str:
@@ -96,6 +96,19 @@ class TestExitCodes:
         code, out, err = run(capsys, ["pair", "01", "10", "--normalized"])
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --normalized" in err
+
+    @pytest.mark.parametrize("argv", [["torus", "3", "2"], ["colored", "2", "3", "2"]])
+    def test_out_of_memory(self, capsys, monkeypatch, argv):
+        # as when building the sequences of a huge input; nothing large is allocated
+        def too_large(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(links, "torus_link_homology", too_large)
+        monkeypatch.setattr(links, "colored_torus_homology", too_large)
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_cache_path_that_is_a_directory(self, capsys, tmp_path):
         code, out, err = run(capsys, ["torus", "2", "3", "--cache", str(tmp_path)])
@@ -205,6 +218,14 @@ class TestColored:
 
     def test_domain_error(self, capsys):
         assert run(capsys, ["colored", "0", "1", "1"])[0] == 2
+
+    def test_both_orders_expand_each(self, capsys):
+        data = run_json(capsys, ["colored", "2", "3", "2", "--order", "both", "--expand", "1"])
+        both = links.colored_torus_both(2, 3, 2)
+        for order, key in (("theorem", "expansion"), ("example", "expansion_example")):
+            want = series_payload(GradedSeries.from_poly(expand_series(both[order], 1)))
+            assert data[key] == json.loads(json.dumps(want))
+        assert list(data).index("expansion_example") == list(data).index("result_example") + 1
 
 
 class TestSigma:

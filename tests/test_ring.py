@@ -340,6 +340,19 @@ class TestUpToMonomial:
         assert equal_up_to_monomial(z, z) == (0, 0, 0)
         assert equal_up_to_monomial(z, x) is None
 
+    def test_shift_over_a_denominator(self):
+        a = GradedSeries(T_PLUS_A, DenomVector.from_dict({1: 1, 2: 1}))
+        shift = qat_monomial(2, 0, -1)
+        assert equal_up_to_monomial(a.scale(shift), a) == shift
+        assert equal_up_to_monomial(a, a.scale(shift)) == qat_monomial(-2, 0, 1)
+
+    def test_different_denominators(self):
+        a = GradedSeries(T_PLUS_A, DenomVector.from_dict({1: 1, 2: 1}))
+        b = GradedSeries(T_PLUS_A, DenomVector.from_dict({1: 1}))
+        assert a.den != b.den
+        assert equal_up_to_monomial(a, b) is None
+        assert equal_up_to_monomial(b, a) is None
+
 
 class TestGradingConvert:
     def test_round_trip(self):

@@ -15,8 +15,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(torhom.__file__)))
 
 
 @pytest.mark.parametrize("script, args, expected", [
-    ("benchmark.py", ["--max-n", "4"], "T( 4, 4)"),
-    ("torus_table.py", ["--max-m", "2", "--max-n", "3"], "T(2,3) = "),
+    ("benchmark.py", ["--workloads", "T(4,4)"], "T(4,4)"),
     ("identity_scan.py", ["--samples", "5", "--r-max", "2", "--n-max", "3"], " 0 failures"),
 ])
 def test_script_runs(script, args, expected):
