@@ -37,7 +37,7 @@ from torhom.recursion import MemoTable, eval_p
 from torhom.sequences import pair_validate
 
 WORKLOADS = ([f"T({n},{n})" for n in range(6, 12)] + ["T(7,11)"]
-             + [f"C(2,3,{l})" for l in range(2, 5)] + ["K(8,8)"])
+             + [f"C(2,3,{l})" for l in range(2, 5)] + ["K(8,8)", "K(11,11)"])
 
 REPEAT = 5
 

@@ -36,6 +36,9 @@ def _emit(args, envelope: Callable[[], Dict], human_lines: Callable[[], List[str
         print(f"elapsed: {stats['seconds']:.3f}s  hits={stats['hits']} "
               f"misses={stats['misses']} max_depth={stats['max_depth']}",
               file=sys.stderr)
+        if "cache_load_s" in stats:
+            print(f"cache: load {stats['cache_load_s']:.3f}s  "
+                  f"save {stats['cache_save_s']:.3f}s", file=sys.stderr)
 
 
 def _memo(args) -> MemoTable:
@@ -52,8 +55,9 @@ def _finish(args, memo: MemoTable, t0: float) -> Dict:
     if args.cache:
         memo.save()
     s = memo.stats()
+    cache = {"cache_load_s": memo.load_s, "cache_save_s": memo.save_s} if args.cache else {}
     return {"seconds": time.time() - t0, "entries": s.entries,
-            "hits": s.hits, "misses": s.misses, "max_depth": s.max_depth}
+            "hits": s.hits, "misses": s.misses, "max_depth": s.max_depth, **cache}
 
 
 def _expansion(args, s: GradedSeries) -> GradedSeries:

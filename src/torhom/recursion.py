@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import time
 from dataclasses import dataclass
 from enum import Enum
 from math import comb, gcd
@@ -30,7 +31,7 @@ from .ring import (
 )
 from .sequences import SeqPair, pair_strictly_precedes, pair_validate
 
-ENCODER_VERSION = "torhom-series-packed-2"
+ENCODER_VERSION = "torhom-series-packed-3"
 
 
 class RuleTag(Enum):
@@ -149,27 +150,28 @@ class MemoTable:
     """Map SeqPair -> GradedSeries with hit and miss counters.
 
     `get` counts one lookup; eval_p counts its own lookups and folds them
-    in once per call.
+    in once per call.  `load_s` and `save_s` are the seconds the last
+    load and save took.
 
     Cache file: a version header, then one line per entry, sorted by key:
 
         <checksum>\t<v>|<w>\t<den>\t<parts>
 
     `den` is `i:m,...` (empty for no factor), `parts` the numerator as
-    `ring.encode_numerator` writes it, and the checksum the 8-byte BLAKE2b
-    of everything after the first tab, in hex.  `load` checks every line's
-    checksum and key, so a damaged line exits 2 however far it is from the
+    `ring.encode_numerator` writes it, and the checksum the first 8 bytes
+    of the SHA-256 of everything after the first tab, in hex.  `load`
+    reads the file into one buffer and checks every line's checksum and
+    key in place, so a damaged line exits 2 however far it is from the
     query; a file cut at a line boundary is a smaller valid table.  An
-    entry stays its line until a lookup first needs it, so a warm query
-    decodes one series instead of the whole table, and `save` copies an
-    unchanged line verbatim.
+    entry stays a `memoryview` of its line until a lookup first needs it,
+    so a warm query decodes one series instead of the whole table, and
+    `save` copies an unchanged line verbatim.
     """
 
     def __init__(self, path: Optional[str] = None):
-        self._table: Dict[str, Union[GradedSeries, bytes]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.max_depth = 0
+        self._table: Dict[str, Union[GradedSeries, memoryview]] = {}
+        self.hits = self.misses = self.max_depth = 0
+        self.load_s = self.save_s = 0.0
         self.path = path
         self._synced: Optional[str] = None  # a file that holds exactly this table
         if path and not os.path.isdir(os.path.dirname(path) or "."):
@@ -179,10 +181,7 @@ class MemoTable:
             self.load(path)
 
     def get(self, pair: SeqPair) -> Optional[GradedSeries]:
-        key = pair.key()
-        value = self._table.get(key)
-        if isinstance(value, bytes):
-            value = self._decode(key, value)
+        value = self.peek(pair)
         if value is None:
             self.misses += 1
         else:
@@ -192,11 +191,11 @@ class MemoTable:
     def peek(self, pair: SeqPair) -> Optional[GradedSeries]:
         key = pair.key()
         value = self._table.get(key)
-        if isinstance(value, bytes):  # checked inline: peek is the evaluator's hot path
+        if isinstance(value, memoryview):  # checked inline: peek is the evaluator's hot path
             value = self._decode(key, value)
         return value
 
-    def _decode(self, key: str, line: bytes) -> GradedSeries:
+    def _decode(self, key: str, line: memoryview) -> GradedSeries:
         """Replace an entry still held as its cache line by its series.
         Decoding leaves the table's contents as they were, so `_synced`
         stays."""
@@ -220,7 +219,7 @@ class MemoTable:
         return len(self._table)
 
     def values(self):
-        for key, line in [(k, v) for k, v in self._table.items() if isinstance(v, bytes)]:
+        for key, line in [(k, v) for k, v in self._table.items() if isinstance(v, memoryview)]:
             self._decode(key, line)
         return self._table.values()
 
@@ -242,15 +241,16 @@ class MemoTable:
             raise ValueError("no cache path configured")
         if path == self._synced:
             return  # nothing was added since this file was read or written
+        t0 = time.perf_counter()
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
                 fh.write(self._version_line().encode() + b"\n")
                 for key in sorted(self._table):
                     value = self._table[key]
-                    if not isinstance(value, bytes):
-                        value = _encode_series(key, value)
-                    fh.write(value + b"\n")
+                    fh.write(value if isinstance(value, memoryview)
+                             else _encode_series(key, value))
+                    fh.write(b"\n")
                 fh.flush()
                 os.fsync(fh.fileno())
             if os.path.exists(path):
@@ -261,29 +261,40 @@ class MemoTable:
                 os.unlink(tmp)
             raise
         self._synced = path
+        self.save_s = time.perf_counter() - t0
 
     def load(self, path: str) -> None:
+        t0 = time.perf_counter()
         synced = path if not self._table else None
         with open(path, "rb") as fh:
-            if fh.readline().rstrip(b"\n") != self._version_line().encode():
-                raise ValueError(f"cache version mismatch in {path}")
-            for number, line in enumerate(fh, 2):
-                line = line.rstrip(b"\n")
-                checksum, _, body = line.partition(b"\t")
-                if checksum != _checksum(body):
-                    raise ValueError(f"damaged cache line {number} in {path}")
-                key = body.partition(b"\t")[0].decode("latin-1")
-                try:
-                    v, w = key.split("|")
-                    pair_validate(v, w)
-                except ValueError as exc:
-                    raise ValueError(f"bad cache key {key!r} in {path}: {exc}") from exc
-                self._table[key] = line
+            data = fh.read()
+        if not data.endswith(b"\n"):
+            data += b"\n"  # a last line without its newline loads too
+        pos = data.index(b"\n") + 1
+        if data[:pos - 1] != self._version_line().encode():
+            raise ValueError(f"cache version mismatch in {path}")
+        view, number = memoryview(data), 1
+        while pos < len(data):
+            end = data.index(b"\n", pos)
+            number += 1
+            tab = data.find(b"\t", pos, end)
+            if tab < 0 or data[pos:tab] != _checksum(view[tab + 1:end]):
+                raise ValueError(f"damaged cache line {number} in {path}")
+            stop = data.find(b"\t", tab + 1, end)
+            key = data[tab + 1:stop if stop >= 0 else end].decode("latin-1")
+            try:
+                v, w = key.split("|")
+                pair_validate(v, w)
+            except ValueError as exc:
+                raise ValueError(f"bad cache key {key!r} in {path}: {exc}") from exc
+            self._table[key] = view[pos:end]
+            pos = end + 1
         self._synced = synced
+        self.load_s = time.perf_counter() - t0
 
 
 def _checksum(body: bytes) -> bytes:
-    return hashlib.blake2b(body, digest_size=8).hexdigest().encode()
+    return hashlib.sha256(body).hexdigest()[:16].encode()
 
 
 def _den_text(den: DenomVector) -> str:
@@ -296,10 +307,10 @@ def _encode_series(key: str, series: GradedSeries) -> bytes:
     return _checksum(body) + b"\t" + body
 
 
-def _decode_series(line: bytes) -> GradedSeries:
+def _decode_series(line: memoryview) -> GradedSeries:
     """The series of a cache line whose checksum and key `load` checked;
     raises ValueError on a malformed field."""
-    _, _, den_text, num_text = line.decode("ascii").split("\t")
+    _, _, den_text, num_text = str(line, "ascii").split("\t")
     mult = {}
     for item in den_text.split(",") if den_text else ():
         i, m = item.split(":")

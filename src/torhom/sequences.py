@@ -19,7 +19,7 @@ class WeightMismatch(ValueError):
 
 
 def parse_bits(s: str) -> str:
-    if any(c not in "01" for c in s):
+    if s.strip("01"):
         raise ValueError(f"not a 0/1 string: {s!r}")
     return s
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from torhom.ring import GradedSeries, expand_series, render, series_payload
 
 def cache_line(body: str) -> str:
     """A cache line with a valid checksum, newline included."""
-    return f"{hashlib.blake2b(body.encode(), digest_size=8).hexdigest()}\t{body}\n"
+    return f"{hashlib.sha256(body.encode()).hexdigest()[:16]}\t{body}\n"
 
 
 def run(capsys, argv):
@@ -308,7 +309,7 @@ class TestCache:
         run_json(capsys, ["torus", "4", "4", "--cache", str(path)])
         lines = path.read_text().splitlines(keepends=True)
         # the last line is the base case p(,) = 1, which a warm T(4,4) never reads
-        assert lines[-1] == "8382f8007151015b\t|\t\t0,0,0,0,0,1,1,1,8,01\n"
+        assert lines[-1] == "5c693ac2d1befca1\t|\t\t0,0,0,0,0,1,1,1,8,01\n"
         checksum, rest = lines[-1][:16], lines[-1][16:]
         lines[-1] = checksum + rest.replace(*damage, 1)
         path.write_text("".join(lines))
@@ -350,11 +351,59 @@ class TestCache:
         run_json(capsys, ["torus", "7", "7", "--cache", str(grown)])
         assert grown.read_bytes() == cold.read_bytes()
 
+    def test_timing_shows_cache_load_and_save(self, capsys, tmp_path):
+        path = str(tmp_path / "memo.tsv")
+        assert "cache_load_s" not in run_json(capsys, ["torus", "3", "3"])["timing"]
+        cold = run_json(capsys, ["torus", "3", "3", "--cache", path])["timing"]
+        assert cold["cache_load_s"] == 0 and cold["cache_save_s"] > 0  # no file to load yet
+        warm = run_json(capsys, ["torus", "3", "3", "--cache", path])["timing"]
+        assert warm["cache_load_s"] > 0 and warm["cache_save_s"] == 0  # nothing to write
+        code, _, err = run(capsys, ["torus", "3", "3", "--cache", path])
+        assert code == 0 and re.search(r"^cache: load \d+\.\d{3}s  save 0\.000s$", err, re.M)
+
     def test_cache_file_has_version_header(self, capsys, tmp_path):
         path = tmp_path / "memo.tsv"
         run_json(capsys, ["pair", "0", "0", "--cache", str(path)])
         header = path.read_text().splitlines()[0]
         assert header == MemoTable._version_line()
+
+
+def blank_line_4(data: bytes) -> bytes:
+    lines = data.splitlines(keepends=True)
+    return b"".join(lines[:3] + [b"\n"] + lines[3:])
+
+
+class TestCacheLines:
+    """How `load` splits a file into lines, pinned on T(3,3)'s cache: the
+    header and 15 entries, each line ending in a newline."""
+
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("t33") / "memo.tsv"
+        memo = MemoTable()
+        torus_link_homology(TorusLinkSpec(3, 3), memo)
+        memo.save(str(path))
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("edit, outcome", [
+        (lambda data: data[:-1], 0),                                  # no final newline
+        (blank_line_4, "damaged cache line 4 "),
+        (lambda data: data + b"\n", "damaged cache line 17 "),        # one more newline
+        (lambda data: data.replace(b"\n", b"\r\n"), "cache version mismatch "),
+        (lambda data: data[:data.index(b"\n") + 1], 15),              # the header only
+        (lambda data: b"", "cache version mismatch "),
+    ], ids=["no-final-newline", "blank-line", "extra-newline", "crlf", "header-only", "empty"])
+    def test_line_handling(self, capsys, tmp_path, cold, edit, outcome):
+        """A table loads with the misses given; a rejected file exits 2."""
+        assert cold.count(b"\n") == 16
+        path = tmp_path / "memo.tsv"
+        path.write_bytes(edit(cold))
+        code, out, err = run(capsys, ["torus", "3", "3", "--format", "json",
+                                      "--cache", str(path)])
+        if isinstance(outcome, int):
+            assert code == 0 and json.loads(out)["timing"]["misses"] == outcome
+        else:
+            assert (code, out) == (2, "") and err.startswith(f"error: {outcome}")
 
 
 class TestTruncatedCache:

@@ -2,7 +2,7 @@
 
 The result digest was taken from the last version whose numerators were
 dicts of terms; the packed kernel must reproduce it byte for byte.  The
-cache digest is that of the packed cache format, torhom-series-packed-2;
+cache digest is that of the packed cache format, torhom-series-packed-3;
 it changes only with ENCODER_VERSION.
 """
 
@@ -15,7 +15,7 @@ from torhom.recursion import MemoTable
 # SHA-256 of the compact JSON of the "result" object of `torhom torus 8 8 --format json`
 T88_RESULT = "1a8dbcacb071da18e3a27809dab77b2108d005b1a391a99aec7189d771cd7ef9"
 # SHA-256 of the file written by `torhom torus 6 6 --format json --cache FILE`
-T66_CACHE = "65cfc8f5d8cc6bf87691e4796a33686875e2999a3bbdb424bd945f11e3cf500d"
+T66_CACHE = "d1ac379434c8a51c0697ad2c9102b3263523f3004b6f8726c428fa88df99a703"
 
 
 def sha256(data: bytes) -> str:

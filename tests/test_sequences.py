@@ -30,6 +30,15 @@ class TestBasics:
         with pytest.raises(ValueError):
             parse_bits("012")
 
+    @pytest.mark.parametrize("text", ["", "0101"])
+    def test_parse_accepts_bits(self, text):
+        assert parse_bits(text) == text
+
+    @pytest.mark.parametrize("text", ["012", "0 1", "01\n", "2", "10x01"])
+    def test_parse_rejects_any_other_character(self, text):
+        with pytest.raises(ValueError, match="not a 0/1 string"):
+            parse_bits(text)
+
     def test_weight(self):
         assert weight("") == 0
         assert weight("0110") == 2
