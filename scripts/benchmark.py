@@ -2,10 +2,12 @@
 
 Each workload runs REPEAT times, each time in a fresh child process, and
 one line per workload prints its median wall time (around the query only,
-from an empty memo) and median peak RSS (`resource.getrusage`).  With
---json PATH the record, with nproc and the Python version, is also stored
-under --label in PATH; other labels already in the file are kept, so one
-file can hold the runs of two versions measured on the same machine.
+from an empty memo) and median peak RSS.  Peak RSS is the child's own
+`VmHWM` from /proc/self/status (Linux), which starts afresh at exec;
+`ru_maxrss` would carry the parent's high-water mark over.  With --json
+PATH the record, with nproc and the Python version, is also stored under
+--label in PATH; other labels already in the file are kept, so one file
+can hold the runs of two versions measured on the same machine.
 Workloads are named T(m,n) for a torus link and C(m,n,l) for the
 Sym^l-colored T(m,n) in both sequence orderings; the default set is
 WORKLOADS.
@@ -24,7 +26,6 @@ import json
 import os
 import platform
 import re
-import resource
 import statistics
 import subprocess
 import sys
@@ -51,6 +52,15 @@ def workload_name(name: str) -> str:
     return name
 
 
+def peak_rss_mb() -> float:
+    """This process's peak RSS since its exec, in MB."""
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise OSError("no VmHWM in /proc/self/status")
+
+
 def run_one(name: str, cache: Optional[str] = None) -> dict:
     """Answer one workload in this process, from an empty memo; K(m,n)
     loads `cache` (if it exists) inside the timed region and saves it
@@ -69,7 +79,7 @@ def run_one(name: str, cache: Optional[str] = None) -> dict:
         memo.save()
         out["save_s"] = time.perf_counter() - t0
         out["cache_bytes"] = os.path.getsize(cache)
-    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    out["peak_rss_mb"] = peak_rss_mb()
     return out
 
 

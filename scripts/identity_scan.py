@@ -43,7 +43,7 @@ def run(cfg: ScanConfig) -> int:
     elapsed = time.perf_counter() - t0
     print(f"{checked} identities over {cfg.samples} sigma samples, "
           f"{failures} failures, {elapsed:.1f}s, "
-          f"memo entries={memo.stats().entries}")
+          f"memo entries={len(memo)}")
     return 1 if failures else 0
 
 

@@ -14,7 +14,7 @@ import inspect
 import json
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import checks, fillings, links
 from .recursion import MemoTable, eval_p
@@ -22,170 +22,122 @@ from .ring import GradedSeries, expand_series, render, series_payload
 from .sequences import inversions, pair_validate
 
 
-def _emit(args, envelope: Callable[[], Dict], human_lines: Callable[[], List[str]],
-          stats: Dict) -> None:
-    """Print the JSON envelope or the human lines; only the one printed is built."""
-    if args.format == "json":
-        env = envelope()
-        env["timing"] = stats
-        print(json.dumps(env, separators=(",", ":")))
-    else:
-        for line in human_lines():
-            print(line)
-        print(f"memo entries: {stats['entries']}", file=sys.stderr)
-        print(f"elapsed: {stats['seconds']:.3f}s  hits={stats['hits']} "
-              f"misses={stats['misses']} max_depth={stats['max_depth']}",
-              file=sys.stderr)
-        if "cache_load_s" in stats:
-            print(f"cache: load {stats['cache_load_s']:.3f}s  "
-                  f"save {stats['cache_save_s']:.3f}s", file=sys.stderr)
-
-
-def _memo(args) -> MemoTable:
-    """The memo table of a series command whose --expand and --cache ask for something."""
+def _memo(args) -> Tuple[MemoTable, float]:
+    """The memo table of a series command whose --expand and --cache ask for
+    something, and the clock reading its `timing.seconds` counts from."""
     if args.expand is not None and args.expand < 0:
         raise ValueError(f"--expand must be at least 0, got {args.expand}")
     if args.cache == "":
         raise ValueError("--cache needs a file name")
-    return MemoTable(path=args.cache)
+    return MemoTable(path=args.cache), time.perf_counter()
 
 
-def _finish(args, memo: MemoTable, t0: float) -> Dict:
-    """Save the memo table if --cache names a file; the run's timing block."""
+def _show(args, memo: MemoTable, t0: float, command: str, params: Dict,
+          shown: List[Tuple[str, str, GradedSeries]], fields: Optional[Dict] = None,
+          before: Sequence[str] = (), after: Sequence[str] = ()) -> int:
+    """Save the memo table if --cache names a file, then print the JSON
+    envelope or the human/latex lines; only the form printed is built.
+
+    `shown` holds (suffix, label, series): the series with suffix "" is the
+    envelope's `result`, each other one `result_<suffix>`, and each is
+    followed by its expansion under --expand.  `fields` are envelope keys
+    after those; `before` and `after` are human lines around theirs.
+    """
     if args.cache:
         memo.save()
-    s = memo.stats()
-    cache = {"cache_load_s": memo.load_s, "cache_save_s": memo.save_s} if args.cache else {}
-    return {"seconds": time.time() - t0, "entries": s.entries,
-            "hits": s.hits, "misses": s.misses, "max_depth": s.max_depth, **cache}
+    timing = {"seconds": time.perf_counter() - t0, "entries": len(memo), "hits": memo.hits,
+              "misses": memo.misses, "max_depth": memo.max_depth}
+    if args.cache:
+        timing.update(cache_load_s=memo.load_s, cache_save_s=memo.save_s)
+    depth = args.expand
 
+    def expansion(s: GradedSeries) -> GradedSeries:
+        return GradedSeries.from_poly(expand_series(s, depth))
 
-def _expansion(args, s: GradedSeries) -> GradedSeries:
-    return GradedSeries.from_poly(expand_series(s, args.expand))
-
-
-def _result_lines(args, label: str, s: GradedSeries) -> List[str]:
-    fmt = args.format
-    lines = [f"{label} = {render(s, fmt)}"]
-    if args.expand is not None:
-        lines.append(f"expansion(q-degree <= {args.expand}) = "
-                     f"{render(_expansion(args, s), fmt)}")
-    return lines
-
-
-def _envelope(args, command: str, params: Dict, s: GradedSeries) -> Dict:
-    env = {"command": command, "params": params, "result": series_payload(s)}
-    if args.expand is not None:
-        env["expand_depth"] = args.expand
-        env["expansion"] = series_payload(_expansion(args, s))
-    return env
+    if args.format == "json":
+        env = {"command": command, "params": params}
+        for suffix, _, s in shown:
+            tail = f"_{suffix}" if suffix else ""
+            env[f"result{tail}"] = series_payload(s)
+            if depth is not None:
+                if not suffix:
+                    env["expand_depth"] = depth
+                env[f"expansion{tail}"] = series_payload(expansion(s))
+        env.update(fields or {}, timing=timing)
+        print(json.dumps(env, separators=(",", ":")))
+        return 0
+    lines = list(before)
+    for _, label, s in shown:
+        lines.append(f"{label} = {render(s, args.format)}")
+        if depth is not None:
+            lines.append(f"expansion(q-degree <= {depth}) = "
+                         f"{render(expansion(s), args.format)}")
+    print("\n".join([*lines, *after]))
+    print(f"memo entries: {len(memo)}", file=sys.stderr)
+    print(f"elapsed: {timing['seconds']:.3f}s  hits={memo.hits} misses={memo.misses} "
+          f"max_depth={memo.max_depth}", file=sys.stderr)
+    if args.cache:
+        print(f"cache: load {memo.load_s:.3f}s  save {memo.save_s:.3f}s", file=sys.stderr)
+    return 0
 
 
 def cmd_torus(args) -> int:
     spec = links.TorusLinkSpec(args.m, args.n)
-    memo = _memo(args)
-    t0 = time.time()
+    memo, t0 = _memo(args)
     label = f"T({spec.m},{spec.n})"
     if args.normalized:
         series, label = links.normalized_homology(spec, memo), f"normalized {label}"
     else:
         series = links.torus_link_homology(spec, memo)
-    _emit(args,
-          lambda: _envelope(args, "torus",
-                            {"m": spec.m, "n": spec.n, "normalized": args.normalized},
-                            series),
-          lambda: _result_lines(args, label, series),
-          _finish(args, memo, t0))
-    return 0
+    return _show(args, memo, t0, "torus",
+                 {"m": spec.m, "n": spec.n, "normalized": args.normalized},
+                 [("", label, series)])
 
 
 def cmd_pair(args) -> int:
     pair = pair_validate(args.v, args.w)
-    memo = _memo(args)
-    t0 = time.time()
-    series = eval_p(pair, memo)
-    _emit(args,
-          lambda: _envelope(args, "pair", {"v": pair.v, "w": pair.w}, series),
-          lambda: _result_lines(args, f"p({pair.v or 'empty'},{pair.w or 'empty'})", series),
-          _finish(args, memo, t0))
-    return 0
+    memo, t0 = _memo(args)
+    return _show(args, memo, t0, "pair", {"v": pair.v, "w": pair.w},
+                 [("", f"p({pair.v or 'empty'},{pair.w or 'empty'})", eval_p(pair, memo))])
 
 
 def cmd_colored(args) -> int:
-    memo = _memo(args)
-    t0 = time.time()
+    memo, t0 = _memo(args)
     if args.order == "both":
         both = links.colored_torus_both(args.m, args.n, args.l, memo)
     else:
         both = {args.order: links.colored_torus_homology(
             args.m, args.n, args.l, args.order, memo)}
     orders = [o for o in ("theorem", "example") if o in both]
-    compared = "match_up_to_monomial" in both
-    shift = both.get("match_up_to_monomial")
-
-    def envelope() -> Dict:
-        env = _envelope(args, "colored",
-                        {"m": args.m, "n": args.n, "l": args.l, "order": args.order},
-                        both[orders[0]])
-        for order in orders[1:]:
-            env[f"result_{order}"] = series_payload(both[order])
-            if args.expand is not None:
-                env[f"expansion_{order}"] = series_payload(_expansion(args, both[order]))
-        if compared:
-            env["orders_match_up_to_monomial"] = list(shift) if shift is not None else None
-        return env
-
-    def human_lines() -> List[str]:
-        lines = []
-        for order in orders:
-            lines.extend(_result_lines(
-                args, f"colored({args.m},{args.n};l={args.l})[{order}]", both[order]))
-        if compared:
-            lines.append(f"orders match up to monomial: "
-                         f"{'Q^%d A^%d T^%d' % shift if shift is not None else 'no'}")
-        return lines
-
-    _emit(args, envelope, human_lines, _finish(args, memo, t0))
-    return 0
+    shown = [(o if i else "", f"colored({args.m},{args.n};l={args.l})[{o}]", both[o])
+             for i, o in enumerate(orders)]
+    fields, after = {}, []
+    if "match_up_to_monomial" in both:
+        shift = both["match_up_to_monomial"]
+        fields["orders_match_up_to_monomial"] = list(shift) if shift is not None else None
+        after.append(f"orders match up to monomial: "
+                     f"{'Q^%d A^%d T^%d' % shift if shift is not None else 'no'}")
+    return _show(args, memo, t0, "colored",
+                 {"m": args.m, "n": args.n, "l": args.l, "order": args.order},
+                 shown, fields, after=after)
 
 
 def cmd_sigma(args) -> int:
     entries = tuple(int(x) for x in args.sigma.split(",")) if args.sigma else ()
     sig = fillings.SigmaSeq.of(args.r, entries)
-    memo = _memo(args)
-    t0 = time.time()
+    memo, t0 = _memo(args)
     pair = fillings.seq_pair_of_sigma(sig)
-    if args.g:
-        series = fillings.g_sigma(sig, memo)
-        label = f"g({args.sigma or 'empty'})"
-    else:
-        series = fillings.f_sigma(sig, memo)
-        label = f"f({args.sigma or 'empty'})"
-    sigma_stats = None
+    series = (fillings.g_sigma if args.g else fillings.f_sigma)(sig, memo)
+    label = f"{'g' if args.g else 'f'}({args.sigma or 'empty'})"
+    fields, after = {"v": pair.v, "w": pair.w}, []
     if args.stats:
-        sigma_stats = {"inv": inversions(entries), "c": fillings.c_statistic(sig),
-                 "rev": list(fillings.rev(sig).entries)}
-
-    def envelope() -> Dict:
-        env = _envelope(args, "sigma",
-                        {"r": args.r, "sigma": list(entries), "g": args.g}, series)
-        env["v"] = pair.v
-        env["w"] = pair.w
-        if sigma_stats is not None:
-            env["stats"] = sigma_stats
-        return env
-
-    def human_lines() -> List[str]:
-        lines = [f"v = {pair.v}", f"w = {pair.w}"]
-        lines.extend(_result_lines(args, label, series))
-        if sigma_stats is not None:
-            lines.append(f"inv = {sigma_stats['inv']}")
-            lines.append(f"c = {sigma_stats['c']}")
-            lines.append(f"rev = {','.join(map(str, sigma_stats['rev']))}")
-        return lines
-
-    _emit(args, envelope, human_lines, _finish(args, memo, t0))
-    return 0
+        stats = fields["stats"] = {"inv": inversions(entries), "c": fillings.c_statistic(sig),
+                                   "rev": list(fillings.rev(sig).entries)}
+        after = [f"inv = {stats['inv']}", f"c = {stats['c']}",
+                 f"rev = {','.join(map(str, stats['rev']))}"]
+    return _show(args, memo, t0, "sigma", {"r": args.r, "sigma": list(entries), "g": args.g},
+                 [("", label, series)], fields, before=[f"v = {pair.v}", f"w = {pair.w}"],
+                 after=after)
 
 
 # check flag -> the suite parameter it sets, and its least value (a suite checks nothing below)

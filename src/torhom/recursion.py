@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass
 from enum import Enum
 from math import comb, gcd
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
@@ -138,14 +137,6 @@ RULES: Dict[RuleTag, Rule] = {
 }
 
 
-@dataclass
-class MemoStats:
-    entries: int
-    hits: int
-    misses: int
-    max_depth: int
-
-
 class MemoTable:
     """Map SeqPair -> GradedSeries with hit and miss counters.
 
@@ -222,9 +213,6 @@ class MemoTable:
         for key, line in [(k, v) for k, v in self._table.items() if isinstance(v, memoryview)]:
             self._decode(key, line)
         return self._table.values()
-
-    def stats(self) -> MemoStats:
-        return MemoStats(len(self._table), self.hits, self.misses, self.max_depth)
 
     # -- persistence ----------------------------------------------------
 

@@ -156,6 +156,12 @@ class TestTorus:
         warm = run_json(capsys, ["torus", "4", "4", "--cache", path])["timing"]
         assert warm["misses"] == 0 and warm["hits"] == 1
 
+    def test_seconds_ignore_a_stepped_wall_clock(self, capsys, monkeypatch):
+        # the wall clock runs backwards an hour per reading; seconds is monotonic
+        readings = iter(range(10**9, 0, -3600))
+        monkeypatch.setattr(cli.time, "time", lambda: float(next(readings)))
+        assert run_json(capsys, ["torus", "3", "4"])["timing"]["seconds"] >= 0
+
     def test_json_deterministic_minus_timing(self, capsys):
         a = run_json(capsys, ["torus", "3", "2"])
         b = run_json(capsys, ["torus", "3", "2"])
@@ -179,12 +185,12 @@ class TestOutputBuiltOnce:
             raise AssertionError("built but not printed")
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_result_lines", unused)
+            patch.setattr(cli, "render", unused)
             assert run(capsys, argv + ["--format", "json"])[0] == 0
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "_envelope", unused)
-            patch.setattr(cli, "series_payload", unused)
-            assert run(capsys, argv)[0] == 0
+        for fmt in ("human", "latex"):
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "series_payload", unused)
+                assert run(capsys, argv + ["--format", fmt])[0] == 0
 
 
 class TestPair:

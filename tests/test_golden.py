@@ -1,5 +1,7 @@
 """Byte-level goldens.
 
+The envelope digests were recorded before the four series commands
+shared one output builder; each command must print them byte for byte.
 The result digest was taken from the last version whose numerators were
 dicts of terms; the packed kernel must reproduce it byte for byte.  The
 cache digest is that of the packed cache format, torhom-series-packed-3;
@@ -8,6 +10,9 @@ it changes only with ENCODER_VERSION.
 
 import hashlib
 import json
+import shlex
+
+import pytest
 
 from torhom.cli import main
 from torhom.recursion import MemoTable
@@ -16,6 +21,55 @@ from torhom.recursion import MemoTable
 T88_RESULT = "1a8dbcacb071da18e3a27809dab77b2108d005b1a391a99aec7189d771cd7ef9"
 # SHA-256 of the file written by `torhom torus 6 6 --format json --cache FILE`
 T66_CACHE = "d1ac379434c8a51c0697ad2c9102b3263523f3004b6f8726c428fa88df99a703"
+# SHA-256 of the stdout of `torhom COMMAND --format FORMAT`, each JSON envelope
+# with its `timing` block popped and dumped compactly again
+ENVELOPES = {
+    "torus 4 6": {
+        "json": "c760d8c7618966e96d14c820ac78ad6b60974be46e6747cda1e7d0e8e5150929",
+        "human": "fbdc3c7ef65b37238632f61c9dd4c0bd05e433f8437410febd404c21db63d815",
+        "latex": "5ae53c00ea182fd95e4d26540af24c9e133f783a14052d35896dc6f407a68bc5",
+    },
+    "torus 2 3 --normalized": {
+        "json": "11f2367cefda6972e0f1f34e2fdc685252032a2e717c89e9e79f35829d29e678",
+        "human": "c00797d5c9663bb68468fc22c555e3619153e79ed64e5ec40b392e32e0ac2b40",
+        "latex": "808ecfb416dbe17a1d88c27ddc93ffbfc98eb3a0465c8d740d45f4ed01435120",
+    },
+    "torus 3 4 --expand 2": {
+        "json": "d7499467d642630e56a3ad4b2eb2801add4a9f542c8423d8cee5b8ee14fd667d",
+        "human": "b32e480801a016701e1f65413b135c5962aae12b3efc9d059402ed415e889907",
+        "latex": "ccaedaecb11cc88f484393889900c0aefac95dea0dadc333c4a5c70c9132f683",
+    },
+    "pair 0100 0010": {
+        "json": "675a3e184a7d05066030ca5205a3013b5d36a8fbc7af985c689e1dad46ebb970",
+        "human": "9e646987e5dcee911c8a35ab7319fd1a23b12443e2a319a9424b9a3a4db92475",
+        "latex": "b11e66934ca30454d803d735ee2a9ab1925316b7bb1d3a754f48896c7917e6bf",
+    },
+    "pair '' ''": {
+        "json": "490fcdab3ed4fdd9b0847b8ddf83b6e42a2502ec17f4050cb9296a762717fe7b",
+        "human": "f9487aa584777e675691f20f5daf3e7c4031d251d75c59e21558a364726843b7",
+        "latex": "f9487aa584777e675691f20f5daf3e7c4031d251d75c59e21558a364726843b7",
+    },
+    "colored 2 3 2 --expand 1": {
+        "json": "42d3215ded0dee40f65c80a2b3d50cdd06f855f926c62ad08bef0b2c807f11af",
+        "human": "e0d2227f7d9c68163326b6c192a47fc90a95194290027f697f769194fac61b23",
+        "latex": "89c298ae08f65c1494b2d6db17c579ac3a0b84ccf1850d64495969c29edd94ec",
+    },
+    "colored 2 3 2 --order example": {
+        "json": "c5a9ffce21a0c3629d76e9c2a6a7c4fb205c1af51196c332c137a27aefc9c09c",
+        "human": "bd4328862a5034ecb2b58dcc0bc310836b30542f9d3f4f96e16eff1bcf84be12",
+        "latex": "799cf89da62e5f50d8f5aee1fcf2d6252a913e149adb1136a18cb9825576aaca",
+    },
+    "sigma 5 3,0,1,5 --stats": {
+        "json": "767411aaefbc5722eb91f0db90850387238fe6cf92f7a3fa12f3f09361786487",
+        "human": "016736c2a2723c750c69189ac1463832f7c1c9c679d3be1f5bb7f5e9d0e08806",
+        "latex": "d01f101fc6b4b520c9f846a54d67fe4d8e397493e30df3acd6752e7d96813e6d",
+    },
+    "sigma 2 1,0 --g --expand 1": {
+        "json": "36368edee0dbb0647b1931e76a2b367d616327defd878387b8f027e5a771df7b",
+        "human": "a2b8f067af3f561dbaf36d232bb6cbbc1ede0ab494861492b1f81730272e6b65",
+        "latex": "3ecbcd08ab0ea1beef63375da9b41dcfe10ad14b900c33b038c7c98ab92f8f64",
+    },
+}
 
 
 def sha256(data: bytes) -> str:
@@ -26,6 +80,19 @@ def test_torus_8_8_result(capsys):
     assert main(["torus", "8", "8", "--format", "json"]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert sha256(json.dumps(result, separators=(",", ":")).encode()) == T88_RESULT
+
+
+@pytest.mark.parametrize("command, fmt", [(c, f) for c in ENVELOPES for f in ENVELOPES[c]])
+def test_envelope(capsys, command, fmt):
+    assert main(shlex.split(command) + ["--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        env = json.loads(out)
+        assert out == json.dumps(env, separators=(",", ":")) + "\n"
+        assert list(env)[-1] == "timing"
+        env.pop("timing")
+        out = json.dumps(env, separators=(",", ":")) + "\n"
+    assert sha256(out.encode()) == ENVELOPES[command][fmt]
 
 
 def test_torus_6_6_cache_file(capsys, tmp_path):

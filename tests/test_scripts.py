@@ -59,6 +59,21 @@ def test_benchmark_json_cache_workload(tmp_path):
     assert os.listdir(tmp_path) == ["bench.json"]  # the cache files are gone
 
 
+def test_benchmark_peak_rss_is_the_childs_own():
+    # a parent holding about 150 MB runs the child; the child's own peak is
+    # a few tens of MB, so a reading that carried the parent's over fails
+    code = ("import subprocess, sys\n"
+            "held = b'x' * (150 << 20)\n"
+            "sys.stdout.write(subprocess.run(sys.argv[1:], capture_output=True, text=True,"
+            " check=True).stdout)\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code, sys.executable,
+         os.path.join(ROOT, "scripts", "benchmark.py"), "--one", "T(2,3)"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    assert 0 < json.loads(done.stdout)["peak_rss_mb"] < 100
+
+
 def test_benchmark_hooks_resolve():
     # perfbench/ wraps torhom functions by name and draws its identity-batch
     # queries through torhom; a deletion that breaks either fails here rather
