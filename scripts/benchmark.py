@@ -10,7 +10,9 @@ PATH the record, with nproc and the Python version, is also stored under
 can hold the runs of two versions measured on the same machine.
 Workloads are named T(m,n) for a torus link and C(m,n,l) for the
 Sym^l-colored T(m,n) in both sequence orderings; the default set is
-WORKLOADS.
+WORKLOADS.  Each runs on the memo table the command line uses, which
+keeps only the query results; `entries` is what it holds at the end and
+`peak_entries` the most it held at once.
 
 K(m,n) measures the `--cache` file of T(m,n).  Each repeat runs two
 children on one new file: a cold one that computes T(m,n) and saves the
@@ -37,7 +39,7 @@ from torhom.links import colored_torus_both
 from torhom.recursion import MemoTable, eval_p
 from torhom.sequences import pair_validate
 
-WORKLOADS = ([f"T({n},{n})" for n in range(6, 12)] + ["T(7,11)"]
+WORKLOADS = ([f"T({n},{n})" for n in range(6, 15)] + ["T(7,11)"]
              + [f"C(2,3,{l})" for l in range(2, 5)] + ["K(8,8)", "K(11,11)"])
 
 REPEAT = 5
@@ -67,13 +69,13 @@ def run_one(name: str, cache: Optional[str] = None) -> dict:
     after."""
     _, m, n, colored, cm, cn, l, cached, km, kn = _NAME.fullmatch(name).groups()
     t0 = time.perf_counter()
-    memo = MemoTable(path=cache)
+    memo = MemoTable(path=cache, evict=True)  # as the command line makes it
     if colored:
         colored_torus_both(int(cm), int(cn), int(l), memo)
     else:
         eval_p(pair_validate("0" * int(m or km), "0" * int(n or kn)), memo)
     wall = time.perf_counter() - t0
-    out = {"wall_s": wall, "entries": len(memo)}
+    out = {"wall_s": wall, "entries": len(memo), "peak_entries": memo.peak_entries}
     if cached:
         t0 = time.perf_counter()
         memo.save()
@@ -112,9 +114,11 @@ def measure(names, path: Optional[str], label: str) -> None:
             "wall_s_runs": [round(r["wall_s"], 4) for r in runs],
             "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
             "entries": runs[0]["entries"],
+            "peak_entries": runs[0]["peak_entries"],
         }
         line = (f"{name:10s} {results[name]['wall_s']:8.3f}s  "
-                f"{results[name]['peak_rss_mb']:7.1f} MB")
+                f"{results[name]['peak_rss_mb']:7.1f} MB  "
+                f"entries {runs[0]['entries']} (peak {runs[0]['peak_entries']})")
         if "save_s" in runs[0]:
             results[name].update(
                 save_s=statistics.median(r["save_s"] for r in runs),

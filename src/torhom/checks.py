@@ -58,7 +58,7 @@ def _random_pair(rng: random.Random, max_len: int,
 
 
 def suite_paper_values(memo: Optional[MemoTable] = None) -> List[CheckResult]:
-    memo = memo or MemoTable()
+    memo = MemoTable() if memo is None else memo
     out: List[CheckResult] = []
 
     got = links.torus_link_homology(links.TorusLinkSpec(4, 6), memo)
@@ -91,7 +91,7 @@ def suite_paper_values(memo: Optional[MemoTable] = None) -> List[CheckResult]:
 
 def suite_symmetry(length: int = 10, seed: int = 0,
                    memo: Optional[MemoTable] = None) -> List[CheckResult]:
-    memo = memo or MemoTable()
+    memo = MemoTable() if memo is None else memo
     out: List[CheckResult] = []
     bad = 0
     total = 0
@@ -122,7 +122,7 @@ def suite_symmetry(length: int = 10, seed: int = 0,
 
 def suite_positivity(length: int = 6, depth: int = 12,
                      memo: Optional[MemoTable] = None) -> List[CheckResult]:
-    memo = memo or MemoTable()
+    memo = MemoTable() if memo is None else memo
     out: List[CheckResult] = []
     bad = 0
     total = 0
@@ -146,7 +146,7 @@ def suite_positivity(length: int = 6, depth: int = 12,
 
 
 def suite_parity(length: int = 6, memo: Optional[MemoTable] = None) -> List[CheckResult]:
-    memo = memo or MemoTable()
+    memo = MemoTable() if memo is None else memo
     bad = 0
     total = 0
     for pair in _valid_pairs(length):
@@ -163,7 +163,7 @@ def suite_parity(length: int = 6, memo: Optional[MemoTable] = None) -> List[Chec
 
 def suite_lemma53(r_max: int = 3, length: int = 4, seed: int = 0,
                   memo: Optional[MemoTable] = None) -> List[CheckResult]:
-    memo = memo or MemoTable()
+    memo = MemoTable() if memo is None else memo
     out: List[CheckResult] = []
     bad = 0
     total = 0
@@ -228,7 +228,7 @@ def _rotation_matches(sig: fillings.SigmaSeq) -> bool:
 
 
 def suite_unknot_family(memo: Optional[MemoTable] = None) -> List[CheckResult]:
-    memo = memo or MemoTable()
+    memo = MemoTable() if memo is None else memo
     expected = eval_p(pair_validate("0", "0"), memo)
     out: List[CheckResult] = []
     for m in range(1, UNKNOT_M_MAX + 1):

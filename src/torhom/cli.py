@@ -24,12 +24,14 @@ from .sequences import inversions, pair_validate
 
 def _memo(args) -> Tuple[MemoTable, float]:
     """The memo table of a series command whose --expand and --cache ask for
-    something, and the clock reading its `timing.seconds` counts from."""
+    something, and the clock reading its `timing.seconds` counts from.  The
+    table evicts: it ends up holding the command's results and the lines
+    it loaded, and so does the --cache file it saves."""
     if args.expand is not None and args.expand < 0:
         raise ValueError(f"--expand must be at least 0, got {args.expand}")
     if args.cache == "":
         raise ValueError("--cache needs a file name")
-    return MemoTable(path=args.cache), time.perf_counter()
+    return MemoTable(path=args.cache, evict=True), time.perf_counter()
 
 
 def _show(args, memo: MemoTable, t0: float, command: str, params: Dict,
@@ -45,8 +47,9 @@ def _show(args, memo: MemoTable, t0: float, command: str, params: Dict,
     """
     if args.cache:
         memo.save()
-    timing = {"seconds": time.perf_counter() - t0, "entries": len(memo), "hits": memo.hits,
-              "misses": memo.misses, "max_depth": memo.max_depth}
+    timing = {"seconds": time.perf_counter() - t0, "entries": len(memo),
+              "peak_entries": memo.peak_entries, "hits": memo.hits, "misses": memo.misses,
+              "max_depth": memo.max_depth}
     if args.cache:
         timing.update(cache_load_s=memo.load_s, cache_save_s=memo.save_s)
     depth = args.expand
@@ -73,7 +76,7 @@ def _show(args, memo: MemoTable, t0: float, command: str, params: Dict,
             lines.append(f"expansion(q-degree <= {depth}) = "
                          f"{render(expansion(s), args.format)}")
     print("\n".join([*lines, *after]))
-    print(f"memo entries: {len(memo)}", file=sys.stderr)
+    print(f"memo entries: {len(memo)} (peak {memo.peak_entries})", file=sys.stderr)
     print(f"elapsed: {timing['seconds']:.3f}s  hits={memo.hits} misses={memo.misses} "
           f"max_depth={memo.max_depth}", file=sys.stderr)
     if args.cache:
@@ -183,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("human", "json", "latex"),
                        default="human")
         p.add_argument("--cache", metavar="FILE", default=None,
-                       help="persist and reload the memo table")
+                       help="save the query results to FILE and reuse those it holds")
 
     p = sub.add_parser("torus", help="graded rank for the torus link T(m,n)")
     p.add_argument("m", type=int)

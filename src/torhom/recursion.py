@@ -142,7 +142,14 @@ class MemoTable:
 
     `get` counts one lookup; eval_p counts its own lookups and folds them
     in once per call.  `load_s` and `save_s` are the seconds the last
-    load and save took.
+    load and save took; `peak_entries` is the most entries held at once.
+
+    An evicting table (`evict=True`) keeps of each query only what the
+    query asked for: eval_p drops every other entry it computed as soon
+    as the last pair that needs it has been combined.  Entries stored
+    before the query started, loaded or computed, are never dropped.  A
+    table made without `evict` keeps every entry, so queries that share
+    it reuse each other's work.
 
     Cache file: a version header, then one line per entry, sorted by key:
 
@@ -150,18 +157,20 @@ class MemoTable:
 
     `den` is `i:m,...` (empty for no factor), `parts` the numerator as
     `ring.encode_numerator` writes it, and the checksum the first 8 bytes
-    of the SHA-256 of everything after the first tab, in hex.  `load`
-    reads the file into one buffer and checks every line's checksum and
-    key in place, so a damaged line exits 2 however far it is from the
-    query; a file cut at a line boundary is a smaller valid table.  An
-    entry stays a `memoryview` of its line until a lookup first needs it,
-    so a warm query decodes one series instead of the whole table, and
-    `save` copies an unchanged line verbatim.
+    of the SHA-256 of everything after the first tab, in hex.  `save`
+    writes what the table holds: for an evicting table, the query results
+    and the lines it loaded.  `load` reads the file into one buffer and
+    checks every line's checksum and key in place, so a damaged line
+    exits 2 however far it is from the query; a file cut at a line
+    boundary is a smaller valid table.  An entry stays a `memoryview` of
+    its line until a lookup first needs it, so a query decodes only the
+    series it reads, and `save` copies an unchanged line verbatim.
     """
 
-    def __init__(self, path: Optional[str] = None):
+    def __init__(self, path: Optional[str] = None, evict: bool = False):
         self._table: Dict[str, Union[GradedSeries, memoryview]] = {}
-        self.hits = self.misses = self.max_depth = 0
+        self.evict = evict
+        self.hits = self.misses = self.max_depth = self._peak = 0
         self.load_s = self.save_s = 0.0
         self.path = path
         self._synced: Optional[str] = None  # a file that holds exactly this table
@@ -200,6 +209,20 @@ class MemoTable:
     def put(self, pair: SeqPair, value: GradedSeries) -> None:
         self._table[pair.key()] = value
         self._synced = None
+
+    def drop(self, key: str) -> None:
+        """Forget the entry of the pair whose `SeqPair.key()` is `key`."""
+        self._peak = max(self._peak, len(self._table))  # only a drop lowers the count
+        del self._table[key]
+        self._synced = None
+
+    @property
+    def peak_entries(self) -> int:
+        return max(self._peak, len(self._table))
+
+    def __contains__(self, key: str) -> bool:
+        """Whether the table holds `key`, a `SeqPair.key()`; decodes nothing."""
+        return key in self._table
 
     def record(self, hits: int, misses: int, depth: int) -> None:
         self.hits += hits
@@ -312,24 +335,60 @@ def _decode_series(line: memoryview) -> GradedSeries:
     return GradedSeries(num, den, canonical=True)
 
 
+Step = Tuple[Callable, Tuple[SeqPair, ...]]
+
+
+def _step(pair: SeqPair) -> Step:
+    """The combine step of `pair`'s rule, and the pairs it combines."""
+    children_of, combine = RULES[classify_rule(pair)]
+    return combine, children_of(pair)
+
+
+def _plan(pair: SeqPair, memo: MemoTable) -> Tuple[Dict[str, Step], Dict[str, int]]:
+    """The `_step` of `pair` and of every pair below it that `memo` does
+    not hold, keyed by `SeqPair.key()`, and how many parents each of those
+    pairs but `pair` has among them.  The walk does not descend into a
+    stored pair, and a stored pair gets no count, so eviction never drops
+    it."""
+    steps: Dict[str, Step] = {}
+    parents: Dict[str, int] = {}
+    todo = [(pair, pair.key())]
+    while todo:
+        current, key = todo.pop()
+        steps[key] = _, children = _step(current)
+        for child in children:
+            child_key = child.key()
+            if child_key in parents:
+                parents[child_key] += 1
+            elif child_key not in memo:
+                parents[child_key] = 1
+                todo.append((child, child_key))
+    return steps, parents
+
+
 def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
     """Evaluate the recursion with an explicit post-order work stack.
 
     A pair's first visit looks up its rule and pushes its missing
-    children; the second combines their stored values.  A hit is a
-    lookup that finds a stored value, a miss a value computed here; both,
-    and the deepest stack, reach the memo's counters once.  Base cases
-    are packed in the layout `query_layout(pair)`, so every sum built from
-    them shares it; a stored value from another layout (a cache file, an
-    earlier query) is repacked by the first sum that meets it.
+    children, its rule's first child on top; the second combines their
+    stored values.  For an evicting memo, `_plan` first walks the pairs to
+    compute, and a child is dropped once its last parent has been
+    combined.  A hit is a lookup that finds a stored value, a miss a value
+    computed here; both, and the deepest stack, reach the memo's counters
+    once.  Base cases are packed in the layout `query_layout(pair)`, so
+    every sum built from them shares it; a stored value from another
+    layout (a cache file, an earlier query) is repacked by the first sum
+    that meets it.  Without a memo, the query gets an evicting one of its
+    own.
     """
     if memo is None:
-        memo = MemoTable()
+        memo = MemoTable(evict=True)
     cached = memo.peek(pair)
     if cached is not None:
         memo.record(1, 0, 0)
         return cached
     layout = query_layout(pair)
+    steps, parents = _plan(pair, memo) if memo.evict else (None, {})
     hits = misses = 0
     depth = 1
     stack: List[Tuple[SeqPair, Optional[Callable], Tuple[SeqPair, ...]]] = [(pair, None, ())]
@@ -338,22 +397,32 @@ def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
             depth = len(stack)
         current, combine, children = stack.pop()
         if combine is not None:  # second visit: every child is stored by now
+            if ring.DEBUG_DESCENT:
+                for child in children:  # read only while a parent still needs it
+                    assert parents.get(child.key(), 1) > 0, ("evicted", current, child)
             value = combine(current, [memo.peek(child) for child in children], layout)
             if ring.DEBUG_DESCENT:
                 assert value.num.within(*layout), (current, layout)
             memo.put(current, value)
             misses += 1
+            for child in children if parents else ():
+                key = child.key()
+                left = parents.get(key)
+                if left is not None:  # computed by this query
+                    parents[key] = left - 1
+                    if left == 1:
+                        memo.drop(key)
             continue
         if memo.peek(current) is not None:
             hits += 1  # a pair pushed twice
             continue
-        children_of, combine = RULES[classify_rule(current)]
-        children = children_of(current)
+        combine, children = _step(current) if steps is None else steps.pop(current.key())
         if ring.DEBUG_DESCENT:
             for child in children:
                 assert pair_strictly_precedes(child, current), (current, child)
+                assert parents.get(child.key(), 1) > 0, ("evicted", current, child)
         stack.append((current, combine, children))
-        for child in children:
+        for child in reversed(children):
             if memo.peek(child) is None:
                 stack.append((child, None, ()))
             else:

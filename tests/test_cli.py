@@ -149,12 +149,15 @@ class TestTorus:
     def test_memo_counters(self, capsys, tmp_path):
         path = str(tmp_path / "memo.tsv")
         cold = run_json(capsys, ["torus", "4", "4", "--cache", path])["timing"]
-        # every stored value was computed once; shared sub-pairs were hits
-        assert cold["misses"] == cold["entries"] == 31
+        # each of the 31 pairs was computed once and only the root kept;
+        # shared sub-pairs were hits
+        assert cold["misses"] == 31 and cold["entries"] == 1
+        assert 1 < cold["peak_entries"] < 31
         assert cold["hits"] > 0
         assert cold["max_depth"] > 1
         warm = run_json(capsys, ["torus", "4", "4", "--cache", path])["timing"]
         assert warm["misses"] == 0 and warm["hits"] == 1
+        assert warm["entries"] == warm["peak_entries"] == 1
 
     def test_seconds_ignore_a_stepped_wall_clock(self, capsys, monkeypatch):
         # the wall clock runs backwards an hour per reading; seconds is monotonic
@@ -313,8 +316,11 @@ class TestCache:
         # the damage leaves the checksum as it was, so loading rejects the line
         path = tmp_path / "memo.tsv"
         run_json(capsys, ["torus", "4", "4", "--cache", str(path)])
+        run_json(capsys, ["pair", "", "", "--cache", str(path)])
         lines = path.read_text().splitlines(keepends=True)
-        # the last line is the base case p(,) = 1, which a warm T(4,4) never reads
+        # the header, T(4,4), and last the base case p(,) = 1 that the second
+        # command wrote and a warm T(4,4) never reads
+        assert len(lines) == 3
         assert lines[-1] == "5c693ac2d1befca1\t|\t\t0,0,0,0,0,1,1,1,8,01\n"
         checksum, rest = lines[-1][:16], lines[-1][16:]
         lines[-1] = checksum + rest.replace(*damage, 1)
@@ -344,18 +350,23 @@ class TestCache:
         warm = run_json(capsys, ["torus", "6", "6", "--cache", path])
         assert len(decoded) == 1
         assert warm["result"] == cold["result"]
-        assert warm["timing"]["entries"] == cold["timing"]["entries"] == 127
+        assert warm["timing"]["entries"] == cold["timing"]["entries"] == 1
         memo = MemoTable(path=path)
-        assert len(memo) == 127
-        assert len(list(memo.values())) == 127 and len(decoded) == 128
+        assert len(memo) == 1
+        assert len(list(memo.values())) == 1 and len(decoded) == 2
 
     def test_extending_a_loaded_cache_writes_the_cold_file(self, capsys, tmp_path):
-        cold = tmp_path / "cold.tsv"
-        run_json(capsys, ["torus", "7", "7", "--cache", str(cold)])
+        # each root's line is the one a file of that query alone holds
+        cold = {}
+        for n in ("6", "7"):
+            path = tmp_path / f"t{n}{n}.tsv"
+            run_json(capsys, ["torus", n, n, "--cache", str(path)])
+            header, cold[n] = path.read_bytes().splitlines(keepends=True)
         grown = tmp_path / "grown.tsv"
         run_json(capsys, ["torus", "6", "6", "--cache", str(grown)])
         run_json(capsys, ["torus", "7", "7", "--cache", str(grown)])
-        assert grown.read_bytes() == cold.read_bytes()
+        # sorted by key: 0000000|0000000 comes before 000000|000000
+        assert grown.read_bytes() == header + cold["7"] + cold["6"]
 
     def test_timing_shows_cache_load_and_save(self, capsys, tmp_path):
         path = str(tmp_path / "memo.tsv")

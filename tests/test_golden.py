@@ -4,8 +4,11 @@ The envelope digests were recorded before the four series commands
 shared one output builder; each command must print them byte for byte.
 The result digest was taken from the last version whose numerators were
 dicts of terms; the packed kernel must reproduce it byte for byte.  The
-cache digest is that of the packed cache format, torhom-series-packed-3;
-it changes only with ENCODER_VERSION.
+cache digest is that of the packed cache format, torhom-series-packed-3,
+in a file that holds the query's result and nothing else; it was
+recorded again when the command stopped saving the pairs below the root.
+Its one entry line is byte for byte the root's line of the earlier
+whole-table file.
 """
 
 import hashlib
@@ -20,7 +23,7 @@ from torhom.recursion import MemoTable
 # SHA-256 of the compact JSON of the "result" object of `torhom torus 8 8 --format json`
 T88_RESULT = "1a8dbcacb071da18e3a27809dab77b2108d005b1a391a99aec7189d771cd7ef9"
 # SHA-256 of the file written by `torhom torus 6 6 --format json --cache FILE`
-T66_CACHE = "d1ac379434c8a51c0697ad2c9102b3263523f3004b6f8726c428fa88df99a703"
+T66_CACHE = "b54900e7b812f7c7391708f2cac53a8db097921542052120cf04efe452fd6408"
 # SHA-256 of the stdout of `torhom COMMAND --format FORMAT`, each JSON envelope
 # with its `timing` block popped and dumped compactly again
 ENVELOPES = {

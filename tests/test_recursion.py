@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 
 import torhom.recursion as recursion
 import torhom.ring as ring
-from torhom import links
+from torhom import checks, fillings, links
 from torhom.recursion import (
     MemoTable,
     RuleTag,
@@ -24,6 +25,7 @@ from torhom.ring import (
     qat_monomial,
     render,
     series_equal,
+    series_payload,
 )
 from torhom.sequences import SeqPair, pair_validate
 
@@ -128,6 +130,10 @@ class TestDeterminism:
 
 def torus(m, n):
     return pair_validate("0" * m, "0" * n)
+
+
+def payload_bytes(series):
+    return json.dumps(series_payload(series), separators=(",", ":")).encode()
 
 
 def stored_parts(memo):
@@ -241,6 +247,89 @@ class TestMemo:
         assert memo.peek(SeqPair("01", "10")) is not None
         # the swap is a theorem, never a key alias
         assert memo.peek(SeqPair("10", "01")) is None
+
+
+class TestEviction:
+    QUERIES = {
+        **{f"T({n},{n})": lambda memo, n=n: [eval_p(torus(n, n), memo)] for n in range(9)},
+        "T(7,11)": lambda memo: [eval_p(torus(7, 11), memo)],
+        "colored 2 3 3": lambda memo: [
+            links.colored_torus_both(2, 3, 3, memo)[o] for o in ("theorem", "example")],
+        "sigma 5 3,0,1,5 --g": lambda memo: [
+            fillings.g_sigma(fillings.SigmaSeq.of(5, (3, 0, 1, 5)), memo)],
+    }
+
+    @pytest.mark.parametrize("name", list(QUERIES))
+    def test_evicting_and_keeping_memos_agree(self, name):
+        evicting, keeping = MemoTable(evict=True), MemoTable()
+        got, want = self.QUERIES[name](evicting), self.QUERIES[name](keeping)
+        assert [payload_bytes(s) for s in got] == [payload_bytes(s) for s in want]
+        # each query keeps its root alone; counters see the same queries
+        assert len(evicting) == len(got) and len(keeping) >= len(got)
+        assert evicting.peak_entries <= len(keeping) == keeping.peak_entries
+        if len(got) == 1:
+            assert (evicting.hits, evicting.misses) == (keeping.hits, keeping.misses)
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_first_child_first_keeps_the_stack_and_the_table_small(self, n):
+        memo = MemoTable(evict=True)
+        eval_p(torus(n, n), memo)
+        # with the last child first: depth 43, 73, 111 and peak 33, 129, 513
+        assert memo.max_depth == 3 * n
+        assert memo.peak_entries < 2 ** (n + 1) // 5
+
+    def test_a_memo_passed_in_keeps_every_entry(self):
+        memo = MemoTable()
+        links.torus_link_homology(links.TorusLinkSpec(6, 6), memo)
+        assert len(memo) == memo.peak_entries == 127
+        eval_p(torus(7, 7), memo)
+        assert len(memo) == 255
+        # a check suite fills the table it is given, even an empty one
+        memo = MemoTable()
+        checks.suite_parity(3, memo)
+        assert len(memo) == memo.peak_entries > 0
+
+    def test_a_query_without_a_memo_evicts(self, monkeypatch):
+        made = []
+
+        class Recorded(MemoTable):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(recursion, "MemoTable", Recorded)
+        value = eval_p(torus(6, 6))
+        assert [(memo.evict, len(memo)) for memo in made] == [(True, 1)]
+        assert made[0].peek(torus(6, 6)) is value
+
+    def test_a_loaded_entry_survives_a_query_that_reads_it(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
+        _, parents = recursion._plan(torus(5, 5), MemoTable())
+        shared = min(key for key, count in parents.items() if count > 1)
+        path = str(tmp_path / "memo.tsv")
+        memo = MemoTable(path=path, evict=True)
+        eval_p(pair_validate(*shared.split("|")), memo)
+        memo.save()
+        memo = MemoTable(path=path, evict=True)
+        got = eval_p(torus(5, 5), memo)
+        assert sorted(memo._table) == sorted([shared, torus(5, 5).key()])
+        assert memo.hits >= parents[shared] and memo.misses < 63
+        assert payload_bytes(got) == payload_bytes(eval_p(torus(5, 5), MemoTable()))
+        memo.save()
+        assert MemoTable(path=path).peek(torus(5, 5)) == got
+
+    def test_debug_mode_trips_on_reading_an_evicted_entry(self, monkeypatch):
+        plan = recursion._plan
+
+        def one_parent_short(pair, memo):
+            steps, parents = plan(pair, memo)
+            parents[min(key for key, n in parents.items() if n > 1)] -= 1
+            return steps, parents
+
+        monkeypatch.setattr(recursion, "_plan", one_parent_short)
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
+        with pytest.raises(AssertionError, match="evicted"):
+            eval_p(torus(5, 5), MemoTable(evict=True))
 
 
 class TestPersistence:
