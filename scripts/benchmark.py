@@ -19,8 +19,12 @@ children on one new file: a cold one that computes T(m,n) and saves the
 file (`save_s`), and a warm one whose wall time is loading the file plus
 looking T(m,n) up in it (`wall_s`; its save finds nothing to write).
 
+I(module) measures start-up: its `wall_s` runs from just before a fresh
+interpreter is spawned to the end of `import module` in it, on the
+monotonic clock both processes read, and its peak RSS is that child's.
+
 Usage: python scripts/benchmark.py [--json BENCH.json [--label NAME]]
-                                   [--workloads T(6,6) C(2,3,2) K(8,8) ...]
+                                   [--workloads T(6,6) C(2,3,2) K(8,8) I(torhom) ...]
 """
 
 import argparse
@@ -40,17 +44,24 @@ from torhom.recursion import MemoTable, eval_p
 from torhom.sequences import pair_validate
 
 WORKLOADS = ([f"T({n},{n})" for n in range(6, 15)] + ["T(7,11)"]
-             + [f"C(2,3,{l})" for l in range(2, 5)] + ["K(8,8)", "K(11,11)"])
+             + [f"C(2,3,{l})" for l in range(2, 5)] + ["K(8,8)", "K(11,11)"]
+             + ["I(torhom)", "I(torhom.cli)"])
 
 REPEAT = 5
 
-_NAME = re.compile(r"(T)\((\d+),(\d+)\)|(C)\((\d+),(\d+),(\d+)\)|(K)\((\d+),(\d+)\)")
+_NAME = re.compile(r"(T)\((\d+),(\d+)\)|(C)\((\d+),(\d+),(\d+)\)|(K)\((\d+),(\d+)\)"
+                   r"|I\((torhom(?:\.\w+)?)\)")
+
+# An I(module) child: the clock reading as the import ends, then its VmHWM in kB.
+_IMPORT_CHILD = ("import time\nimport {}\nready = time.monotonic()\n"
+                 "status = open('/proc/self/status').read()\n"
+                 "print(ready, status.split('VmHWM:')[1].split()[0])\n")
 
 
 def workload_name(name: str) -> str:
     if not _NAME.fullmatch(name):
         raise argparse.ArgumentTypeError(
-            f"not a workload name T(m,n), C(m,n,l) or K(m,n): {name!r}")
+            f"not a workload name T(m,n), C(m,n,l), K(m,n) or I(module): {name!r}")
     return name
 
 
@@ -67,7 +78,7 @@ def run_one(name: str, cache: Optional[str] = None) -> dict:
     """Answer one workload in this process, from an empty memo; K(m,n)
     loads `cache` (if it exists) inside the timed region and saves it
     after."""
-    _, m, n, colored, cm, cn, l, cached, km, kn = _NAME.fullmatch(name).groups()
+    _, m, n, colored, cm, cn, l, cached, km, kn, _ = _NAME.fullmatch(name).groups()
     t0 = time.perf_counter()
     memo = MemoTable(path=cache, evict=True)  # as the command line makes it
     if colored:
@@ -102,23 +113,38 @@ def _cache_sample(name: str) -> dict:
     return dict(warm, save_s=cold["save_s"], cache_bytes=cold["cache_bytes"])
 
 
+def _import_sample(module: str) -> dict:
+    start = time.monotonic()
+    out = subprocess.run([sys.executable, "-c", _IMPORT_CHILD.format(module)],
+                         capture_output=True, text=True, check=True).stdout
+    ready, hwm_kb = out.split()
+    return {"wall_s": float(ready) - start, "peak_rss_mb": int(hwm_kb) / 1024}
+
+
+def _sample(name: str) -> dict:
+    if name[0] == "I":
+        return _import_sample(name[2:-1])
+    return _cache_sample(name) if name[0] == "K" else _child(name)
+
+
 def measure(names, path: Optional[str], label: str) -> None:
     samples = {name: [] for name in names}
     for _ in range(REPEAT):  # interleaved, so a drift in host speed hits every workload
         for name in names:
-            samples[name].append(_cache_sample(name) if name[0] == "K" else _child(name))
+            samples[name].append(_sample(name))
     results = {}
     for name, runs in samples.items():
         results[name] = {
             "wall_s": statistics.median(r["wall_s"] for r in runs),
             "wall_s_runs": [round(r["wall_s"], 4) for r in runs],
             "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
-            "entries": runs[0]["entries"],
-            "peak_entries": runs[0]["peak_entries"],
         }
-        line = (f"{name:10s} {results[name]['wall_s']:8.3f}s  "
-                f"{results[name]['peak_rss_mb']:7.1f} MB  "
-                f"entries {runs[0]['entries']} (peak {runs[0]['peak_entries']})")
+        line = (f"{name:13s} {results[name]['wall_s']:8.4f}s  "
+                f"{results[name]['peak_rss_mb']:7.1f} MB")
+        if "entries" in runs[0]:
+            results[name].update(entries=runs[0]["entries"],
+                                 peak_entries=runs[0]["peak_entries"])
+            line += f"  entries {runs[0]['entries']} (peak {runs[0]['peak_entries']})"
         if "save_s" in runs[0]:
             results[name].update(
                 save_s=statistics.median(r["save_s"] for r in runs),
@@ -153,6 +179,8 @@ def main() -> None:
     args = parser.parse_args()
     if (args.cache is None) != (args.one is None or args.one[0] != "K"):
         parser.error("--cache goes with --one K(m,n), and K(m,n) with --cache")
+    if args.one and args.one[0] == "I":
+        parser.error("--one takes T, C or K workloads; I(module) spawns its own interpreter")
     if args.label is not None and args.json is None:
         parser.error("--label goes with --json")
     if args.one:

@@ -10,7 +10,6 @@ memo counters go to the envelope's timing block (json) or to stderr
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import time
@@ -125,8 +124,18 @@ def cmd_colored(args) -> int:
                  shown, fields, after=after)
 
 
+def _sigma_entries(text: str) -> Tuple[int, ...]:
+    """The entries of a comma-separated sigma, each in ASCII decimal digits
+    (`int` alone would also take '1_0', ' 1' and other scripts' digits)."""
+    entries = text.split(",") if text else []
+    for e in entries:
+        if not (e.isascii() and e.isdigit()):
+            raise ValueError(f"sigma entry {e!r} is not a decimal number")
+    return tuple(map(int, entries))
+
+
 def cmd_sigma(args) -> int:
-    entries = tuple(int(x) for x in args.sigma.split(",")) if args.sigma else ()
+    entries = _sigma_entries(args.sigma)
     sig = fillings.SigmaSeq.of(args.r, entries)
     memo, t0 = _memo(args)
     pair = fillings.seq_pair_of_sigma(sig)
@@ -149,6 +158,8 @@ CHECK_FLAGS = (("r", "r_max", 1), ("len", "length", 0), ("depth", "depth", 0),
 
 
 def cmd_check(args) -> int:
+    import inspect  # only here, so that the other commands start without it
+
     suite = checks.SUITES[args.suite]
     params = inspect.signature(suite).parameters
     kwargs = {}

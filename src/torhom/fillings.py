@@ -17,10 +17,10 @@ roundtrip suite checks this readout and the rotation rules against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
+from .record import Record
 from .ring import GradedSeries, LaurentPoly, qat_monomial
 from .recursion import MemoTable, eval_p
 from .sequences import SeqPair, inversions, pair_validate
@@ -42,17 +42,17 @@ class FillArgError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SigmaSeq:
-    r: int
-    entries: Tuple[int, ...]
+class SigmaSeq(Record):
+    __slots__ = ("r", "entries")
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __init__(self, r: int, entries: Tuple[int, ...]):
+        if r < 1:
             raise ValueError("r must be positive")
-        for e in self.entries:
-            if not 0 <= e <= self.r:
-                raise ValueError(f"sigma entry {e} outside [0, {self.r}]")
+        for e in entries:
+            if not 0 <= e <= r:
+                raise ValueError(f"sigma entry {e} outside [0, {r}]")
+        self.r = r
+        self.entries = entries
 
     @classmethod
     def of(cls, r: int, entries: Sequence[int]) -> "SigmaSeq":
@@ -63,18 +63,18 @@ class SigmaSeq:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class Filling:
+class Filling(Record):
     """cells[i][j] is the symbol in row i+1 (from the top), column j+1."""
 
-    r: int
-    N: int
-    cells: Tuple[Tuple[str, ...], ...]
+    __slots__ = ("r", "N", "cells")
 
-    def __post_init__(self):
-        if len(self.cells) != self.r or any(len(row) != self.N for row in self.cells):
+    def __init__(self, r: int, N: int, cells: Tuple[Tuple[str, ...], ...]):
+        if len(cells) != r or any(len(row) != N for row in cells):
             raise AdmissibilityError("grid shape mismatch")
-        for j in range(self.N):
+        self.r = r
+        self.N = N
+        self.cells = cells
+        for j in range(N):
             self.column_zero_count(j)  # validates column structure
 
     def column(self, j: int) -> Tuple[str, ...]:
@@ -211,13 +211,17 @@ def g_sigma(s: SigmaSeq, memo: Optional[MemoTable] = None) -> GradedSeries:
     return eval_p(pair_validate(pair.v, pair.w + "0"), memo)
 
 
-@dataclass
-class IdentityCheck:
-    name: str
-    sigma: Tuple[int, ...]
-    passed: bool
-    lhs: GradedSeries
-    rhs: GradedSeries
+class IdentityCheck(Record):
+    __slots__ = ("name", "sigma", "passed", "lhs", "rhs")
+    __hash__ = None  # a result, compared but not used as a key
+
+    def __init__(self, name: str, sigma: Tuple[int, ...], passed: bool,
+                 lhs: GradedSeries, rhs: GradedSeries):
+        self.name = name
+        self.sigma = sigma
+        self.passed = passed
+        self.lhs = lhs
+        self.rhs = rhs
 
 
 def _extend(s: SigmaSeq, suffix: Sequence[int]) -> SigmaSeq:

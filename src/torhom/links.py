@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Dict, Optional
 
+from .record import Record
 from .ring import GradedSeries, Monomial, equal_up_to_monomial
 from .recursion import MemoTable, eval_p
 from .sequences import pair_validate
@@ -19,14 +19,14 @@ class ColorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TorusLinkSpec:
-    m: int
-    n: int
+class TorusLinkSpec(Record):
+    __slots__ = ("m", "n")
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise DomainError(f"positive torus links only, got T({self.m},{self.n})")
+    def __init__(self, m: int, n: int):
+        if m < 1 or n < 1:
+            raise DomainError(f"positive torus links only, got T({m},{n})")
+        self.m = m
+        self.n = n
 
 
 def torus_link_homology(spec: TorusLinkSpec, memo: Optional[MemoTable] = None) -> GradedSeries:

@@ -73,15 +73,15 @@ invariant's headroom, and raises ValueError on any malformed field.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple
+
+from .record import Record
 
 Monomial = Tuple[int, int, int]  # (qexp, aexp, texp) on the (Q,A,T) lattice
 
@@ -645,11 +645,13 @@ def divide_one_minus(f: LaurentPoly, i: int) -> Optional[LaurentPoly]:
     return LaurentPoly._of(parts)
 
 
-@dataclass(frozen=True)
-class DenomVector:
+class DenomVector(Record):
     """Multiset of denominator factors (1 - q t^{1-i}), keyed by i >= 1."""
 
-    mult: Tuple[Tuple[int, int], ...] = ()
+    __slots__ = ("mult",)
+
+    def __init__(self, mult: Tuple[Tuple[int, int], ...] = ()):
+        self.mult = mult
 
     @classmethod
     def from_dict(cls, d: Mapping[int, int]) -> "DenomVector":
@@ -991,6 +993,7 @@ def series_payload(s: GradedSeries) -> Dict[str, list]:
 
 def render(s: GradedSeries, fmt: str = "human") -> str:
     if fmt == "json":
+        import json  # only here, so that importing torhom does not load it
         return json.dumps(series_payload(s), separators=(",", ":"))
     if fmt not in ("human", "latex"):
         raise ValueError(f"unknown format {fmt!r}")

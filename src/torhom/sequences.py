@@ -7,8 +7,9 @@ reach the recursion as such a pair, so no braid permutation is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
+
+from .record import Record
 
 
 class WeightMismatch(ValueError):
@@ -52,12 +53,14 @@ def bit_inversions(v: str) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class SeqPair:
+class SeqPair(Record):
     """A pair (v, w) with equal weight l; lengths are m+l and n+l."""
 
-    v: str
-    w: str
+    __slots__ = ("v", "w")
+
+    def __init__(self, v: str, w: str):
+        self.v = v
+        self.w = w
 
     @property
     def l(self) -> int:

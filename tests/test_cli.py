@@ -48,6 +48,21 @@ class TestExitCodes:
     def test_sigma_out_of_range(self, capsys):
         assert run(capsys, ["sigma", "2", "3"])[0] == 2
 
+    @pytest.mark.parametrize("sigma, entry", [
+        ("1_0", "'1_0'"), (" 1", "' 1'"), ("1,,2", "''"), ("1,", "''"), ("0,-1", "'-1'"),
+        ("+1", "'+1'"), ("\u0661", "'\u0661'"),
+    ])
+    def test_sigma_entries_are_ascii_decimal(self, capsys, sigma, entry):
+        # int() alone reads '1_0' as 10, ' 1' as 1 and the Arabic-Indic one as 1
+        code, out, err = run(capsys, ["sigma", "20", sigma])
+        assert (code, out) == (2, "")
+        assert err == f"error: sigma entry {entry} is not a decimal number\n"
+
+    def test_sigma_entries_that_parse(self, capsys):
+        assert run_json(capsys, ["sigma", "3", ""])["params"]["sigma"] == []
+        assert run_json(capsys, ["sigma", "5", "3,0,1,5"])["params"]["sigma"] == [3, 0, 1, 5]
+        assert run_json(capsys, ["sigma", "20", "010"])["params"]["sigma"] == [10]
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, ["frobnicate"])[0] == 2
 

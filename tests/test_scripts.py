@@ -61,6 +61,21 @@ def test_benchmark_json_cache_workload(tmp_path):
     assert os.listdir(tmp_path) == ["bench.json"]  # the cache files are gone
 
 
+def test_benchmark_json_import_workload(tmp_path):
+    path = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "benchmark.py"), "--json", str(path),
+         "--workloads", "I(torhom)", "I(torhom.cli)"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    record = json.loads(path.read_text())["runs"]["run"]
+    for result in record["results"].values():
+        # spawn to import done: more than nothing, less than a stuck child
+        assert 0 < result["wall_s"] < 30 and len(result["wall_s_runs"]) == record["repeat"]
+        assert 0 < result["peak_rss_mb"] < 100
+        assert "entries" not in result
+
+
 def test_benchmark_peak_rss_is_the_childs_own():
     # a parent holding about 150 MB runs the child; the child's own peak is
     # a few tens of MB, so a reading that carried the parent's over fails
