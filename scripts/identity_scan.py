@@ -11,29 +11,20 @@ Usage: python scripts/identity_scan.py [--samples 200] [--r-max 6]
 import argparse
 import random
 import time
-from dataclasses import dataclass
 
 from torhom.fillings import verify_lemma53
 from torhom.recursion import MemoTable
 
 
-@dataclass
-class ScanConfig:
-    samples: int = 200
-    r_max: int = 6
-    n_max: int = 7
-    seed: int = 0
-
-
-def run(cfg: ScanConfig) -> int:
-    rng = random.Random(cfg.seed)
+def run(args: argparse.Namespace) -> int:
+    rng = random.Random(args.seed)
     memo = MemoTable()
     failures = 0
     checked = 0
     t0 = time.perf_counter()
-    for _ in range(cfg.samples):
-        r = rng.randint(1, cfg.r_max)
-        n = rng.randint(0, cfg.n_max)
+    for _ in range(args.samples):
+        r = rng.randint(1, args.r_max)
+        n = rng.randint(0, args.n_max)
         sigma = tuple(rng.randint(0, r) for _ in range(n))
         for check in verify_lemma53(r, sigma, memo):
             checked += 1
@@ -41,7 +32,7 @@ def run(cfg: ScanConfig) -> int:
                 failures += 1
                 print(f"FAIL {check.name} at r={r} sigma={sigma}")
     elapsed = time.perf_counter() - t0
-    print(f"{checked} identities over {cfg.samples} sigma samples, "
+    print(f"{checked} identities over {args.samples} sigma samples, "
           f"{failures} failures, {elapsed:.1f}s, "
           f"memo entries={len(memo)}")
     return 1 if failures else 0
@@ -53,9 +44,7 @@ def main() -> None:
     parser.add_argument("--r-max", type=int, default=6)
     parser.add_argument("--n-max", type=int, default=7)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    raise SystemExit(run(ScanConfig(samples=args.samples, r_max=args.r_max,
-                                    n_max=args.n_max, seed=args.seed)))
+    raise SystemExit(run(parser.parse_args()))
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Memoized evaluation of the graded-rank recursion on sequence pairs.
 
-The evaluator runs on an explicit work stack (pairs a few hundred bits
-long must not hit Python's recursion limit) and caches canonical series
-keyed by the pair verbatim.  The symmetry p(v,w) = p(w,v) is a theorem
-under test, so keys are never canonicalized across the swap.
+The evaluator plans a query with one walk on an explicit work stack
+(pairs a few hundred bits long must not hit Python's recursion limit),
+then combines along the plan, and caches canonical series keyed by the
+pair verbatim.  The symmetry p(v,w) = p(w,v) is a theorem under test,
+so keys are never canonicalized across the swap.
 
 `classify_rule` picks a pair's rule; `RULES` gives, for each rule, the
 pairs its value depends on and the step that combines their values;
@@ -140,9 +141,10 @@ RULES: Dict[RuleTag, Rule] = {
 class MemoTable:
     """Map SeqPair -> GradedSeries with hit and miss counters.
 
-    `get` counts one lookup; eval_p counts its own lookups and folds them
-    in once per call.  `load_s` and `save_s` are the seconds the last
-    load and save took; `peak_entries` is the most entries held at once.
+    `get` counts one lookup; eval_p takes a query's hits, misses and
+    deepest stack from its plan and folds them in once per call.
+    `load_s` and `save_s` are the seconds the last load and save took;
+    `peak_entries` is the most entries held at once.
 
     An evicting table (`evict=True`) keeps of each query only what the
     query asked for: eval_p drops every other entry it computed as soon
@@ -335,51 +337,65 @@ def _decode_series(line: memoryview) -> GradedSeries:
     return GradedSeries(num, den, canonical=True)
 
 
-Step = Tuple[Callable, Tuple[SeqPair, ...]]
+Step = Tuple[SeqPair, Callable, Tuple[SeqPair, ...]]
 
 
-def _step(pair: SeqPair) -> Step:
-    """The combine step of `pair`'s rule, and the pairs it combines."""
-    children_of, combine = RULES[classify_rule(pair)]
-    return combine, children_of(pair)
+def _plan(pair: SeqPair, memo: MemoTable) -> Tuple[List[Step], Dict[str, int], int, int]:
+    """One post-order walk from `pair`, its rule's first child first.
 
-
-def _plan(pair: SeqPair, memo: MemoTable) -> Tuple[Dict[str, Step], Dict[str, int]]:
-    """The `_step` of `pair` and of every pair below it that `memo` does
-    not hold, keyed by `SeqPair.key()`, and how many parents each of those
-    pairs but `pair` has among them.  The walk does not descend into a
-    stored pair, and a stored pair gets no count, so eviction never drops
-    it."""
+    Returns, for `pair` and every pair below it that `memo` does not hold,
+    the pair, its rule's combine step and its children, in an order in
+    which each pair follows its children; for an evicting memo, how many
+    parents each of those pairs but `pair` has among them; the hits, a
+    reference to a pair stored before the walk or already planned; and
+    the deepest stack.  The walk does not descend into a stored pair, and
+    a stored pair gets no count, so eviction never drops it.  A pair
+    pushed by two parents before its first visit is popped twice, and the
+    second pop is a hit.
+    """
     steps: Dict[str, Step] = {}
     parents: Dict[str, int] = {}
-    todo = [(pair, pair.key())]
+    hits, depth, evict = 0, 1, memo.evict
+    todo: List[Tuple[SeqPair, str, Optional[Callable], Tuple[SeqPair, ...]]] = [
+        (pair, pair.key(), None, ())]
     while todo:
-        current, key = todo.pop()
-        steps[key] = _, children = _step(current)
-        for child in children:
+        if len(todo) > depth:
+            depth = len(todo)
+        current, key, combine, children = todo.pop()
+        if combine is not None:  # second visit: every child is planned
+            steps[key] = current, combine, children
+            continue
+        if key in steps:
+            hits += 1  # a pair pushed twice
+            continue
+        children_of, combine = RULES[classify_rule(current)]
+        children = children_of(current)
+        todo.append((current, key, combine, children))
+        for child in reversed(children):
+            if ring.DEBUG_DESCENT:
+                assert pair_strictly_precedes(child, current), (current, child)
             child_key = child.key()
-            if child_key in parents:
-                parents[child_key] += 1
-            elif child_key not in memo:
-                parents[child_key] = 1
-                todo.append((child, child_key))
-    return steps, parents
+            stored = child_key in memo
+            if evict and not stored:
+                parents[child_key] = parents.get(child_key, 0) + 1
+            if stored or child_key in steps:
+                hits += 1
+            else:
+                todo.append((child, child_key, None, ()))
+    return list(steps.values()), parents, hits, depth
 
 
 def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
-    """Evaluate the recursion with an explicit post-order work stack.
+    """Evaluate the recursion along `_plan(pair, memo)`.
 
-    A pair's first visit looks up its rule and pushes its missing
-    children, its rule's first child on top; the second combines their
-    stored values.  For an evicting memo, `_plan` first walks the pairs to
-    compute, and a child is dropped once its last parent has been
-    combined.  A hit is a lookup that finds a stored value, a miss a value
-    computed here; both, and the deepest stack, reach the memo's counters
-    once.  Base cases are packed in the layout `query_layout(pair)`, so
-    every sum built from them shares it; a stored value from another
-    layout (a cache file, an earlier query) is repacked by the first sum
-    that meets it.  Without a memo, the query gets an evicting one of its
-    own.
+    Each planned pair's combine step reads its children's stored values
+    and stores the pair's; an evicting memo then drops each child whose
+    last parent this was.  The plan's hits, its pairs (each a miss) and
+    its deepest stack reach the memo's counters once.  Base cases are
+    packed in the layout `query_layout(pair)`, so every sum built from
+    them shares it; a stored value from another layout (a cache file, an
+    earlier query) is repacked by the first sum that meets it.  Without a
+    memo, the query gets an evicting one of its own.
     """
     if memo is None:
         memo = MemoTable(evict=True)
@@ -388,49 +404,24 @@ def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
         memo.record(1, 0, 0)
         return cached
     layout = query_layout(pair)
-    steps, parents = _plan(pair, memo) if memo.evict else (None, {})
-    hits = misses = 0
-    depth = 1
-    stack: List[Tuple[SeqPair, Optional[Callable], Tuple[SeqPair, ...]]] = [(pair, None, ())]
-    while stack:
-        if len(stack) > depth:
-            depth = len(stack)
-        current, combine, children = stack.pop()
-        if combine is not None:  # second visit: every child is stored by now
-            if ring.DEBUG_DESCENT:
-                for child in children:  # read only while a parent still needs it
-                    assert parents.get(child.key(), 1) > 0, ("evicted", current, child)
-            value = combine(current, [memo.peek(child) for child in children], layout)
-            if ring.DEBUG_DESCENT:
-                assert value.num.within(*layout), (current, layout)
-            memo.put(current, value)
-            misses += 1
-            for child in children if parents else ():
-                key = child.key()
-                left = parents.get(key)
-                if left is not None:  # computed by this query
-                    parents[key] = left - 1
-                    if left == 1:
-                        memo.drop(key)
-            continue
-        if memo.peek(current) is not None:
-            hits += 1  # a pair pushed twice
-            continue
-        combine, children = _step(current) if steps is None else steps.pop(current.key())
+    steps, parents, hits, depth = _plan(pair, memo)
+    for current, combine, children in steps:
         if ring.DEBUG_DESCENT:
-            for child in children:
-                assert pair_strictly_precedes(child, current), (current, child)
+            for child in children:  # read only while a parent still needs it
                 assert parents.get(child.key(), 1) > 0, ("evicted", current, child)
-        stack.append((current, combine, children))
-        for child in reversed(children):
-            if memo.peek(child) is None:
-                stack.append((child, None, ()))
-            else:
-                hits += 1
-    memo.record(hits, misses, depth)
-    result = memo.peek(pair)
-    assert result is not None
-    return result
+        value = combine(current, [memo.peek(child) for child in children], layout)
+        if ring.DEBUG_DESCENT:
+            assert value.num.within(*layout), (current, layout)
+        memo.put(current, value)
+        for child in children if memo.evict else ():
+            key = child.key()
+            left = parents.get(key)
+            if left is not None:  # computed by this query
+                parents[key] = left - 1
+                if left == 1:
+                    memo.drop(key)
+    memo.record(hits, len(steps), depth)
+    return value
 
 
 # Nothing in torhom calls this; the benchmark's tracer (perfbench/tracing.py)

@@ -114,6 +114,24 @@ class TestDeterminism:
         monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
         eval_p(pair_validate("0010", "0100"), MemoTable())  # must not raise
 
+    @pytest.mark.parametrize("evict", [True, False])
+    def test_descent_check_trips_on_a_rule_that_does_not_descend(self, monkeypatch, evict):
+        # debug mode only: without the check, a pair that is its own child
+        # is walked forever, so the patched rule gives up after many calls
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
+        calls = []
+
+        def itself(pair):
+            calls.append(pair)
+            if len(calls) > 1000:
+                raise RuntimeError("the descent check never ran")
+            return (pair,)
+
+        rule = recursion.RULES[RuleTag.Rule3_v0w1]
+        monkeypatch.setitem(recursion.RULES, RuleTag.Rule3_v0w1, rule._replace(children=itself))
+        with pytest.raises(AssertionError):
+            eval_p(pair_validate("10", "01"), MemoTable(evict=evict))
+
     def test_long_pair_no_recursion_limit(self):
         # explicit work stack: depth 400 must evaluate even with the
         # interpreter limit squeezed near the current frame depth
@@ -270,6 +288,31 @@ class TestEviction:
         if len(got) == 1:
             assert (evicting.hits, evicting.misses) == (keeping.hits, keeping.misses)
 
+    # (len, peak_entries, hits, misses, max_depth) on an evicting and on a
+    # keeping table; the two orderings of a colored knot are two queries
+    COUNTERS = {
+        "T(9,9)": (lambda memo: eval_p(torus(9, 9), memo),
+                   (1, 137, 502, 1023, 27), (1023, 1023, 502, 1023, 27)),
+        "T(7,11)": (lambda memo: eval_p(torus(7, 11), memo),
+                    (1, 158, 532, 1857, 25), (1857, 1857, 532, 1857, 25)),
+        "colored 3 5 3": (lambda memo: links.colored_torus_both(3, 5, 3, memo),
+                          (2, 92, 632, 3006, 28), (2879, 2879, 633, 2879, 28)),
+        "sigma 5 3,0,1,5 --g": (
+            lambda memo: fillings.g_sigma(fillings.SigmaSeq.of(5, (3, 0, 1, 5)), memo),
+            (1, 6, 4, 43, 16), (43, 43, 4, 43, 16)),
+        "pair 0011 000011": (lambda memo: eval_p(pair_validate("0011", "000011"), memo),
+                             (1, 4, 2, 15, 10), (15, 15, 2, 15, 10)),
+    }
+
+    @pytest.mark.parametrize("evict", [True, False])
+    @pytest.mark.parametrize("name", list(COUNTERS))
+    def test_counters(self, name, evict):
+        query, evicting, keeping = self.COUNTERS[name]
+        memo = MemoTable(evict=evict)
+        query(memo)
+        assert (len(memo), memo.peak_entries, memo.hits, memo.misses, memo.max_depth) == \
+            (evicting if evict else keeping)
+
     @pytest.mark.parametrize("n", [6, 8, 10])
     def test_first_child_first_keeps_the_stack_and_the_table_small(self, n):
         memo = MemoTable(evict=True)
@@ -304,7 +347,7 @@ class TestEviction:
 
     def test_a_loaded_entry_survives_a_query_that_reads_it(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
-        _, parents = recursion._plan(torus(5, 5), MemoTable())
+        _, parents, _, _ = recursion._plan(torus(5, 5), MemoTable(evict=True))
         shared = min(key for key, count in parents.items() if count > 1)
         path = str(tmp_path / "memo.tsv")
         memo = MemoTable(path=path, evict=True)
@@ -322,9 +365,9 @@ class TestEviction:
         plan = recursion._plan
 
         def one_parent_short(pair, memo):
-            steps, parents = plan(pair, memo)
+            steps, parents, hits, depth = plan(pair, memo)
             parents[min(key for key, n in parents.items() if n > 1)] -= 1
-            return steps, parents
+            return steps, parents, hits, depth
 
         monkeypatch.setattr(recursion, "_plan", one_parent_short)
         monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
