@@ -8,11 +8,15 @@ from an empty memo) and median peak RSS.  Peak RSS is the child's own
 PATH the record, with nproc and the Python version, is also stored under
 --label in PATH; other labels already in the file are kept, so one file
 can hold the runs of two versions measured on the same machine.
-Workloads are named T(m,n) for a torus link and C(m,n,l) for the
-Sym^l-colored T(m,n) in both sequence orderings; the default set is
-WORKLOADS.  Each runs on the memo table the command line uses, which
-keeps only the query results; `entries` is what it holds at the end and
-`peak_entries` the most it held at once.
+Workloads are named T(m,n) for a torus link, P(v,w) for the recursion
+at one pair and C(m,n,l) for the Sym^l-colored T(m,n) in both sequence
+orderings; the default set is WORKLOADS.  Each runs on the memo table
+the command line uses, which keeps only the query results; `entries` is
+what it holds at the end and `peak_entries` the most it held at once.
+
+S(suite) runs one check suite of `torhom check` with its defaults, on the
+memo table the suite makes itself; `checks` counts its checks, and a
+failed check fails the workload.
 
 K(m,n) measures the `--cache` file of T(m,n).  Each repeat runs two
 children on one new file: a cold one that computes T(m,n) and saves the
@@ -24,7 +28,8 @@ interpreter is spawned to the end of `import module` in it, on the
 monotonic clock both processes read, and its peak RSS is that child's.
 
 Usage: python scripts/benchmark.py [--json BENCH.json [--label NAME]]
-                                   [--workloads T(6,6) C(2,3,2) K(8,8) I(torhom) ...]
+                                   [--workloads T(6,6) P(01,10) C(2,3,2) K(8,8)
+                                                S(lemma53) I(torhom) ...]
 """
 
 import argparse
@@ -39,17 +44,20 @@ import tempfile
 import time
 from typing import Optional
 
+from torhom import checks
 from torhom.links import colored_torus_both
 from torhom.recursion import MemoTable, eval_p
 from torhom.sequences import pair_validate
 
 WORKLOADS = ([f"T({n},{n})" for n in range(6, 15)] + ["T(7,11)"]
+             + ["P(0001000000,0000001000)"]  # a shuffled pair: one 1 on each side
              + [f"C(2,3,{l})" for l in range(2, 5)] + ["K(8,8)", "K(11,11)"]
-             + ["I(torhom)", "I(torhom.cli)"])
+             + ["S(lemma53)", "S(symmetry)"] + ["I(torhom)", "I(torhom.cli)"])
 
 REPEAT = 5
 
 _NAME = re.compile(r"(T)\((\d+),(\d+)\)|(C)\((\d+),(\d+),(\d+)\)|(K)\((\d+),(\d+)\)"
+                   r"|P\((?P<v>[01]*),(?P<w>[01]*)\)|S\((?P<suite>[\w-]+)\)"
                    r"|I\((torhom(?:\.\w+)?)\)")
 
 # An I(module) child: the clock reading as the import ends, then its VmHWM in kB.
@@ -59,9 +67,18 @@ _IMPORT_CHILD = ("import time\nimport {}\nready = time.monotonic()\n"
 
 
 def workload_name(name: str) -> str:
-    if not _NAME.fullmatch(name):
+    match = _NAME.fullmatch(name)
+    if not match:
         raise argparse.ArgumentTypeError(
-            f"not a workload name T(m,n), C(m,n,l), K(m,n) or I(module): {name!r}")
+            f"not a workload name T(m,n), P(v,w), C(m,n,l), K(m,n), S(suite) or I(module): "
+            f"{name!r}")
+    if match["suite"] and match["suite"] not in checks.SUITES:
+        raise argparse.ArgumentTypeError(f"no check suite {match['suite']!r}")
+    if match["v"] is not None:
+        try:
+            pair_validate(match["v"], match["w"])
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{name}: {exc}") from exc
     return name
 
 
@@ -78,11 +95,20 @@ def run_one(name: str, cache: Optional[str] = None) -> dict:
     """Answer one workload in this process, from an empty memo; K(m,n)
     loads `cache` (if it exists) inside the timed region and saves it
     after."""
-    _, m, n, colored, cm, cn, l, cached, km, kn, _ = _NAME.fullmatch(name).groups()
+    _, m, n, colored, cm, cn, l, cached, km, kn, v, w, suite, _ = _NAME.fullmatch(name).groups()
     t0 = time.perf_counter()
+    if suite:
+        results = checks.SUITES[suite]()
+        wall = time.perf_counter() - t0
+        failed = [check for check, ok, _ in results if not ok]
+        if failed:
+            raise RuntimeError(f"{name}: failed checks {failed}")
+        return {"wall_s": wall, "checks": len(results), "peak_rss_mb": peak_rss_mb()}
     memo = MemoTable(path=cache, evict=True)  # as the command line makes it
     if colored:
         colored_torus_both(int(cm), int(cn), int(l), memo)
+    elif v is not None:
+        eval_p(pair_validate(v, w), memo)
     else:
         eval_p(pair_validate("0" * int(m or km), "0" * int(n or kn)), memo)
     wall = time.perf_counter() - t0
@@ -141,6 +167,9 @@ def measure(names, path: Optional[str], label: str) -> None:
         }
         line = (f"{name:13s} {results[name]['wall_s']:8.4f}s  "
                 f"{results[name]['peak_rss_mb']:7.1f} MB")
+        if "checks" in runs[0]:
+            results[name]["checks"] = runs[0]["checks"]
+            line += f"  {runs[0]['checks']} checks"
         if "entries" in runs[0]:
             results[name].update(entries=runs[0]["entries"],
                                  peak_entries=runs[0]["peak_entries"])
@@ -180,7 +209,8 @@ def main() -> None:
     if (args.cache is None) != (args.one is None or args.one[0] != "K"):
         parser.error("--cache goes with --one K(m,n), and K(m,n) with --cache")
     if args.one and args.one[0] == "I":
-        parser.error("--one takes T, C or K workloads; I(module) spawns its own interpreter")
+        parser.error("--one takes T, P, C, K or S workloads; I(module) spawns its own "
+                     "interpreter")
     if args.label is not None and args.json is None:
         parser.error("--label goes with --json")
     if args.one:

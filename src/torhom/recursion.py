@@ -97,7 +97,7 @@ def _rule2(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedS
     # t^l + a shares no factor with 1 - Q^{2i}T^{2-2i} (substitute
     # T^2 = Q^{2i} components: the two terms stay distinct), so the
     # product of a canonical numerator stays canonical
-    num = child.num.scale(qat_monomial(0, 0, l)) + child.num.scale(qat_monomial(0, 1, 0))
+    num = child.num.scale(qat_monomial(0, 0, l))._plus(child.num, 1, qat_monomial(0, 1, 0))
     return GradedSeries(num, child.den, canonical=True)
 
 
@@ -111,7 +111,7 @@ def _rule5(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedS
     # t^{-l} p(1v,1w) + q t^{-l} p(0v,0w)
     l = pair.l
     first, second = values
-    return first.scale(qat_monomial(0, 0, -l)) + second.scale(qat_monomial(1, 0, -l))
+    return first.plus_scaled(second, qat_monomial(1, 0, 0)).scale(qat_monomial(0, 0, -l))
 
 
 class Rule(NamedTuple):

@@ -53,14 +53,16 @@ sums.  B is 32, 64, 128, ...; a digit never wraps.
 Operations.  Scaling only moves the origin.  Addition aligns two parts of
 a coset: the result box is the union of theirs, in the wider of their
 layouts (grown when the union does not fit); a part whose layout differs
-is relaid through the codec.  Multiplying by 1 - X, as clearing a
-denominator does, is a shift and a subtraction.  Division by
-1 - q t^{1-i} is one fold along that shift for every i: with t-slots
-ts >= te + qe (i - 1) (the part is relaid when it has fewer) no line of
-the box wraps onto another, so folding blocks of ps - (i - 1) cells onto
-each other reads every line sum.  Only when they all vanish is the
-quotient built, by running sums with log-doubling shifts, and relaid to
-the part's own layout.
+is relaid through the codec.  A sum shifts only an operand that is off
+the union's corner, and tests the lowest q-plane only where both operands
+hold it, as a plane one operand holds alone cannot cancel.  Multiplying
+by 1 - X, as clearing a denominator does, is a shift and a subtraction.
+Division by 1 - q t^{1-i} is one fold along that shift for every i: with
+t-slots ts >= te + qe (i - 1) (the part is relaid when it has fewer) no
+line of the box wraps onto another, so folding blocks of ps - (i - 1)
+cells onto each other reads every line sum.  Only when they all vanish
+is the quotient built, by running sums with log-doubling shifts, and
+relaid to the part's own layout.
 
 Cache text.  ``encode_numerator`` writes each part as its coset, origin,
 extents, a digit width and the box's cells in hex: the codec's bytes cut
@@ -87,8 +89,8 @@ Monomial = Tuple[int, int, int]  # (qexp, aexp, texp) on the (Q,A,T) lattice
 
 MONO_ONE: Monomial = (0, 0, 0)
 
-# Debug mode: GradedSeries checks every canonical=True shortcut, and
-# recursion.eval_p checks descent and its layout bound.
+# Debug mode: GradedSeries checks every canonical=True shortcut, a sum each
+# skipped plane test, and recursion.eval_p descent and its layout bound.
 DEBUG_DESCENT = bool(os.environ.get("TLH_DEBUG_DESCENT"))
 
 
@@ -261,13 +263,15 @@ def _relaid(p: _Part, bits: int, ts: int, ps: int) -> int:
 _SPARE = 8  # spare bits a passed digit test tries to certify, so most sums skip it
 
 
-def _make(n, bits, ts, ps, q0, a0, t0, qe, ae, te, room) -> Optional[_Part]:
+def _make(n, bits, ts, ps, q0, a0, t0, qe, ae, te, room, trim=True) -> Optional[_Part]:
     """Part from a fresh value, or None if it is zero.
 
     room = -1 means the digits may be up to 2**(bits - 2), as after a sum
     of two parts with no spare bits: they are then tested, and the value
     is repacked at twice the width if any digit breaks the invariant.
-    Empty q-planes at either end are trimmed.
+    Empty q-planes at either end are trimmed, tested on |n| (a negative
+    int's low bits cost a two's-complement pass); trim=False vouches that
+    the lowest plane is not empty, which debug mode checks.
     """
     if not n:
         return None
@@ -281,21 +285,24 @@ def _make(n, bits, ts, ps, q0, a0, t0, qe, ae, te, room) -> Optional[_Part]:
             n = _int(_bytes(n, bits, cells), bits, 2 * bits, cells)
             bits, room = 2 * bits, bits - 1
     plane = bits * ps
-    if not n & ((1 << plane) - 1):
+    if (trim or DEBUG_DESCENT) and not abs(n) & ((1 << plane) - 1):
+        assert trim, "a sum skipped the test of its empty lowest q-plane"
         low = ((n & -n).bit_length() - 1) // plane
         n >>= low * plane
         q0 += low
     # with |digit| <= 2**(bits - 3) the top digit sits at bit_length // bits
-    qe = abs(n).bit_length() // bits // ps + 1
+    qe = n.bit_length() // bits // ps + 1
     return _Part(n, bits, ts, ps, q0, a0, t0, qe, ae, te, room)
 
 
-def _add_parts(x: _Part, y: _Part, sign: int = 1) -> Optional[_Part]:
-    """x + sign * y over the union of their boxes."""
-    q0, a0, t0 = min(x.q0, y.q0), min(x.a0, y.a0), min(x.t0, y.t0)
-    qe = max(x.q0 + x.qe, y.q0 + y.qe) - q0
-    ae = max(x.a0 + x.ae, y.a0 + y.ae) - a0
-    te = max(x.t0 + x.te, y.t0 + y.te) - t0
+def _add_parts(x: _Part, y: _Part, sign: int, dq=0, da=0, dt=0) -> Optional[_Part]:
+    """x + sign * y, y's origin moved by (dq, da, dt), over the union of
+    their boxes; see "Operations" in the module docstring."""
+    yq, ya, yt = y.q0 + dq, y.a0 + da, y.t0 + dt
+    q0, a0, t0 = min(x.q0, yq), min(x.a0, ya), min(x.t0, yt)
+    qe = max(x.q0 + x.qe, yq + y.qe) - q0
+    ae = max(x.a0 + x.ae, ya + y.ae) - a0
+    te = max(x.t0 + x.te, yt + y.te) - t0
     bits = max(x.bits, y.bits)
     ts, ps = x.ts, x.ps
     if (y.ts, y.ps) != (ts, ps) or te > ts or ae * ts > ps:
@@ -306,10 +313,13 @@ def _add_parts(x: _Part, y: _Part, sign: int = 1) -> Optional[_Part]:
         ny = nx  # one value at two origins, e.g. rule 2's t^l f + a f
     else:
         ny = _relaid(y, bits, ts, ps)
-    nx <<= bits * ((x.q0 - q0) * ps + (x.a0 - a0) * ts + (x.t0 - t0))
-    ny <<= bits * ((y.q0 - q0) * ps + (y.a0 - a0) * ts + (y.t0 - t0))
+    sx = (x.q0 - q0) * ps + (x.a0 - a0) * ts + x.t0 - t0
+    sy = (yq - q0) * ps + (ya - a0) * ts + yt - t0
+    nx = nx << bits * sx if sx else nx  # n << 0 copies the whole int
+    ny = ny << bits * sy if sy else ny
     room = min(x.room + bits - x.bits, y.room + bits - y.bits) - 1
-    return _make(nx + ny if sign > 0 else nx - ny, bits, ts, ps, q0, a0, t0, qe, ae, te, room)
+    return _make(nx + ny if sign > 0 else nx - ny, bits, ts, ps, q0, a0, t0, qe, ae, te, room,
+                 x.q0 == yq)
 
 
 def _mul_parts(x: _Part, y: _Part, dq: int, dt: int) -> Optional[_Part]:
@@ -498,15 +508,17 @@ class LaurentPoly:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+    def _plus(self, other: "LaurentPoly", sign: int, m: Monomial = MONO_ONE) -> "LaurentPoly":
+        """self + sign * M other: M = Q^a A^b T^c maps each coset onto one."""
+        dQ, dA, dT = m
         parts = dict(self._parts)
-        for coset, y in other._parts.items():
+        for (rq, rt), y in other._parts.items():
+            sq, st = rq + dQ, rt + dT
+            coset, dq, dt = (sq & 1, st & 1), (sq >> 1) + dA + (st >> 1), st >> 1
             x = parts.get(coset)
             if x is None:
-                parts[coset] = y if sign > 0 else y.moved(0, 0, 0, -y.n)
-                continue
-            s = _add_parts(x, y, sign)
-            if s is None:
+                parts[coset] = y.moved(dq, dA, dt, y.n if sign > 0 else -y.n)
+            elif (s := _add_parts(x, y, sign, dq, dA, dt)) is None:
                 del parts[coset]
             else:
                 parts[coset] = s
@@ -519,7 +531,7 @@ class LaurentPoly:
         return self._plus(other, -1)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._of({c: p.moved(0, 0, 0, -p.n) for c, p in self._parts.items()})
+        return LaurentPoly()._plus(self, -1)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = LaurentPoly()
@@ -533,14 +545,7 @@ class LaurentPoly:
 
     def scale(self, m: Monomial) -> "LaurentPoly":
         """Multiply by Q^a A^b T^c: moves each part's origin."""
-        dQ, dA, dT = m
-        parts = {}
-        for (rq, rt), p in self._parts.items():
-            sq, st = rq + dQ, rt + dT
-            coset = (sq & 1, st & 1)
-            dt = (st - coset[1]) >> 1
-            parts[coset] = p.moved(((sq - coset[0]) >> 1) + dA + dt, dA, dt)
-        return LaurentPoly._of(parts)
+        return LaurentPoly()._plus(self, 1, m)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
@@ -686,10 +691,10 @@ def _cleared(num: LaurentPoly, target: DenomVector, have: DenomVector) -> Lauren
     Each factor is one shift and one subtraction: N - q t^{1-i} N.
     """
     hd = have.as_dict()
-    for i, m in target.mult:
+    for i, m in target.mult if target != have else ():
         direction = denom_monomial(i)
         for _ in range(m - hd.get(i, 0)):
-            num = num - num.scale(direction)
+            num = num._plus(num, -1, direction)
     return num
 
 
@@ -748,12 +753,16 @@ class GradedSeries:
 
     # -- arithmetic -----------------------------------------------------
 
-    def __add__(self, other: "GradedSeries") -> "GradedSeries":
-        lcd = self.den.merged_max(other.den)
+    def plus_scaled(self, other: "GradedSeries", m: Monomial = MONO_ONE) -> "GradedSeries":
+        """self + M other for a monomial M: M is a unit, so M other is
+        canonical over other's denominator and the class docstring's shortcut holds."""
+        lcd = self.den if self.den == other.den else self.den.merged_max(other.den)
         n1 = _cleared(self.num, lcd, self.den)
         n2 = _cleared(other.num, lcd, other.den)
-        shared = [i for i, m in self.den.mult if (i, m) in other.den.mult]
-        return GradedSeries(*_canonical_parts(n1 + n2, lcd, shared), canonical=True)
+        shared = [i for i, k in self.den.mult if (i, k) in other.den.mult]
+        return GradedSeries(*_canonical_parts(n1._plus(n2, 1, m), lcd, shared), canonical=True)
+
+    __add__ = plus_scaled
 
     def __neg__(self) -> "GradedSeries":
         return GradedSeries(-self.num, self.den, canonical=True)
@@ -797,6 +806,8 @@ def _canonical_parts(num: LaurentPoly, den: DenomVector, factors: Iterable[int]
     proves that no other factor of den divides num."""
     if num.is_zero():
         return LaurentPoly.zero(), DenomVector()
+    if not factors:
+        return num, den
     d = den.as_dict()
     for i in factors:
         while d[i] > 0:

@@ -561,3 +561,9 @@ class TestCheckFailurePath:
         code, out, _ = run(capsys, ["check", "unknot-family"])
         assert code == 1
         assert "[FAIL] always-broken" in out
+
+    def test_suite_names_are_the_suites(self):
+        # the parser's choices are kept in cli.py, so that importing it skips checks
+        import torhom.checks as checks
+
+        assert cli.SUITE_NAMES == tuple(sorted(checks.SUITES))

@@ -276,3 +276,99 @@ def test_factor_index_below_one_is_an_error():
     for i in (0, -1):
         with pytest.raises(ValueError):
             divide_one_minus(LaurentPoly.one(), i)
+
+
+def oracle_planes(o: DictPoly):
+    """{coset: (q0, qe)}: the lowest local q and the number of q-planes of
+    each coset's terms, with q = (Q - rq + T - rt)/2 + A as in ring.py."""
+    qs = {}
+    for (q, a, t), _ in o.terms.items():
+        rq, rt = q & 1, t & 1
+        qs.setdefault((rq, rt), []).append((q - rq + t - rt) // 2 + a)
+    return {coset: (min(v), max(v) - min(v) + 1) for coset, v in qs.items()}
+
+
+@pytest.mark.parametrize("debug", [False, True])
+@pytest.mark.parametrize("f, g, sign, m, trim", [
+    # q0 0 and 1 once g is moved by q: only f holds the lowest plane, so the test is skipped
+    ({(0, 0, 0): 1, (2, 0, 0): 3}, {(0, 0, 0): -3, (2, 0, 0): 5}, 1, (2, 0, 0), False),
+    # equal q0 whose lowest planes cancel: the test runs and trims the plane
+    ({(0, 0, 0): 1, (2, 0, 0): 1}, {(0, 0, 0): 1, (4, 0, 0): -2}, -1, (0, 0, 0), True),
+])
+def test_sum_tests_the_lowest_plane_only_where_both_operands_hold_it(f, g, sign, m, trim,
+                                                                      debug, monkeypatch):
+    monkeypatch.setattr(ring, "DEBUG_DESCENT", debug)
+    pf, pg = LaurentPoly(f), LaurentPoly(g)
+    seen, make = [], ring._make
+
+    def spy(*args):
+        seen.append(args[11])  # the sum's `trim`
+        return make(*args)
+
+    monkeypatch.setattr(ring, "_make", spy)
+    got = pf._plus(pg, sign, m)
+    assert seen == [trim]
+    want = DictPoly(f) + DictPoly(g).scale(m, sign)
+    assert same(got, want)
+    assert {c: (p.q0, p.qe) for c, p in got._parts.items()} == oracle_planes(want)
+
+
+def test_debug_mode_rejects_a_skipped_test_of_an_empty_plane(monkeypatch):
+    # the lowest of three q-planes is empty: a vouched-for plane must not be
+    (part,) = LaurentPoly({(2, 0, 0): 1, (4, 0, 0): 1})._parts.values()
+    n, ps = part.n << part.bits * part.ps, part.ps
+    args = (n, part.bits, part.ts, ps, part.q0 - 1, 0, 0, 3, part.ae, part.te, part.room)
+    monkeypatch.setattr(ring, "DEBUG_DESCENT", False)
+    assert ring._make(*args, False).q0 == part.q0 - 1  # unchecked, as vouched for
+    monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
+    assert ring._make(*args).q0 == part.q0
+    with pytest.raises(AssertionError):
+        ring._make(*args, False)
+
+
+sublattice_shifts = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-3, 3)).map(
+    lambda m: (2 * m[0], m[1], 2 * m[2]))
+any_shift = st.one_of(shifts, sublattice_shifts)
+any_terms = st.one_of(term_maps, sublattice_maps.map(
+    lambda h: {(2 * i - 2 * j - 2 * k, j, 2 * k): c for (i, j, k), c in h.items()}))
+denominators = st.dictionaries(st.integers(1, 3), st.integers(1, 2), max_size=2)
+
+
+def round_trips(p: LaurentPoly) -> bool:
+    # decode_numerator rejects a part whose box has an empty end plane
+    return decode_numerator(encode_numerator(p)) == p
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_terms, any_terms, any_shift, st.sampled_from([1, -1]))
+def test_fused_sum_matches_the_oracle(f, g, m, sign):
+    (pf, of), (pg, og) = pair(f), pair(g)
+    got = pf._plus(pg, sign, m)
+    assert same(got, of + og.scale(m, sign))
+    assert round_trips(got)
+    # one value at two origins, as rule 2 and clearing a denominator add it
+    got = pf._plus(pf, sign, m)
+    assert same(got, of + of.scale(m, sign))
+    assert round_trips(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_terms, any_terms, any_shift, denominators, denominators)
+def test_plus_scaled_matches_the_oracle(f, g, m, df, dg):
+    df, dg = DenomVector.from_dict(df), DenomVector.from_dict(dg)
+    x, y = GradedSeries(LaurentPoly(f), df), GradedSeries(LaurentPoly(g), dg)
+    got = x.plus_scaled(y, m)
+    assert got == x + y.scale(m)
+    assert round_trips(got.num)
+
+    def over(num, have, want):
+        # num / have written over the denominator want
+        for i, k in want.mult:
+            for _ in range(k - have.as_dict().get(i, 0)):
+                num = num * factor(i)[1]
+        return num
+
+    # both sides over one common denominator, in the oracle
+    lcd = df.merged_max(dg).merged_max(got.den)
+    ox, oy = (over(DictPoly(s.num.terms), s.den, lcd) for s in (x, y))
+    assert over(DictPoly(got.num.terms), got.den, lcd) == ox + oy.scale(m)

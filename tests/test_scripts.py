@@ -105,3 +105,29 @@ def test_benchmark_hooks_resolve():
                           timeout=60, env=dict(os.environ, PYTHONPATH=path))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [[], 500]
+
+
+def test_benchmark_json_pair_and_suite_workloads(tmp_path):
+    path = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "benchmark.py"), "--json", str(path),
+         "--workloads", "P(0100,0010)", "S(unknot-family)"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    results = json.loads(path.read_text())["runs"]["run"]["results"]
+    pair, suite = results["P(0100,0010)"], results["S(unknot-family)"]
+    # the pair's evicting table ends with its root; the suite's table is its own
+    assert pair["entries"] == 1 < pair["peak_entries"] and pair["wall_s"] > 0
+    assert suite["checks"] >= 1 and suite["wall_s"] > 0 and "entries" not in suite
+
+
+@pytest.mark.parametrize("name, message", [
+    ("S(nope)", "no check suite 'nope'"),
+    ("P(1,)", "weight mismatch"),
+    ("P(012,1)", "not a workload name"),
+])
+def test_benchmark_rejects_a_bad_workload_name(name, message):
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "benchmark.py"), "--workloads", name],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 2 and message in done.stderr, done.stderr
