@@ -22,6 +22,11 @@ K(m,n) measures the `--cache` file of T(m,n).  Each repeat runs two
 children on one new file: a cold one that computes T(m,n) and saves the
 file (`save_s`), and a warm one whose wall time is loading the file plus
 looking T(m,n) up in it (`wall_s`; its save finds nothing to write).
+J(m,n) is the same pair of children on the command line: each runs
+`torhom torus m n --format json --cache FILE` through `cli.main` with its
+stdout captured, and `wall_s` is the warm child's whole call, from
+parsing its argv to printing the JSON; the warm result must be the cold
+one's.
 
 I(module) measures start-up: its `wall_s` runs from just before a fresh
 interpreter is spawned to the end of `import module` in it, on the
@@ -29,10 +34,13 @@ monotonic clock both processes read, and its peak RSS is that child's.
 
 Usage: python scripts/benchmark.py [--json BENCH.json [--label NAME]]
                                    [--workloads T(6,6) P(01,10) C(2,3,2) K(8,8)
-                                                S(lemma53) I(torhom) ...]
+                                                J(8,8) S(lemma53) I(torhom) ...]
 """
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
 import platform
@@ -44,19 +52,20 @@ import tempfile
 import time
 from typing import Optional
 
-from torhom import checks
+from torhom import checks, cli
 from torhom.links import colored_torus_both
 from torhom.recursion import MemoTable, eval_p
 from torhom.sequences import pair_validate
 
 WORKLOADS = ([f"T({n},{n})" for n in range(6, 15)] + ["T(7,11)"]
              + ["P(0001000000,0000001000)"]  # a shuffled pair: one 1 on each side
-             + [f"C(2,3,{l})" for l in range(2, 5)] + ["K(8,8)", "K(11,11)"]
+             + [f"C(2,3,{l})" for l in range(2, 5)] + ["K(8,8)", "K(11,11)", "J(8,8)", "J(11,11)"]
              + ["S(lemma53)", "S(symmetry)"] + ["I(torhom)", "I(torhom.cli)"])
 
 REPEAT = 5
 
 _NAME = re.compile(r"(T)\((\d+),(\d+)\)|(C)\((\d+),(\d+),(\d+)\)|(K)\((\d+),(\d+)\)"
+                   r"|J\((?P<jm>\d+),(?P<jn>\d+)\)"
                    r"|P\((?P<v>[01]*),(?P<w>[01]*)\)|S\((?P<suite>[\w-]+)\)"
                    r"|I\((torhom(?:\.\w+)?)\)")
 
@@ -70,8 +79,8 @@ def workload_name(name: str) -> str:
     match = _NAME.fullmatch(name)
     if not match:
         raise argparse.ArgumentTypeError(
-            f"not a workload name T(m,n), P(v,w), C(m,n,l), K(m,n), S(suite) or I(module): "
-            f"{name!r}")
+            f"not a workload name T(m,n), P(v,w), C(m,n,l), K(m,n), J(m,n), S(suite) or "
+            f"I(module): {name!r}")
     if match["suite"] and match["suite"] not in checks.SUITES:
         raise argparse.ArgumentTypeError(f"no check suite {match['suite']!r}")
     if match["v"] is not None:
@@ -91,11 +100,30 @@ def peak_rss_mb() -> float:
     raise OSError("no VmHWM in /proc/self/status")
 
 
+def _command_line(m: str, n: str, cache: str) -> dict:
+    """One J(m,n) child: the whole command-line call, its stdout captured."""
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["torus", m, n, "--format", "json", "--cache", cache])
+    wall = time.perf_counter() - t0
+    if code:
+        raise RuntimeError(f"torhom torus {m} {n} exited {code}")
+    text = out.getvalue()
+    result = text.split(',"timing":')[0]  # the line up to its timing block
+    return {"wall_s": wall, "output_bytes": len(text.encode()),
+            "result_sha256": hashlib.sha256(result.encode()).hexdigest(),
+            "cache_bytes": os.path.getsize(cache), "peak_rss_mb": peak_rss_mb()}
+
+
 def run_one(name: str, cache: Optional[str] = None) -> dict:
     """Answer one workload in this process, from an empty memo; K(m,n)
     loads `cache` (if it exists) inside the timed region and saves it
-    after."""
-    _, m, n, colored, cm, cn, l, cached, km, kn, v, w, suite, _ = _NAME.fullmatch(name).groups()
+    after, and J(m,n) runs the command line on it."""
+    match = _NAME.fullmatch(name)
+    if match["jm"]:
+        return _command_line(match["jm"], match["jn"], cache)
+    _, m, n, colored, cm, cn, l, cached, km, kn, _, _, v, w, suite, _ = match.groups()
     t0 = time.perf_counter()
     if suite:
         results = checks.SUITES[suite]()
@@ -130,13 +158,15 @@ def _child(name: str, cache: Optional[str] = None) -> dict:
 
 
 def _cache_sample(name: str) -> dict:
-    """A warm child's record, with the save time and file size of the cold
-    child before it."""
+    """A warm child's record, with the file size (and K's save time) of the
+    cold child before it."""
     with tempfile.TemporaryDirectory() as tmp:
         cache = os.path.join(tmp, "memo.tsv")
         cold = _child(name, cache)
         warm = _child(name, cache)
-    return dict(warm, save_s=cold["save_s"], cache_bytes=cold["cache_bytes"])
+    if warm.get("result_sha256") != cold.get("result_sha256"):
+        raise RuntimeError(f"{name}: the warm result differs from the cold one")
+    return dict(warm, **{key: cold[key] for key in ("save_s", "cache_bytes") if key in cold})
 
 
 def _import_sample(module: str) -> dict:
@@ -150,7 +180,7 @@ def _import_sample(module: str) -> dict:
 def _sample(name: str) -> dict:
     if name[0] == "I":
         return _import_sample(name[2:-1])
-    return _cache_sample(name) if name[0] == "K" else _child(name)
+    return _cache_sample(name) if name[0] in "KJ" else _child(name)
 
 
 def measure(names, path: Optional[str], label: str) -> None:
@@ -180,6 +210,10 @@ def measure(names, path: Optional[str], label: str) -> None:
                 save_s_runs=[round(r["save_s"], 4) for r in runs],
                 cache_bytes=runs[0]["cache_bytes"])
             line += f"  save {results[name]['save_s']:.3f}s  {runs[0]['cache_bytes']} B"
+        if "output_bytes" in runs[0]:
+            results[name].update(output_bytes=runs[0]["output_bytes"],
+                                 cache_bytes=runs[0]["cache_bytes"])
+            line += f"  {runs[0]['output_bytes']} B out  cache {runs[0]['cache_bytes']} B"
         print(line)
     if not path:
         return
@@ -204,12 +238,12 @@ def main() -> None:
     parser.add_argument("--one", type=workload_name,
                         help="answer one workload here and print its record as JSON")
     parser.add_argument("--cache", metavar="FILE",
-                        help="with --one K(m,n): the cache file to load and save")
+                        help="with --one K(m,n) or J(m,n): the cache file to load and save")
     args = parser.parse_args()
-    if (args.cache is None) != (args.one is None or args.one[0] != "K"):
-        parser.error("--cache goes with --one K(m,n), and K(m,n) with --cache")
+    if (args.cache is None) != (args.one is None or args.one[0] not in "KJ"):
+        parser.error("--cache goes with --one K(m,n) or J(m,n), and those with --cache")
     if args.one and args.one[0] == "I":
-        parser.error("--one takes T, P, C, K or S workloads; I(module) spawns its own "
+        parser.error("--one takes T, P, C, K, J or S workloads; I(module) spawns its own "
                      "interpreter")
     if args.label is not None and args.json is None:
         parser.error("--label goes with --json")

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fillings, links
 from .recursion import MemoTable, eval_p
-from .ring import GradedSeries, expand_series, render, series_payload
+from .ring import GradedSeries, expand_series, render, series_json
 from .sequences import inversions, pair_validate
 
 
@@ -57,16 +57,20 @@ def _show(args, memo: MemoTable, t0: float, command: str, params: Dict,
         return GradedSeries.from_poly(expand_series(s, depth))
 
     if args.format == "json":
-        env = {"command": command, "params": params}
+        def text(value) -> str:
+            return json.dumps(value, separators=(",", ":"))
+
+        # the envelope as ordered (key, JSON text) pairs; each series written by series_json
+        env = [("command", text(command)), ("params", text(params))]
         for suffix, _, s in shown:
             tail = f"_{suffix}" if suffix else ""
-            env[f"result{tail}"] = series_payload(s)
+            env.append((f"result{tail}", series_json(s)))
             if depth is not None:
                 if not suffix:
-                    env["expand_depth"] = depth
-                env[f"expansion{tail}"] = series_payload(expansion(s))
-        env.update(fields or {}, timing=timing)
-        print(json.dumps(env, separators=(",", ":")))
+                    env.append(("expand_depth", text(depth)))
+                env.append((f"expansion{tail}", series_json(expansion(s))))
+        env += [(key, text(value)) for key, value in {**(fields or {}), "timing": timing}.items()]
+        print("{" + ",".join([f'"{key}":{value}' for key, value in env]) + "}")
         return 0
     lines = list(before)
     for _, label, s in shown:
@@ -188,65 +192,90 @@ def cmd_check(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="torhom",
-        description="Exact graded ranks of triply graded homology of positive "
-                    "torus links, shuffled links, and colored torus knots.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _series_flags(p) -> None:
+    p.add_argument("--expand", type=int, metavar="D", default=None,
+                   help="also print the expansion truncated at q-degree D")
+    p.add_argument("--format", choices=("human", "json", "latex"),
+                   default="human")
+    p.add_argument("--cache", metavar="FILE", default=None,
+                   help="save the query results to FILE and reuse those it holds")
 
-    def add_series_flags(p):
-        p.add_argument("--expand", type=int, metavar="D", default=None,
-                       help="also print the expansion truncated at q-degree D")
-        p.add_argument("--format", choices=("human", "json", "latex"),
-                       default="human")
-        p.add_argument("--cache", metavar="FILE", default=None,
-                       help="save the query results to FILE and reuse those it holds")
 
-    p = sub.add_parser("torus", help="graded rank for the torus link T(m,n)")
+def _torus_args(p) -> None:
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--normalized", action="store_true")
-    add_series_flags(p)
-    p.set_defaults(func=cmd_torus)
+    _series_flags(p)
 
-    p = sub.add_parser("pair", help="evaluate the recursion at a pair v, w")
+
+def _pair_args(p) -> None:
     p.add_argument("v")
     p.add_argument("w")
-    add_series_flags(p)
-    p.set_defaults(func=cmd_pair)
+    _series_flags(p)
 
-    p = sub.add_parser("colored", help="Sym^l-colored torus knot invariant")
+
+def _colored_args(p) -> None:
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument("l", type=int)
     p.add_argument("--order", choices=("theorem", "example", "both"),
                    default="both")
-    add_series_flags(p)
-    p.set_defaults(func=cmd_colored)
+    _series_flags(p)
 
-    p = sub.add_parser("sigma", help="evaluate f (or g) at a filling sequence")
+
+def _sigma_args(p) -> None:
     p.add_argument("r", type=int)
     p.add_argument("sigma", help="comma-separated entries in [0, r]")
     p.add_argument("--g", action="store_true", help="evaluate g instead of f")
     p.add_argument("--stats", action="store_true",
                    help="print inv, c, and the reversed sequence")
-    add_series_flags(p)
-    p.set_defaults(func=cmd_sigma)
+    _series_flags(p)
 
-    p = sub.add_parser("check", help="run a verification suite")
+
+def _check_args(p) -> None:
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--len", type=int, default=None)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_check)
 
+
+# command -> (help line, function adding its arguments, function running it)
+COMMANDS = {
+    "torus": ("graded rank for the torus link T(m,n)", _torus_args, cmd_torus),
+    "pair": ("evaluate the recursion at a pair v, w", _pair_args, cmd_pair),
+    "colored": ("Sym^l-colored torus knot invariant", _colored_args, cmd_colored),
+    "sigma": ("evaluate f (or g) at a filling sequence", _sigma_args, cmd_sigma),
+    "check": ("run a verification suite", _check_args, cmd_check),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with `command` (a key of COMMANDS)
+    of that one only; its usage and error lines are the full parser's."""
+    parser = argparse.ArgumentParser(
+        prog="torhom",
+        description="Exact graded ranks of triply graded homology of positive "
+                    "torus links, shuffled links, and colored torus knots.")
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        # the top usage line names every command, not just the one added
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{%s}" % ",".join(COMMANDS))
+    for name in COMMANDS if command is None else (command,):
+        help_line, add_arguments, run = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=run)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # only the asked command's parser: -h, no command or an unknown one get them all
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -78,7 +78,7 @@ from __future__ import annotations
 import os
 import sys
 from array import array
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple
@@ -996,16 +996,18 @@ def _denom_text(den: DenomVector, latex: bool) -> str:
     return " ".join(parts) if latex else "*".join(parts)
 
 
-def series_payload(s: GradedSeries) -> Dict[str, list]:
-    """The JSON value of s: its numerator rows (tuples encode as JSON
-    arrays) and its [i, multiplicity] denominator pairs."""
-    return {"num": s.num.rows(), "den": [[i, m] for i, m in s.den.mult]}
+def series_json(s: GradedSeries) -> str:
+    """The compact JSON text of s: {"num": its sorted [Q, A, T, coeff] rows,
+    "den": its [i, multiplicity] pairs}, each list written by one %-format."""
+    rows, den = s.num.rows(), s.den.mult
+    num = ("[%d,%d,%d,%d]," * len(rows))[:-1] % tuple(chain.from_iterable(rows))
+    pairs = ("[%d,%d]," * len(den))[:-1] % tuple(chain.from_iterable(den))
+    return f'{{"num":[{num}],"den":[{pairs}]}}'
 
 
 def render(s: GradedSeries, fmt: str = "human") -> str:
     if fmt == "json":
-        import json  # only here, so that importing torhom does not load it
-        return json.dumps(series_payload(s), separators=(",", ":"))
+        return series_json(s)
     if fmt not in ("human", "latex"):
         raise ValueError(f"unknown format {fmt!r}")
     latex = fmt == "latex"

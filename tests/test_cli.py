@@ -4,6 +4,7 @@ import io
 import json
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ import torhom.recursion as recursion
 from torhom.cli import main
 from torhom.links import TorusLinkSpec, torus_link_homology
 from torhom.recursion import MemoTable
-from torhom.ring import GradedSeries, expand_series, render, series_payload
+from torhom.ring import GradedSeries, expand_series, render, series_json
 
 
 def cache_line(body: str) -> str:
@@ -207,8 +208,57 @@ class TestOutputBuiltOnce:
             assert run(capsys, argv + ["--format", "json"])[0] == 0
         for fmt in ("human", "latex"):
             with monkeypatch.context() as patch:
-                patch.setattr(cli, "series_payload", unused)
+                patch.setattr(cli, "series_json", unused)
                 assert run(capsys, argv + ["--format", fmt])[0] == 0
+
+
+class TestParserOfTheAskedCommand:
+    """main builds only the parser of the command its argv names; help,
+    usage and error output equal the full parser's, through main(argv) and
+    through main() reading sys.argv as the console script does."""
+
+    @staticmethod
+    def full_parser(capsys, argv):
+        try:
+            cli.build_parser().parse_args(argv)
+            code = 0
+        except SystemExit as exc:
+            code = 2 if exc.code not in (0, None) else 0
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["torus", "3"], ["torus", "3", "4", "extra"], ["torus", "3", "4", "--bogus"],
+        ["torus", "x", "4"], ["torus", "--help"], ["--help"], ["-h", "torus"], [],
+        ["torsu", "3", "4"], ["colored", "2", "3", "2", "--order", "bad"],
+        ["check", "nosuch"], ["sigma", "3", "1,2", "--nope"], ["pair", "0", "--help"],
+        ["check", "--help"],
+    ], ids=" ".join)
+    def test_output_equals_the_full_parsers(self, capsys, monkeypatch, argv):
+        want = self.full_parser(capsys, argv)
+        assert want[0] in (0, 2) and (want[1] or want[2])
+        assert run(capsys, argv) == want
+        monkeypatch.setattr(sys, "argv", ["torhom", *argv])
+        assert run(capsys, None) == want
+
+    @pytest.mark.parametrize("argv, built", [
+        (["torus", "2", "3"], "torus"), (["check", "unknot-family"], "check"),
+        (["-h", "torus"], None), (["torsu"], None), ([], None)])
+    def test_builds_the_named_command_only(self, capsys, monkeypatch, argv, built):
+        asked, full = [], cli.build_parser
+
+        def build_parser(command=None):
+            asked.append(command)
+            return full(command)
+
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        run(capsys, argv)
+        assert asked == [built]
+        if built:  # no other command's parser is there
+            other = next(name for name in cli.COMMANDS if name != built)
+            with pytest.raises(SystemExit):
+                full(built).parse_args([other])
+            assert "invalid choice" in capsys.readouterr().err
 
 
 class TestPair:
@@ -248,8 +298,8 @@ class TestColored:
         data = run_json(capsys, ["colored", "2", "3", "2", "--order", "both", "--expand", "1"])
         both = links.colored_torus_both(2, 3, 2)
         for order, key in (("theorem", "expansion"), ("example", "expansion_example")):
-            want = series_payload(GradedSeries.from_poly(expand_series(both[order], 1)))
-            assert data[key] == json.loads(json.dumps(want))
+            want = series_json(GradedSeries.from_poly(expand_series(both[order], 1)))
+            assert data[key] == json.loads(want)
         assert list(data).index("expansion_example") == list(data).index("result_example") + 1
 
 

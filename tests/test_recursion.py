@@ -1,4 +1,3 @@
-import json
 import os
 import random
 import subprocess
@@ -25,7 +24,7 @@ from torhom.ring import (
     qat_monomial,
     render,
     series_equal,
-    series_payload,
+    series_json,
 )
 from torhom.sequences import SeqPair, pair_validate
 
@@ -151,7 +150,7 @@ def torus(m, n):
 
 
 def payload_bytes(series):
-    return json.dumps(series_payload(series), separators=(",", ":")).encode()
+    return series_json(series).encode()
 
 
 def stored_parts(memo):

@@ -1,10 +1,11 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torhom.ring as ring
+from torhom.links import TorusLinkSpec, normalized_homology, torus_link_homology
 from torhom.ring import (
     DenomVector,
     GradedSeries,
@@ -21,6 +22,7 @@ from torhom.ring import (
     qat_monomial,
     render,
     series_equal,
+    series_json,
 )
 
 
@@ -404,3 +406,38 @@ class TestRender:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render(GradedSeries.one(), "yaml")
+
+
+def dumps_json(s: GradedSeries) -> str:
+    """The JSON text of s as json.dumps writes it: the oracle of series_json."""
+    return json.dumps({"num": s.num.rows(), "den": [[i, m] for i, m in s.den.mult]},
+                      separators=(",", ":"))
+
+
+class TestSeriesJson:
+    """series_json writes each list by one %-format; json.dumps is its oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(monomials, st.one_of(coeffs, st.integers(-2**80, 2**80)).filter(bool),
+                           max_size=12),
+           st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=4))
+    # the zero series; one term in each coset, past 2**64 either way, over three factors
+    @example({}, {})
+    @example({(0, 0, 0): 2**64 + 1, (1, 0, 0): -2**64 - 1, (0, 1, 1): -(2**70), (1, 2, 1): 3},
+             {1: 1, 2: 3, 5: 2})
+    def test_matches_json_dumps(self, terms, den):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ring, "DEBUG_DESCENT", False)  # terms / den need not be in lowest terms
+            s = GradedSeries(LaurentPoly(terms), DenomVector.from_dict(den if terms else {}),
+                             canonical=True)
+        assert series_json(s) == dumps_json(s)
+        assert render(s, "json") == dumps_json(s)
+
+    @pytest.mark.parametrize("value", [
+        lambda: torus_link_homology(TorusLinkSpec(9, 9)),
+        lambda: normalized_homology(TorusLinkSpec(4, 6)),
+        GradedSeries.zero,
+    ], ids=["T(9,9)", "normalized T(4,6)", "zero"])
+    def test_named_values(self, value):
+        s = value()
+        assert series_json(s) == dumps_json(s) == render(s, "json")

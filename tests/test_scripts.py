@@ -61,6 +61,22 @@ def test_benchmark_json_cache_workload(tmp_path):
     assert os.listdir(tmp_path) == ["bench.json"]  # the cache files are gone
 
 
+def test_benchmark_json_command_line_workload(tmp_path):
+    path = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "benchmark.py"), "--json", str(path),
+         "--workloads", "J(2,3)"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    record = json.loads(path.read_text())["runs"]["run"]
+    result = record["results"]["J(2,3)"]
+    # the warm child's whole call, and the JSON line it printed
+    assert result["wall_s"] > 0 and len(result["wall_s_runs"]) == record["repeat"]
+    assert result["output_bytes"] > 0 and result["cache_bytes"] > 0
+    assert "entries" not in result and "save_s" not in result
+    assert os.listdir(tmp_path) == ["bench.json"]  # the cache files are gone
+
+
 def test_benchmark_json_import_workload(tmp_path):
     path = tmp_path / "bench.json"
     done = subprocess.run(
@@ -125,6 +141,7 @@ def test_benchmark_json_pair_and_suite_workloads(tmp_path):
     ("S(nope)", "no check suite 'nope'"),
     ("P(1,)", "weight mismatch"),
     ("P(012,1)", "not a workload name"),
+    ("J(2)", "not a workload name"),
 ])
 def test_benchmark_rejects_a_bad_workload_name(name, message):
     done = subprocess.run(
