@@ -8,7 +8,9 @@ so keys are never canonicalized across the swap.
 
 `classify_rule` picks a pair's rule; `RULES` gives, for each rule, the
 pairs its value depends on and the step that combines their values;
-`query_layout` sizes the packed numerators of one query.
+`query_layout` sizes the packed numerators of one query.  The plan keeps
+each pair's key and its children's, so the combine loop reads and evicts
+by key, and each rule's combine is one ring call.
 """
 
 from __future__ import annotations
@@ -43,22 +45,20 @@ class RuleTag(Enum):
     Rule5_bothEndZero = "rule5"
     AllZeros = "all-zeros"
 
+    __hash__ = object.__hash__  # members are singletons; Enum's hash is Python code
+
 
 def classify_rule(p: SeqPair) -> RuleTag:
-    if not p.v:
+    v, w = p.v, p.w
+    if not v:
         return RuleTag.BaseEmptyLeft
-    if not p.w:
+    if not w:
         return RuleTag.BaseEmptyRight
-    last = (p.v[-1], p.w[-1])
-    if last == ("1", "1"):
-        return RuleTag.Rule2_bothEndOne
-    if last == ("0", "1"):
+    if v[-1] == "1":
+        return RuleTag.Rule2_bothEndOne if w[-1] == "1" else RuleTag.Rule4_v1w0
+    if w[-1] == "1":
         return RuleTag.Rule3_v0w1
-    if last == ("1", "0"):
-        return RuleTag.Rule4_v1w0
-    if "1" in p.v or "1" in p.w:
-        return RuleTag.Rule5_bothEndZero
-    return RuleTag.AllZeros
+    return RuleTag.Rule5_bothEndZero if "1" in v or "1" in w else RuleTag.AllZeros
 
 
 Layout = Tuple[int, int]  # (t-slots, a-slots) of every numerator part in one query
@@ -96,8 +96,8 @@ def _rule2(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedS
     (child,) = values
     # t^l + a shares no factor with 1 - Q^{2i}T^{2-2i} (substitute
     # T^2 = Q^{2i} components: the two terms stay distinct), so the
-    # product of a canonical numerator stays canonical
-    num = child.num.scale(qat_monomial(0, 0, l))._plus(child.num, 1, qat_monomial(0, 1, 0))
+    # product of a canonical numerator stays canonical; t^l f + a f is one sum
+    num = child.num._plus(child.num, 1, qat_monomial(0, 1, 0), qat_monomial(0, 0, l))
     return GradedSeries(num, child.den, canonical=True)
 
 
@@ -111,7 +111,7 @@ def _rule5(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedS
     # t^{-l} p(1v,1w) + q t^{-l} p(0v,0w)
     l = pair.l
     first, second = values
-    return first.plus_scaled(second, qat_monomial(1, 0, 0)).scale(qat_monomial(0, 0, -l))
+    return first.plus_scaled(second, qat_monomial(1, 0, -l), qat_monomial(0, 0, -l))
 
 
 class Rule(NamedTuple):
@@ -193,7 +193,7 @@ class MemoTable:
     def peek(self, pair: SeqPair) -> Optional[GradedSeries]:
         key = pair.key()
         value = self._table.get(key)
-        if isinstance(value, memoryview):  # checked inline: peek is the evaluator's hot path
+        if isinstance(value, memoryview):  # checked inline: every query's root is looked up here
             value = self._decode(key, value)
         return value
 
@@ -221,10 +221,6 @@ class MemoTable:
     @property
     def peak_entries(self) -> int:
         return max(self._peak, len(self._table))
-
-    def __contains__(self, key: str) -> bool:
-        """Whether the table holds `key`, a `SeqPair.key()`; decodes nothing."""
-        return key in self._table
 
     def record(self, hits: int, misses: int, depth: int) -> None:
         self.hits += hits
@@ -295,11 +291,13 @@ class MemoTable:
                 raise ValueError(f"damaged cache line {number} in {path}")
             stop = data.find(b"\t", tab + 1, end)
             key = data[tab + 1:stop if stop >= 0 else end].decode("latin-1")
-            try:
-                v, w = key.split("|")
-                pair_validate(v, w)
-            except ValueError as exc:
-                raise ValueError(f"bad cache key {key!r} in {path}: {exc}") from exc
+            v, bar, w = key.partition("|")
+            if not bar or v.strip("01") or w.strip("01") or v.count("1") != w.count("1"):
+                try:  # a bad key: word the reason as pair_validate does
+                    v, w = key.split("|")
+                    pair_validate(v, w)
+                except ValueError as exc:
+                    raise ValueError(f"bad cache key {key!r} in {path}: {exc}") from exc
             self._table[key] = view[pos:end]
             pos = end + 1
         self._synced = synced
@@ -337,48 +335,55 @@ def _decode_series(line: memoryview) -> GradedSeries:
     return GradedSeries(num, den, canonical=True)
 
 
-Step = Tuple[SeqPair, Callable, Tuple[SeqPair, ...]]
+Step = Tuple[SeqPair, str, Callable, Tuple[str, ...]]  # pair, key, combine, children's keys
 
 
 def _plan(pair: SeqPair, memo: MemoTable) -> Tuple[List[Step], Dict[str, int], int, int]:
     """One post-order walk from `pair`, its rule's first child first.
 
     Returns, for `pair` and every pair below it that `memo` does not hold,
-    the pair, its rule's combine step and its children, in an order in
-    which each pair follows its children; for an evicting memo, how many
-    parents each of those pairs but `pair` has among them; the hits, a
-    reference to a pair stored before the walk or already planned; and
-    the deepest stack.  The walk does not descend into a stored pair, and
-    a stored pair gets no count, so eviction never drops it.  A pair
-    pushed by two parents before its first visit is popped twice, and the
-    second pop is a hit.
+    the pair, its key, its rule's combine step and its children's keys, in
+    an order in which each pair follows its children; for an evicting
+    memo, how many parents each of those pairs but `pair` has among them;
+    the hits, a reference to a pair stored before the walk or already
+    planned; and the deepest stack.  The walk does not descend into a
+    stored pair, and a stored pair gets no count, so eviction never drops
+    it; a stored pair still held as its cache line is decoded in place.
+    A pair pushed by two parents before its first visit is popped twice,
+    and the second pop is a hit.
     """
     steps: Dict[str, Step] = {}
     parents: Dict[str, int] = {}
-    hits, depth, evict = 0, 1, memo.evict
-    todo: List[Tuple[SeqPair, str, Optional[Callable], Tuple[SeqPair, ...]]] = [
+    table, hits, depth, evict = memo._table, 0, 1, memo.evict
+    todo: List[Tuple[SeqPair, str, Optional[Callable], Tuple[str, ...]]] = [
         (pair, pair.key(), None, ())]
     while todo:
         if len(todo) > depth:
             depth = len(todo)
-        current, key, combine, children = todo.pop()
+        entry = todo.pop()
+        current, key, combine, _ = entry
         if combine is not None:  # second visit: every child is planned
-            steps[key] = current, combine, children
+            steps[key] = entry
             continue
         if key in steps:
             hits += 1  # a pair pushed twice
             continue
         children_of, combine = RULES[classify_rule(current)]
         children = children_of(current)
-        todo.append((current, key, combine, children))
-        for child in reversed(children):
+        keys = tuple([child.key() for child in children])
+        todo.append((current, key, combine, keys))
+        for child, child_key in zip(reversed(children), reversed(keys)):
             if ring.DEBUG_DESCENT:
                 assert pair_strictly_precedes(child, current), (current, child)
-            child_key = child.key()
-            stored = child_key in memo
-            if evict and not stored:
+            stored = table.get(child_key)
+            if stored is not None:
+                hits += 1
+                if isinstance(stored, memoryview):
+                    memo._decode(child_key, stored)
+                continue
+            if evict:
                 parents[child_key] = parents.get(child_key, 0) + 1
-            if stored or child_key in steps:
+            if child_key in steps:
                 hits += 1
             else:
                 todo.append((child, child_key, None, ()))
@@ -388,14 +393,15 @@ def _plan(pair: SeqPair, memo: MemoTable) -> Tuple[List[Step], Dict[str, int], i
 def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
     """Evaluate the recursion along `_plan(pair, memo)`.
 
-    Each planned pair's combine step reads its children's stored values
-    and stores the pair's; an evicting memo then drops each child whose
-    last parent this was.  The plan's hits, its pairs (each a miss) and
-    its deepest stack reach the memo's counters once.  Base cases are
-    packed in the layout `query_layout(pair)`, so every sum built from
-    them shares it; a stored value from another layout (a cache file, an
-    earlier query) is repacked by the first sum that meets it.  Without a
-    memo, the query gets an evicting one of its own.
+    Each planned pair's combine step reads its children's values from the
+    table by the keys in its step and stores the pair's value through
+    `memo.put`; an evicting memo then drops each child whose last parent
+    this was.  The plan's hits, its pairs (each a miss) and its deepest
+    stack reach the memo's counters once.  Base cases are packed in the
+    layout `query_layout(pair)`, so every sum built from them shares it; a
+    stored value from another layout (a cache file, an earlier query) is
+    repacked by the first sum that meets it.  Without a memo, the query
+    gets an evicting one of its own.
     """
     if memo is None:
         memo = MemoTable(evict=True)
@@ -405,16 +411,16 @@ def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
         return cached
     layout = query_layout(pair)
     steps, parents, hits, depth = _plan(pair, memo)
-    for current, combine, children in steps:
+    read, put, evict = memo._table.__getitem__, memo.put, memo.evict
+    for current, _, combine, keys in steps:
         if ring.DEBUG_DESCENT:
-            for child in children:  # read only while a parent still needs it
-                assert parents.get(child.key(), 1) > 0, ("evicted", current, child)
-        value = combine(current, [memo.peek(child) for child in children], layout)
+            for key in keys:  # read only while a parent still needs it
+                assert parents.get(key, 1) > 0, ("evicted", current, key)
+        value = combine(current, [*map(read, keys)], layout)
         if ring.DEBUG_DESCENT:
             assert value.num.within(*layout), (current, layout)
-        memo.put(current, value)
-        for child in children if memo.evict else ():
-            key = child.key()
+        put(current, value)
+        for key in keys if evict else ():
             left = parents.get(key)
             if left is not None:  # computed by this query
                 parents[key] = left - 1

@@ -50,13 +50,16 @@ twice the width.  Products are sized from their operands' largest digits
 before they are formed, and division first makes room for its running
 sums.  B is 32, 64, 128, ...; a digit never wraps.
 
-Operations.  Scaling only moves the origin.  Addition aligns two parts of
-a coset: the result box is the union of theirs, in the wider of their
-layouts (grown when the union does not fit); a part whose layout differs
-is relaid through the codec.  A sum shifts only an operand that is off
-the union's corner, and tests the lowest q-plane only where both operands
+Operations.  Scaling only moves the origin, so a sum M1 f + M2 g is one
+addition per part.  Addition aligns two parts of a coset: the result box
+is the union of theirs, in the wider of their layouts (grown when the
+union does not fit); a part whose layout differs is relaid through the
+codec; two parts of one layout that holds their union, as in one query,
+are added as they are.  A sum shifts only an operand that is off the
+union's corner, and tests the lowest q-plane only where both operands
 hold it, as a plane one operand holds alone cannot cancel.  Multiplying
-by 1 - X, as clearing a denominator does, is a shift and a subtraction.
+by 1 - X, as clearing a denominator does, is a shift and a subtraction;
+a sum of series looks up by its two denominators which factors to clear.
 Division by 1 - q t^{1-i} is one fold along that shift for every i: with
 t-slots ts >= te + qe (i - 1) (the part is relaid when it has fewer) no
 line of the box wraps onto another, so folding blocks of ps - (i - 1)
@@ -298,28 +301,34 @@ def _make(n, bits, ts, ps, q0, a0, t0, qe, ae, te, room, trim=True) -> Optional[
 def _add_parts(x: _Part, y: _Part, sign: int, dq=0, da=0, dt=0) -> Optional[_Part]:
     """x + sign * y, y's origin moved by (dq, da, dt), over the union of
     their boxes; see "Operations" in the module docstring."""
-    yq, ya, yt = y.q0 + dq, y.a0 + da, y.t0 + dt
-    q0, a0, t0 = min(x.q0, yq), min(x.a0, ya), min(x.t0, yt)
-    qe = max(x.q0 + x.qe, yq + y.qe) - q0
-    ae = max(x.a0 + x.ae, ya + y.ae) - a0
-    te = max(x.t0 + x.te, yt + y.te) - t0
-    bits = max(x.bits, y.bits)
-    ts, ps = x.ts, x.ps
-    if (y.ts, y.ps) != (ts, ps) or te > ts or ae * ts > ps:
-        ts = _slots(x.ts, y.ts, te)
-        ps = ts * _slots(x.ps // x.ts, y.ps // y.ts, ae)
-    nx = _relaid(x, bits, ts, ps)
-    if y.n is x.n and (y.bits, y.ts, y.ps) == (x.bits, x.ts, x.ps):
-        ny = nx  # one value at two origins, e.g. rule 2's t^l f + a f
+    xq, xa, xt, yq, ya, yt = x.q0, x.a0, x.t0, y.q0 + dq, y.a0 + da, y.t0 + dt
+    xq1, xa1, xt1, yq1, ya1, yt1 = xq + x.qe, xa + x.ae, xt + x.te, yq + y.qe, ya + y.ae, yt + y.te
+    # the union box, by comparisons: builtin min and max cost a call each
+    q0, a0, t0 = xq if xq < yq else yq, xa if xa < ya else ya, xt if xt < yt else yt
+    qe = (xq1 if xq1 > yq1 else yq1) - q0
+    ae = (xa1 if xa1 > ya1 else ya1) - a0
+    te = (xt1 if xt1 > yt1 else yt1) - t0
+    bits, ts, ps = x.bits, x.ts, x.ps
+    if y.bits == bits and y.ts == ts and y.ps == ps and te <= ts and ae * ts <= ps:
+        nx, ny = x.n, y.n  # one layout that holds the union, as in one query
+        room = (x.room if x.room < y.room else y.room) - 1
     else:
-        ny = _relaid(y, bits, ts, ps)
-    sx = (x.q0 - q0) * ps + (x.a0 - a0) * ts + x.t0 - t0
+        bits = max(bits, y.bits)
+        if (y.ts, y.ps) != (ts, ps) or te > ts or ae * ts > ps:
+            ts = _slots(x.ts, y.ts, te)
+            ps = ts * _slots(x.ps // x.ts, y.ps // y.ts, ae)
+        nx = _relaid(x, bits, ts, ps)
+        if y.n is x.n and (y.bits, y.ts, y.ps) == (x.bits, x.ts, x.ps):
+            ny = nx  # one value at two origins, e.g. rule 2's t^l f + a f
+        else:
+            ny = _relaid(y, bits, ts, ps)
+        room = min(x.room + bits - x.bits, y.room + bits - y.bits) - 1
+    sx = (xq - q0) * ps + (xa - a0) * ts + xt - t0
     sy = (yq - q0) * ps + (ya - a0) * ts + yt - t0
     nx = nx << bits * sx if sx else nx  # n << 0 copies the whole int
     ny = ny << bits * sy if sy else ny
-    room = min(x.room + bits - x.bits, y.room + bits - y.bits) - 1
     return _make(nx + ny if sign > 0 else nx - ny, bits, ts, ps, q0, a0, t0, qe, ae, te, room,
-                 x.q0 == yq)
+                 xq == yq)
 
 
 def _mul_parts(x: _Part, y: _Part, dq: int, dt: int) -> Optional[_Part]:
@@ -465,6 +474,13 @@ def _pack(coset, rows, slots: Optional[Tuple[int, int]] = None) -> _Part:
                  _room_for(maxabs, bits))
 
 
+def _image(coset: Tuple[int, int], m: Monomial) -> Tuple[Tuple[int, int], int, int, int]:
+    """The coset that multiplying by m maps `coset` onto, and the move of a
+    part's origin in local coordinates."""
+    sq, st = coset[0] + m[0], coset[1] + m[2]
+    return (sq & 1, st & 1), (sq >> 1) + m[1] + (st >> 1), m[1], st >> 1
+
+
 class LaurentPoly:
     """Integer Laurent polynomial in Q, A, T, packed one part per coset.
 
@@ -508,17 +524,23 @@ class LaurentPoly:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _plus(self, other: "LaurentPoly", sign: int, m: Monomial = MONO_ONE) -> "LaurentPoly":
-        """self + sign * M other: M = Q^a A^b T^c maps each coset onto one."""
-        dQ, dA, dT = m
-        parts = dict(self._parts)
-        for (rq, rt), y in other._parts.items():
-            sq, st = rq + dQ, rt + dT
-            coset, dq, dt = (sq & 1, st & 1), (sq >> 1) + dA + (st >> 1), st >> 1
+    def _plus(self, other: "LaurentPoly", sign: int, m: Monomial = MONO_ONE,
+              base: Monomial = MONO_ONE) -> "LaurentPoly":
+        """base self + sign * m other: a monomial Q^a A^b T^c maps each coset
+        onto one, so each part of other meets at most one of self."""
+        if base == MONO_ONE:
+            parts = dict(self._parts)
+        else:
+            parts = {}
+            for coset, x in self._parts.items():
+                coset, dq, da, dt = _image(coset, base)
+                parts[coset] = x.moved(dq, da, dt)
+        for coset, y in other._parts.items():
+            coset, dq, da, dt = _image(coset, m)
             x = parts.get(coset)
             if x is None:
-                parts[coset] = y.moved(dq, dA, dt, y.n if sign > 0 else -y.n)
-            elif (s := _add_parts(x, y, sign, dq, dA, dt)) is None:
+                parts[coset] = y.moved(dq, da, dt, y.n if sign > 0 else -y.n)
+            elif (s := _add_parts(x, y, sign, dq, da, dt)) is None:
                 del parts[coset]
             else:
                 parts[coset] = s
@@ -685,17 +707,23 @@ class DenomVector(Record):
         return DenomVector.from_dict(d)
 
 
-def _cleared(num: LaurentPoly, target: DenomVector, have: DenomVector) -> LaurentPoly:
-    """num times (1 - q t^{1-i}) for each factor target has beyond have.
+# (den.mult, den.mult) -> see _common_denominator; constants, like _PATTERNS
+_LCD: Dict[Tuple[tuple, tuple], tuple] = {}
 
-    Each factor is one shift and one subtraction: N - q t^{1-i} N.
-    """
-    hd = have.as_dict()
-    for i, m in target.mult if target != have else ():
-        direction = denom_monomial(i)
-        for _ in range(m - hd.get(i, 0)):
-            num = num._plus(num, -1, direction)
-    return num
+
+def _common_denominator(a: DenomVector, b: DenomVector) -> tuple:
+    """(lcd, clear_a, clear_b, shared): the least common denominator of a
+    and b; the monomial q t^{1-i} once per power of 1 - q t^{1-i} that lcd
+    has beyond a, and beyond b; the factors a and b share with equal
+    multiplicity, ascending."""
+    got = _LCD.get((a.mult, b.mult))
+    if got is None:
+        lcd = a if a == b else a.merged_max(b)
+        clear = [tuple([denom_monomial(i) for i, m in lcd.mult for _ in range(m - have.get(i, 0))])
+                 for have in (a.as_dict(), b.as_dict())]
+        shared = tuple([i for i, k in a.mult if (i, k) in b.mult])
+        got = _LCD[a.mult, b.mult] = (lcd, *clear, shared)
+    return got
 
 
 class GradedSeries:
@@ -753,14 +781,19 @@ class GradedSeries:
 
     # -- arithmetic -----------------------------------------------------
 
-    def plus_scaled(self, other: "GradedSeries", m: Monomial = MONO_ONE) -> "GradedSeries":
-        """self + M other for a monomial M: M is a unit, so M other is
-        canonical over other's denominator and the class docstring's shortcut holds."""
-        lcd = self.den if self.den == other.den else self.den.merged_max(other.den)
-        n1 = _cleared(self.num, lcd, self.den)
-        n2 = _cleared(other.num, lcd, other.den)
-        shared = [i for i, k in self.den.mult if (i, k) in other.den.mult]
-        return GradedSeries(*_canonical_parts(n1._plus(n2, 1, m), lcd, shared), canonical=True)
+    def plus_scaled(self, other: "GradedSeries", m: Monomial = MONO_ONE,
+                    base: Monomial = MONO_ONE) -> "GradedSeries":
+        """base self + m other for monomials base and m: monomials are units,
+        so each summand is canonical over its own denominator and the class
+        docstring's shortcut holds.  Each numerator is cleared first."""
+        lcd, clear_self, clear_other, shared = _common_denominator(self.den, other.den)
+        n1, n2 = self.num, other.num
+        for d in clear_self:
+            n1 = n1._plus(n1, -1, d)
+        for d in clear_other:
+            n2 = n2._plus(n2, -1, d)
+        return GradedSeries(*_canonical_parts(n1._plus(n2, 1, m, base), lcd, shared),
+                            canonical=True)
 
     __add__ = plus_scaled
 
@@ -808,7 +841,7 @@ def _canonical_parts(num: LaurentPoly, den: DenomVector, factors: Iterable[int]
         return LaurentPoly.zero(), DenomVector()
     if not factors:
         return num, den
-    d = den.as_dict()
+    given, d = num, den.as_dict()
     for i in factors:
         while d[i] > 0:
             quo = divide_one_minus(num, i)
@@ -818,9 +851,8 @@ def _canonical_parts(num: LaurentPoly, den: DenomVector, factors: Iterable[int]
             d[i] -= 1
             if num.is_zero():
                 return LaurentPoly.zero(), DenomVector()
-        if d[i] == 0:
-            del d[i]
-    return num, DenomVector.from_dict(d)
+    # most sums divide by nothing: then den is already the answer's
+    return num, den if num is given else DenomVector.from_dict(d)
 
 
 def _is_canonical(s: GradedSeries) -> bool:

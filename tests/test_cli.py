@@ -405,6 +405,22 @@ class TestCache:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: bad cache key '{key}'") and "weight mismatch" in err
 
+    @pytest.mark.parametrize("key, reason", [
+        ("0a|01", "not a 0/1 string: '0a'"),
+        ("01|00", "weight mismatch: |v|=1, |w|=0"),
+        ("0101", "not enough values to unpack (expected 2, got 1)"),
+        ("01|01|1", "too many values to unpack (expected 2)"),
+    ])
+    def test_bad_cache_key_exits_two_with_its_reason(self, capsys, tmp_path, key, reason):
+        # keys are checked on the text; a bad one is worded by pair_validate
+        path = tmp_path / "memo.tsv"
+        run_json(capsys, ["torus", "2", "2", "--cache", str(path)])
+        with path.open("a") as fh:
+            fh.write(cache_line(f"{key}\t\t0,0,0,0,0,1,1,1,8,01"))
+        code, out, err = run(capsys, ["torus", "2", "2", "--cache", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: bad cache key {key!r} in {path}: {reason}\n"
+
     def test_warm_run_decodes_only_the_entry_it_reads(self, capsys, tmp_path, monkeypatch):
         path = str(tmp_path / "memo.tsv")
         cold = run_json(capsys, ["torus", "6", "6", "--cache", path])

@@ -312,6 +312,29 @@ class TestEviction:
         assert (len(memo), memo.peak_entries, memo.hits, memo.misses, memo.max_depth) == \
             (evicting if evict else keeping)
 
+    @pytest.mark.parametrize("evict, first, second, computed", [
+        *[(evict, None, root, computed) for evict in (True, False) for root, computed in (
+            (torus(9, 9), 1023), (torus(7, 11), 1857),
+            (pair_validate("0001000000", "0000001000"), 2902))],
+        (False, torus(8, 8), torus(9, 9), 512),  # the second query on a keeping table
+    ])
+    def test_each_computed_pair_is_put_once(self, monkeypatch, evict, first, second, computed):
+        # the benchmark counts recursion.nodes.* in MemoTable.put(pair, value)
+        memo = MemoTable(evict=evict)
+        if first is not None:
+            eval_p(first, memo)
+        put, puts = MemoTable.put, []
+
+        def counted(memo, pair, value):
+            puts.append((pair.key(), memo.peek(pair) is None))
+            put(memo, pair, value)
+
+        misses = memo.misses
+        monkeypatch.setattr(MemoTable, "put", counted)
+        eval_p(second, memo)
+        assert len(puts) == len({key for key, _ in puts}) == computed == memo.misses - misses
+        assert all(new for _, new in puts) and puts[-1][0] == second.key()
+
     @pytest.mark.parametrize("n", [6, 8, 10])
     def test_first_child_first_keeps_the_stack_and_the_table_small(self, n):
         memo = MemoTable(evict=True)
@@ -383,6 +406,18 @@ class TestPersistence:
         reloaded = MemoTable(path=path)
         assert reloaded.peek(SeqPair("00", "000")) == value
         assert len(reloaded) == len(memo)
+
+    def test_load_checks_keys_without_building_pairs(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "cache.tsv")
+        memo = MemoTable()
+        eval_p(torus(8, 8), memo)
+        memo.save(path)
+        validated = []
+        monkeypatch.setattr(recursion, "pair_validate",
+                            lambda v, w: validated.append((v, w)) or pair_validate(v, w))
+        loaded = MemoTable(path=path)
+        assert len(loaded) == 511 and validated == []
+        assert loaded.peek(torus(8, 8)) == memo.peek(torus(8, 8))
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "cache.tsv"

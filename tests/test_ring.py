@@ -11,7 +11,6 @@ from torhom.ring import (
     GradedSeries,
     LatticeError,
     LaurentPoly,
-    _cleared,
     decode_numerator,
     denom_monomial,
     divide_one_minus,
@@ -63,10 +62,16 @@ def product_of(factors):
     return out
 
 
+def cleared(num, target, have):
+    """num times each factor (1 - q t^{1-i}) that target has beyond have."""
+    hd = have.as_dict()
+    return num * product_of([i for i, m in target.mult for _ in range(m - hd.get(i, 0))])
+
+
 def fully_canonical_sum(f, g):
     """f + g canonicalized by every factor of the least common denominator."""
     lcd = f.den.merged_max(g.den)
-    return GradedSeries(_cleared(f.num, lcd, f.den) + _cleared(g.num, lcd, g.den), lcd)
+    return GradedSeries(cleared(f.num, lcd, f.den) + cleared(g.num, lcd, g.den), lcd)
 
 
 class TestLattice:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dict_oracle import DictPoly
 from dict_oracle import divide_one_minus as oracle_divide
+import torhom.recursion as recursion
 import torhom.ring as ring
 from torhom.ring import (
     DenomVector,
@@ -22,8 +23,10 @@ from torhom.ring import (
     divide_one_minus,
     encode_numerator,
     expand_series,
+    qat_monomial,
     render,
 )
+from torhom.sequences import SeqPair
 
 monomials = st.tuples(st.integers(-6, 6), st.integers(-3, 3), st.integers(-6, 6))
 coeffs = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70)).filter(bool)
@@ -352,6 +355,14 @@ def test_fused_sum_matches_the_oracle(f, g, m, sign):
     assert round_trips(got)
 
 
+def over(num: DictPoly, have: DenomVector, want: DenomVector) -> DictPoly:
+    """num / have written over the denominator want, in the oracle."""
+    for i, k in want.mult:
+        for _ in range(k - have.as_dict().get(i, 0)):
+            num = num * factor(i)[1]
+    return num
+
+
 @settings(max_examples=100, deadline=None)
 @given(any_terms, any_terms, any_shift, denominators, denominators)
 def test_plus_scaled_matches_the_oracle(f, g, m, df, dg):
@@ -361,14 +372,108 @@ def test_plus_scaled_matches_the_oracle(f, g, m, df, dg):
     assert got == x + y.scale(m)
     assert round_trips(got.num)
 
-    def over(num, have, want):
-        # num / have written over the denominator want
-        for i, k in want.mult:
-            for _ in range(k - have.as_dict().get(i, 0)):
-                num = num * factor(i)[1]
-        return num
-
     # both sides over one common denominator, in the oracle
     lcd = df.merged_max(dg).merged_max(got.den)
     ox, oy = (over(DictPoly(s.num.terms), s.den, lcd) for s in (x, y))
     assert over(DictPoly(got.num.terms), got.den, lcd) == ox + oy.scale(m)
+
+
+# -- the recursion's fused combines -------------------------------------
+
+@st.composite
+def children(draw):
+    """A canonical series as the recursion reads a child's: on or off the
+    sublattice, over no, one or several factors, digits up to 2**100, and
+    packed from its terms or with spare slots as a query packs its base
+    cases, so two children often differ in layout."""
+    den = DenomVector.from_dict(draw(st.dictionaries(st.integers(1, 4), st.integers(1, 2),
+                                                     max_size=3)))
+    if draw(st.booleans()):
+        h = draw(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(0, 3),
+                                           st.integers(-3, 3)), wide_coeffs, max_size=8))
+        slots = draw(st.one_of(st.none(), st.tuples(st.integers(1, 12), st.integers(1, 6))))
+        num = LaurentPoly.from_qat(h, slots)
+    else:
+        num = LaurentPoly(draw(any_terms))
+    return GradedSeries(num, den)
+
+
+def combined(combine, pair, values, debug):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring, "DEBUG_DESCENT", debug)  # checks each canonical=True shortcut
+        return combine(pair, values, (1, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(children(), st.integers(0, 4), st.booleans())
+def test_rule2_is_the_old_formula(child, l, debug):
+    got = combined(recursion._rule2, SeqPair("1" * (l + 1), "1" * (l + 1)), [child], debug)
+    tl, a = qat_monomial(0, 0, l), qat_monomial(0, 1, 0)
+    want = GradedSeries(child.num.scale(tl) + child.num.scale(a), child.den)
+    assert got == want and got.num.rows() == want.num.rows()
+    o = DictPoly(child.num.terms)
+    assert same(got.num, o.scale(tl) + o.scale(a))
+    assert round_trips(got.num)
+
+
+@settings(max_examples=150, deadline=None)
+@given(children(), children(), st.integers(0, 4), st.booleans())
+def test_rule5_is_the_old_formula(first, second, l, debug):
+    got = combined(recursion._rule5, SeqPair("1" * l + "0", "1" * l + "0"), [first, second],
+                   debug)
+    tl, qtl = qat_monomial(0, 0, -l), qat_monomial(1, 0, -l)
+    want = first.scale(tl) + second.scale(qtl)
+    assert got == want and got.num.rows() == want.num.rows()
+    lcd = first.den.merged_max(second.den).merged_max(got.den)
+    o1, o2 = (over(DictPoly(s.num.terms), s.den, lcd) for s in (first, second))
+    assert over(DictPoly(got.num.terms), got.den, lcd) == o1.scale(tl) + o2.scale(qtl)
+    assert round_trips(got.num)
+
+
+def test_children_in_two_layouts_take_the_general_sum(monkeypatch):
+    first = GradedSeries(LaurentPoly.from_qat({(0, 0, 0): 1, (1, 1, 2): -3}, (8, 4)))
+    second = GradedSeries(LaurentPoly.from_qat({(0, 0, 1): 2**70, (2, 0, 0): 5}))
+    relaid, relay = [], ring._relaid
+    monkeypatch.setattr(ring, "_relaid", lambda p, *layout: relaid.append(p) or relay(p, *layout))
+    got = recursion._rule5(SeqPair("10", "10"), [first, second], (1, 1))
+    assert relaid
+    want = {(i, j, k - 1): c for (i, j, k), c in {(0, 0, 0): 1, (1, 1, 2): -3, (1, 0, 1): 2**70,
+                                                   (3, 0, 0): 5}.items()}
+    assert got == GradedSeries(LaurentPoly.from_qat(want))
+
+
+def general_sum(x, y, sign, dq, da, dt):
+    """_add_parts without its same-layout branch: every operand relaid to
+    the wider of the two layouts, grown when the union does not fit."""
+    yq, ya, yt = y.q0 + dq, y.a0 + da, y.t0 + dt
+    q0, a0, t0 = min(x.q0, yq), min(x.a0, ya), min(x.t0, yt)
+    qe = max(x.q0 + x.qe, yq + y.qe) - q0
+    ae = max(x.a0 + x.ae, ya + y.ae) - a0
+    te = max(x.t0 + x.te, yt + y.te) - t0
+    bits = max(x.bits, y.bits)
+    ts, ps = x.ts, x.ps
+    if (y.ts, y.ps) != (ts, ps) or te > ts or ae * ts > ps:
+        ts = ring._slots(x.ts, y.ts, te)
+        ps = ts * ring._slots(x.ps // x.ts, y.ps // y.ts, ae)
+    nx, ny = ring._relaid(x, bits, ts, ps), ring._relaid(y, bits, ts, ps)
+    nx <<= bits * ((x.q0 - q0) * ps + (x.a0 - a0) * ts + x.t0 - t0)
+    ny <<= bits * ((yq - q0) * ps + (ya - a0) * ts + yt - t0)
+    room = min(x.room + bits - x.bits, y.room + bits - y.bits) - 1
+    return ring._make(nx + sign * ny, bits, ts, ps, q0, a0, t0, qe, ae, te, room)
+
+
+def fields(p):
+    return None if p is None else [getattr(p, name) for name in ring._Part.__slots__]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sublattice_maps, sublattice_maps, st.tuples(st.integers(-2, 2), st.integers(-1, 1),
+                                                   st.integers(-2, 2)),
+       st.sampled_from([1, -1]), st.tuples(st.integers(11, 14), st.integers(6, 8)))
+def test_same_layout_sum_is_the_general_sum(h, g, move, sign, slots):
+    # slots that hold the union of any two such boxes, one moved by `move`
+    x = LaurentPoly.from_qat(h, slots)._parts[0, 0]
+    y = LaurentPoly.from_qat(g, slots)._parts[0, 0]
+    for y in (y, x) if x.bits == y.bits else (x,):  # x and x: rule 2's two copies of f
+        assert (x.bits, x.ts, x.ps) == (y.bits, y.ts, y.ps)
+        assert fields(ring._add_parts(x, y, sign, *move)) == fields(general_sum(x, y, sign, *move))
