@@ -9,10 +9,11 @@ PATH the record, with nproc and the Python version, is also stored under
 --label in PATH; other labels already in the file are kept, so one file
 can hold the runs of two versions measured on the same machine.
 Workloads are named T(m,n) for a torus link, P(v,w) for the recursion
-at one pair and C(m,n,l) for the Sym^l-colored T(m,n) in both sequence
-orderings; the default set is WORKLOADS.  Each runs on the memo table
-the command line uses, which keeps only the query results; `entries` is
-what it holds at the end and `peak_entries` the most it held at once.
+at one pair and C(m,n,l) for the Sym^l-colored T(m,n), the query of
+`torhom colored m n l`; the default set is WORKLOADS.  Each runs on the
+memo table the command line uses, which keeps only the query results;
+`entries` is what it holds at the end and `peak_entries` the most it
+held at once.
 
 S(suite) runs one check suite of `torhom check` with its defaults, on the
 memo table the suite makes itself; `checks` counts its checks, and a
@@ -53,7 +54,7 @@ import time
 from typing import Optional
 
 from torhom import checks, cli
-from torhom.links import colored_torus_both
+from torhom.links import colored_torus_homology
 from torhom.recursion import MemoTable, eval_p
 from torhom.sequences import pair_validate
 
@@ -134,7 +135,7 @@ def run_one(name: str, cache: Optional[str] = None) -> dict:
         return {"wall_s": wall, "checks": len(results), "peak_rss_mb": peak_rss_mb()}
     memo = MemoTable(path=cache, evict=True)  # as the command line makes it
     if colored:
-        colored_torus_both(int(cm), int(cn), int(l), memo)
+        colored_torus_homology(int(cm), int(cn), int(l), "theorem", memo)
     elif v is not None:
         eval_p(pair_validate(v, w), memo)
     else:

@@ -69,17 +69,10 @@ def suite_paper_values(memo: Optional[MemoTable] = None) -> List[CheckResult]:
         ok = series_equal(got, reference.colored_unknot_series(l))
         out.append((f"colored unknot l={l}", ok, ""))
 
-    display = reference.colored_trefoil_display()
-    matches = {}
-    for order in ("theorem", "example"):
-        shift = equal_up_to_monomial(
-            links.colored_torus_homology(2, 3, 2, order, memo), display)
-        matches[order] = shift
-        out.append((f"colored trefoil order={order}",
-                    True, f"shift={shift}" if shift is not None else "no match"))
-    out.append(("colored trefoil: some ordering matches display",
-                any(s is not None for s in matches.values()),
-                f"theorem={matches['theorem']} example={matches['example']}"))
+    shift = equal_up_to_monomial(links.colored_torus_homology(2, 3, 2, "theorem", memo),
+                                 reference.colored_trefoil_display())
+    out.append(("colored trefoil equals the display", shift == (0, 0, 0),
+                f"shift={shift}" if shift is not None else "no match"))
 
     sig = fillings.SigmaSeq.of(reference.SIGMA_EXAMPLE_R, reference.SIGMA_EXAMPLE)
     ok = (fillings.v_of_sigma(sig) == reference.SIGMA_EXAMPLE_V

@@ -34,15 +34,14 @@ def _memo(args) -> Tuple[MemoTable, float]:
 
 
 def _show(args, memo: MemoTable, t0: float, command: str, params: Dict,
-          shown: List[Tuple[str, str, GradedSeries]], fields: Optional[Dict] = None,
+          label: str, series: GradedSeries, fields: Optional[Dict] = None,
           before: Sequence[str] = (), after: Sequence[str] = ()) -> int:
     """Save the memo table if --cache names a file, then print the JSON
     envelope or the human/latex lines; only the form printed is built.
 
-    `shown` holds (suffix, label, series): the series with suffix "" is the
-    envelope's `result`, each other one `result_<suffix>`, and each is
-    followed by its expansion under --expand.  `fields` are envelope keys
-    after those; `before` and `after` are human lines around theirs.
+    `series` is the envelope's `result`, followed by its expansion under
+    --expand.  `fields` are envelope keys after those; `before` and
+    `after` are human lines around `label`'s.
     """
     if args.cache:
         memo.save()
@@ -52,32 +51,23 @@ def _show(args, memo: MemoTable, t0: float, command: str, params: Dict,
     if args.cache:
         timing.update(cache_load_s=memo.load_s, cache_save_s=memo.save_s)
     depth = args.expand
-
-    def expansion(s: GradedSeries) -> GradedSeries:
-        return GradedSeries.from_poly(expand_series(s, depth))
+    expansion = None if depth is None else GradedSeries.from_poly(expand_series(series, depth))
 
     if args.format == "json":
         def text(value) -> str:
             return json.dumps(value, separators=(",", ":"))
 
         # the envelope as ordered (key, JSON text) pairs; each series written by series_json
-        env = [("command", text(command)), ("params", text(params))]
-        for suffix, _, s in shown:
-            tail = f"_{suffix}" if suffix else ""
-            env.append((f"result{tail}", series_json(s)))
-            if depth is not None:
-                if not suffix:
-                    env.append(("expand_depth", text(depth)))
-                env.append((f"expansion{tail}", series_json(expansion(s))))
+        env = [("command", text(command)), ("params", text(params)),
+               ("result", series_json(series))]
+        if expansion is not None:
+            env += [("expand_depth", text(depth)), ("expansion", series_json(expansion))]
         env += [(key, text(value)) for key, value in {**(fields or {}), "timing": timing}.items()]
         print("{" + ",".join([f'"{key}":{value}' for key, value in env]) + "}")
         return 0
-    lines = list(before)
-    for _, label, s in shown:
-        lines.append(f"{label} = {render(s, args.format)}")
-        if depth is not None:
-            lines.append(f"expansion(q-degree <= {depth}) = "
-                         f"{render(expansion(s), args.format)}")
+    lines = [*before, f"{label} = {render(series, args.format)}"]
+    if expansion is not None:
+        lines.append(f"expansion(q-degree <= {depth}) = {render(expansion, args.format)}")
     print("\n".join([*lines, *after]))
     print(f"memo entries: {len(memo)} (peak {memo.peak_entries})", file=sys.stderr)
     print(f"elapsed: {timing['seconds']:.3f}s  hits={memo.hits} misses={memo.misses} "
@@ -96,36 +86,21 @@ def cmd_torus(args) -> int:
     else:
         series = links.torus_link_homology(spec, memo)
     return _show(args, memo, t0, "torus",
-                 {"m": spec.m, "n": spec.n, "normalized": args.normalized},
-                 [("", label, series)])
+                 {"m": spec.m, "n": spec.n, "normalized": args.normalized}, label, series)
 
 
 def cmd_pair(args) -> int:
     pair = pair_validate(args.v, args.w)
     memo, t0 = _memo(args)
     return _show(args, memo, t0, "pair", {"v": pair.v, "w": pair.w},
-                 [("", f"p({pair.v or 'empty'},{pair.w or 'empty'})", eval_p(pair, memo))])
+                 f"p({pair.v or 'empty'},{pair.w or 'empty'})", eval_p(pair, memo))
 
 
 def cmd_colored(args) -> int:
     memo, t0 = _memo(args)
-    if args.order == "both":
-        both = links.colored_torus_both(args.m, args.n, args.l, memo)
-    else:
-        both = {args.order: links.colored_torus_homology(
-            args.m, args.n, args.l, args.order, memo)}
-    orders = [o for o in ("theorem", "example") if o in both]
-    shown = [(o if i else "", f"colored({args.m},{args.n};l={args.l})[{o}]", both[o])
-             for i, o in enumerate(orders)]
-    fields, after = {}, []
-    if "match_up_to_monomial" in both:
-        shift = both["match_up_to_monomial"]
-        fields["orders_match_up_to_monomial"] = list(shift) if shift is not None else None
-        after.append(f"orders match up to monomial: "
-                     f"{'Q^%d A^%d T^%d' % shift if shift is not None else 'no'}")
-    return _show(args, memo, t0, "colored",
-                 {"m": args.m, "n": args.n, "l": args.l, "order": args.order},
-                 shown, fields, after=after)
+    return _show(args, memo, t0, "colored", {"m": args.m, "n": args.n, "l": args.l},
+                 f"colored({args.m},{args.n};l={args.l})",
+                 links.colored_torus_homology(args.m, args.n, args.l, "theorem", memo))
 
 
 def _sigma_entries(text: str) -> Tuple[int, ...]:
@@ -152,7 +127,7 @@ def cmd_sigma(args) -> int:
         after = [f"inv = {stats['inv']}", f"c = {stats['c']}",
                  f"rev = {','.join(map(str, stats['rev']))}"]
     return _show(args, memo, t0, "sigma", {"r": args.r, "sigma": list(entries), "g": args.g},
-                 [("", label, series)], fields, before=[f"v = {pair.v}", f"w = {pair.w}"],
+                 label, series, fields, before=[f"v = {pair.v}", f"w = {pair.w}"],
                  after=after)
 
 
@@ -218,8 +193,6 @@ def _colored_args(p) -> None:
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument("l", type=int)
-    p.add_argument("--order", choices=("theorem", "example", "both"),
-                   default="both")
     _series_flags(p)
 
 

@@ -16,7 +16,8 @@ import torhom.recursion as recursion
 from torhom.cli import main
 from torhom.links import TorusLinkSpec, torus_link_homology
 from torhom.recursion import MemoTable
-from torhom.ring import GradedSeries, expand_series, render, series_json
+from torhom.ring import GradedSeries, expand_series, qat_monomial, render, series_json
+from torhom.sequences import pair_validate
 
 
 def cache_line(body: str) -> str:
@@ -281,26 +282,45 @@ class TestPair:
 
 
 class TestColored:
+    """`colored` shows the Sym^l-colored invariant, the ones-first
+    ("theorem") ordering of the paper's pair, and no other ordering."""
+
     def test_single_order(self, capsys):
-        data = run_json(capsys, ["colored", "1", "1", "2", "--order", "theorem"])
-        assert data["params"]["order"] == "theorem"
-        assert "orders_match_up_to_monomial" not in data
+        data = run_json(capsys, ["colored", "1", "1", "2"])
+        assert list(data) == ["command", "params", "result", "timing"]
+        assert data["params"] == {"m": 1, "n": 1, "l": 2}
+        want = series_json(links.colored_torus_homology(1, 1, 2, "theorem"))
+        assert data["result"] == json.loads(want)
 
     def test_both_orders(self, capsys):
-        data = run_json(capsys, ["colored", "1", "1", "2"])
-        assert "result_example" in data
-        assert "orders_match_up_to_monomial" in data
+        # one line, the theorem order's: no example line and no comparison line
+        for fmt in ("human", "latex"):
+            code, out, _ = run(capsys, ["colored", "2", "3", "2", "--format", fmt])
+            assert code == 0 and out.startswith("colored(2,3;l=2) = ") and out.count("\n") == 1
+
+    @pytest.mark.parametrize("order", ["theorem", "example", "both"])
+    def test_order_flag_is_refused(self, capsys, order):
+        code, out, err = run(capsys, ["colored", "2", "3", "2", "--order", order])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"torhom: error: unrecognized arguments: --order {order}"
 
     def test_domain_error(self, capsys):
         assert run(capsys, ["colored", "0", "1", "1"])[0] == 2
 
     def test_both_orders_expand_each(self, capsys):
-        data = run_json(capsys, ["colored", "2", "3", "2", "--order", "both", "--expand", "1"])
-        both = links.colored_torus_both(2, 3, 2)
-        for order, key in (("theorem", "expansion"), ("example", "expansion_example")):
-            want = series_json(GradedSeries.from_poly(expand_series(both[order], 1)))
-            assert data[key] == json.loads(want)
-        assert list(data).index("expansion_example") == list(data).index("result_example") + 1
+        # one series, so one expansion: the theorem order's, after expand_depth
+        data = run_json(capsys, ["colored", "2", "3", "2", "--expand", "1"])
+        assert list(data) == ["command", "params", "result", "expand_depth", "expansion",
+                              "timing"]
+        theorem = links.colored_torus_homology(2, 3, 2, "theorem")
+        want = series_json(GradedSeries.from_poly(expand_series(theorem, 1)))
+        assert data["expansion"] == json.loads(want)
+
+    def test_example_ordering_is_one_pair_away(self):
+        # its uncolored value stays one command away: `torhom pair 0011 000011`
+        uncolored = recursion.eval_p(pair_validate("0011", "000011"))
+        assert uncolored.with_extra_denominator({1: 1, 2: 1}) == \
+            links.colored_torus_homology(2, 3, 2, "example")
 
 
 class TestSigma:
@@ -627,6 +647,19 @@ class TestCheckFailurePath:
         code, out, _ = run(capsys, ["check", "unknot-family"])
         assert code == 1
         assert "[FAIL] always-broken" in out
+
+    def test_paper_values_wants_the_display_itself(self, capsys, monkeypatch):
+        # the display times q: the theorem order still matches it up to a
+        # monomial, and no longer exactly, so the suite fails
+        import torhom.reference as reference
+
+        display = reference.colored_trefoil_display()
+        monkeypatch.setattr(reference, "colored_trefoil_display",
+                            lambda: display.scale(qat_monomial(1, 0, 0)))
+        code, out, _ = run(capsys, ["check", "paper-values"])
+        assert code == 1
+        assert "[FAIL] colored trefoil equals the display  (shift=(-2, 0, 0))" in out
+        assert out.endswith("6/7 checks passed\n")
 
     def test_suite_names_are_the_suites(self):
         # the parser's choices are kept in cli.py, so that importing it skips checks

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import torhom.fillings as fillings
 from torhom.fillings import (
     AdmissibilityError,
     FillArgError,
@@ -163,6 +164,18 @@ class TestSeriesValues:
         sig = SigmaSeq.of(2, (1, 2))
         assert g_sigma(sig, memo) == eval_p(pair_validate(
             v_of_sigma(sig), w_of_sigma(sig) + "0"), memo)
+
+    def test_g_validates_its_pair_once(self, memo, monkeypatch):
+        calls = []
+
+        def counting(v, w):
+            calls.append((v, w))
+            return pair_validate(v, w)
+
+        monkeypatch.setattr(fillings, "pair_validate", counting)
+        sig = SigmaSeq.of(5, (3, 0, 1, 5))
+        g_sigma(sig, memo)
+        assert calls == [(v_of_sigma(sig), w_of_sigma(sig))]
 
 
 class TestIdentities:

@@ -52,15 +52,11 @@ ENVELOPES = {
         "human": "f9487aa584777e675691f20f5daf3e7c4031d251d75c59e21558a364726843b7",
         "latex": "f9487aa584777e675691f20f5daf3e7c4031d251d75c59e21558a364726843b7",
     },
+    # recorded again when `colored` stopped showing the example ordering
     "colored 2 3 2 --expand 1": {
-        "json": "42d3215ded0dee40f65c80a2b3d50cdd06f855f926c62ad08bef0b2c807f11af",
-        "human": "e0d2227f7d9c68163326b6c192a47fc90a95194290027f697f769194fac61b23",
-        "latex": "89c298ae08f65c1494b2d6db17c579ac3a0b84ccf1850d64495969c29edd94ec",
-    },
-    "colored 2 3 2 --order example": {
-        "json": "c5a9ffce21a0c3629d76e9c2a6a7c4fb205c1af51196c332c137a27aefc9c09c",
-        "human": "bd4328862a5034ecb2b58dcc0bc310836b30542f9d3f4f96e16eff1bcf84be12",
-        "latex": "799cf89da62e5f50d8f5aee1fcf2d6252a913e149adb1136a18cb9825576aaca",
+        "json": "55463818b24450df8957c7abc24ad94824ad639e0f810236dad870221e15e0a7",
+        "human": "3c6d8f4b3003c4fe47dbd0064de6c0e1b358da20ff9ec625c5552ff22e735e5a",
+        "latex": "9edcc9a3316259f1229f90dafef6131a4545fb0d605b2f18829f8a11bdd6b599",
     },
     "sigma 5 3,0,1,5 --stats": {
         "json": "767411aaefbc5722eb91f0db90850387238fe6cf92f7a3fa12f3f09361786487",

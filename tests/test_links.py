@@ -81,7 +81,9 @@ class TestColored:
 
     def test_both_orders_reported(self, memo):
         both = colored_torus_both(2, 3, 2, memo)
-        assert set(both) == {"theorem", "example", "match_up_to_monomial"}
+        assert set(both) == {"theorem", "example"}
+        for order, series in both.items():
+            assert series == colored_torus_homology(2, 3, 2, order, memo)
 
     def test_unknot_reference(self, memo):
         # the closed form starts from its i = 1 factor (1 + a)
