@@ -27,7 +27,8 @@ J(m,n) is the same pair of children on the command line: each runs
 `torhom torus m n --format json --cache FILE` through `cli.main` with its
 stdout captured, and `wall_s` is the warm child's whole call, from
 parsing its argv to printing the JSON; the warm result must be the cold
-one's.
+one's.  Its `output_bytes` counts the JSON line up to its timing block,
+so equal results print equal counts.
 
 I(module) measures start-up: its `wall_s` runs from just before a fresh
 interpreter is spawned to the end of `import module` in it, on the
@@ -111,9 +112,9 @@ def _command_line(m: str, n: str, cache: str) -> dict:
     if code:
         raise RuntimeError(f"torhom torus {m} {n} exited {code}")
     text = out.getvalue()
-    result = text.split(',"timing":')[0]  # the line up to its timing block
-    return {"wall_s": wall, "output_bytes": len(text.encode()),
-            "result_sha256": hashlib.sha256(result.encode()).hexdigest(),
+    result = text.split(',"timing":')[0].encode()  # the line up to its timing block
+    return {"wall_s": wall, "output_bytes": len(result),
+            "result_sha256": hashlib.sha256(result).hexdigest(),
             "cache_bytes": os.path.getsize(cache), "peak_rss_mb": peak_rss_mb()}
 
 

@@ -21,7 +21,7 @@ from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from .record import Record
-from .ring import GradedSeries, LaurentPoly, qat_monomial
+from .ring import GradedSeries, qat_monomial
 from .recursion import MemoTable, eval_p
 from .sequences import SeqPair, inversions, pair_validate
 
@@ -246,14 +246,6 @@ def verify_lemma53(r: int, entries: Sequence[int],
     if memo is None:
         memo = MemoTable()
     l = sum(1 for e in s.entries if e < r)
-    t_pow = lambda k: qat_monomial(0, 0, k)
-    a_mono = qat_monomial(0, 1, 0)
-
-    def t_l_plus_a(power: int) -> GradedSeries:
-        return GradedSeries.from_poly(
-            LaurentPoly({t_pow(power): 1, a_mono: 1})
-        )
-
     f = lambda sig: f_sigma(sig, memo)
     g = lambda sig: g_sigma(sig, memo)
     checks: List[IdentityCheck] = []
@@ -262,7 +254,7 @@ def verify_lemma53(r: int, entries: Sequence[int],
         checks.append(IdentityCheck(name, sigma, lhs == rhs, lhs, rhs))
 
     # (L1) f(sigma 0) = (t^l + a) f(sigma)
-    record("L1", f(_extend(s, [0])), t_l_plus_a(l) * f(s))
+    record("L1", f(_extend(s, [0])), f(s).times_t_plus_a(l))
     # (L2) f(sigma k) = f((k-1) sigma), 1 <= k <= r-1
     for k in range(1, r):
         record(f"L2[k={k}]", f(_extend(s, [k])), f(_prepend(s, [k - 1])))
@@ -273,9 +265,9 @@ def verify_lemma53(r: int, entries: Sequence[int],
     record("L3", lhs, rhs)
     # (K1a) g(sigma k 0) = (t^{l+1} + a) g((k-1) sigma), 1 <= k <= r-1
     for k in range(1, r):
-        record(f"K1a[k={k}]", g(_extend(s, [k, 0])), t_l_plus_a(l + 1) * g(_prepend(s, [k - 1])))
+        record(f"K1a[k={k}]", g(_extend(s, [k, 0])), g(_prepend(s, [k - 1])).times_t_plus_a(l + 1))
     # (K1a) k = 0 variant: one rotation instead of two
-    record("K1a[k=0]", g(_extend(s, [0, 0])), t_l_plus_a(l + 1) * g(_extend(s, [0])))
+    record("K1a[k=0]", g(_extend(s, [0, 0])), g(_extend(s, [0])).times_t_plus_a(l + 1))
     # (K1b) g(sigma r 0) = g((r-1) sigma)
     record("K1b", g(_extend(s, [r, 0])), g(_prepend(s, [r - 1])))
     # (K2) g(sigma k) = g((k-1) sigma), 1 <= k <= r-1

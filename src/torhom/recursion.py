@@ -92,13 +92,7 @@ def _base_case(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> Gra
 
 
 def _rule2(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedSeries:
-    l = pair.l - 1
-    (child,) = values
-    # t^l + a shares no factor with 1 - Q^{2i}T^{2-2i} (substitute
-    # T^2 = Q^{2i} components: the two terms stay distinct), so the
-    # product of a canonical numerator stays canonical; t^l f + a f is one sum
-    num = child.num._plus(child.num, 1, qat_monomial(0, 1, 0), qat_monomial(0, 0, l))
-    return GradedSeries(num, child.den, canonical=True)
+    return values[0].times_t_plus_a(pair.l - 1)
 
 
 def _all_zeros(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedSeries:

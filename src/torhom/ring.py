@@ -18,8 +18,8 @@ point has local coordinates
     q = (Q - rq)/2 + A + (T - rt)/2,   a = A,   t = (T - rt)/2,
 
 so the sublattice itself is the coset (0, 0) with its usual (q,a,t)
-exponents.  Scaling by a monomial maps each coset onto one coset, and a
-product of two cosets lands in their sum; no operation splits a part.
+exponents.  Scaling by a monomial maps each coset onto one coset, so no
+operation splits a part.
 
 Layout.  A part is a box of cells in local coordinates: an origin
 (q0, a0, t0), extents (qe, ae, te), and a layout (B, ts, ps).  The cell of
@@ -46,19 +46,20 @@ for the part's `room` >= 0.  The sum of two parts at room 0 has digits
 below 2**(B - 2), which still decode uniquely; a sum whose room would fall
 below 0 ends with an add-and-mask test of every cell (``_fits``) that
 certifies new room, and when even room 0 fails the value is repacked at
-twice the width.  Products are sized from their operands' largest digits
-before they are formed, and division first makes room for its running
-sums.  B is 32, 64, 128, ...; a digit never wraps.
+twice the width.  Division first makes room for its running sums.  B is
+32, 64, 128, ...; a digit never wraps.
 
-Operations.  Scaling only moves the origin, so a sum M1 f + M2 g is one
-addition per part.  Addition aligns two parts of a coset: the result box
-is the union of theirs, in the wider of their layouts (grown when the
-union does not fit); a part whose layout differs is relaid through the
-codec; two parts of one layout that holds their union, as in one query,
-are added as they are.  A sum shifts only an operand that is off the
-union's corner, and tests the lowest q-plane only where both operands
-hold it, as a plane one operand holds alone cannot cancel.  Multiplying
-by 1 - X, as clearing a denominator does, is a shift and a subtraction;
+Operations.  The recursion only adds, scales and divides; it never
+multiplies two numerators.  Scaling only moves the origin, so a sum
+M1 f + M2 g is one addition per part.  Addition aligns two parts of a
+coset: the result box is the union of theirs, in the wider of their
+layouts (grown when the union does not fit); a part whose layout differs
+is relaid through the codec; two parts of one layout that holds their
+union, as in one query, are added as they are.  A sum shifts only an
+operand that is off the union's corner, and tests the lowest q-plane only
+where both operands hold it, as a plane one operand holds alone cannot
+cancel.  Multiplying by 1 - X, as clearing a denominator does, is a shift
+and a subtraction, and by t^l + a, as rule 2 does, a sum of two shifts;
 a sum of series looks up by its two denominators which factors to clear.
 Division by 1 - q t^{1-i} is one fold along that shift for every i: with
 t-slots ts >= te + qe (i - 1) (the part is relaid when it has fewer) no
@@ -123,20 +124,13 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _slots(x: int, y: int, n: int) -> int:
-    """Slots for an extent n of a sum or product of parts with x and y slots:
-    the wider of those, or n rounded up to a multiple of four where it
+    """Slots for an extent n of a sum of parts with x and y slots: the
+    wider of those, or n rounded up to a multiple of four where it
     outgrows both.  Every part of one recursion query has the query's
-    layout, so only arithmetic outside one grows: products, references,
-    and sums of parts from different queries."""
+    layout, so only arithmetic outside one grows: references, and sums of
+    parts from different queries."""
     wide = max(x, y)
     return wide if n <= wide else (n + 3) & ~3
-
-
-def _bits_for(maxabs: int) -> int:
-    bits = _MIN_BITS
-    while maxabs > 1 << (bits - 3):
-        bits <<= 1
-    return bits
 
 
 def _room_for(maxabs: int, bits: int) -> int:
@@ -192,10 +186,9 @@ def _recut(raw, width: int, bits: int, cells: int):
 
 
 def _int(raw, width: int, bits: int, cells: int) -> int:
-    """The packed int whose digits of width `bits` are raw's `cells`
-    two's-complement digits of width `width`: sign-extended when bits >
-    width, cut to their low bits (which must hold them) when bits < width."""
-    top = _pattern(bits, 1 << (min(width, bits) - 1), cells)
+    """The packed int whose digits of width `bits` >= `width` are raw's
+    `cells` two's-complement digits of width `width`, sign-extended."""
+    top = _pattern(bits, 1 << (width - 1), cells)
     return (int.from_bytes(_recut(raw, width, bits, cells), "little") ^ top) - top
 
 
@@ -236,10 +229,6 @@ class _Part:
                      self.q0 + dq, self.a0 + da, self.t0 + dt, self.qe, self.ae, self.te,
                      self.room)
 
-    def maxabs(self) -> int:
-        cells = _cells(self.n, self.bits, self.qe * self.ps)
-        return max(max(cells), -min(cells))
-
 
 def _relayout(raw, step: int, p: _Part, ts: int, ps: int):
     """raw, p's cells at `step` bytes a digit, moved from p's layout to
@@ -255,8 +244,7 @@ def _relayout(raw, step: int, p: _Part, ts: int, ps: int):
 
 
 def _relaid(p: _Part, bits: int, ts: int, ps: int) -> int:
-    """p's value in the layout (bits, ts, ps), same origin; its digits must
-    fit when bits < p.bits."""
+    """p's value in the layout (bits, ts, ps), same origin, bits >= p.bits."""
     if (p.bits, p.ts, p.ps) == (bits, ts, ps):
         return p.n
     raw = _relayout(_bytes(p.n, p.bits, p.qe * p.ps), p.bits // 8, p, ts, ps)
@@ -329,19 +317,6 @@ def _add_parts(x: _Part, y: _Part, sign: int, dq=0, da=0, dt=0) -> Optional[_Par
     ny = ny << bits * sy if sy else ny
     return _make(nx + ny if sign > 0 else nx - ny, bits, ts, ps, q0, a0, t0, qe, ae, te, room,
                  xq == yq)
-
-
-def _mul_parts(x: _Part, y: _Part, dq: int, dt: int) -> Optional[_Part]:
-    """Kronecker product of two parts; (dq, dt) is the coset carry."""
-    qe, ae, te = x.qe + y.qe - 1, x.ae + y.ae - 1, x.te + y.te - 1
-    ts = _slots(x.ts, y.ts, te)
-    ps = ts * _slots(x.ps // x.ts, y.ps // y.ts, ae)
-    # a product digit sums at most min(#cells) products of two digits
-    bound = x.maxabs() * y.maxabs() * min(x.qe * x.ae * x.te, y.qe * y.ae * y.te)
-    bits = _bits_for(bound)
-    n = _relaid(x, bits, ts, ps) * _relaid(y, bits, ts, ps)
-    return _make(n, bits, ts, ps, x.q0 + y.q0 + dq, x.a0 + y.a0, x.t0 + y.t0 + dt,
-                 qe, ae, te, _room_for(bound, bits))
 
 
 def _with_headroom(p: _Part, spare: int) -> _Part:
@@ -464,7 +439,9 @@ def _pack(coset, rows, slots: Optional[Tuple[int, int]] = None) -> _Part:
     low = min(keys) // ps
     qe = max(keys) // ps - low + 1
     maxabs = max(max(coeffs), -min(coeffs))
-    bits = _bits_for(maxabs)
+    bits = _MIN_BITS
+    while maxabs > 1 << (bits - 3):
+        bits <<= 1
     step, base = bits // 8, low * ps
     raw = bytearray(qe * ps * step)
     for key, c in zip(keys, coeffs):
@@ -556,14 +533,16 @@ class LaurentPoly:
         return LaurentPoly()._plus(self, -1)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = LaurentPoly()
-        for (rq1, rt1), x in self._parts.items():
-            for (rq2, rt2), y in other._parts.items():
-                cq, ct = rq1 & rq2, rt1 & rt2  # a carry into the local coordinates
-                p = _mul_parts(x, y, cq + ct, ct)
-                if p is not None:
-                    out = out + LaurentPoly._of({(rq1 ^ rq2, rt1 ^ rt2): p})
-        return out
+        """Schoolbook product over the terms.  The recursion never multiplies
+        two numerators; only reference values, tests and the benchmark's
+        tracer still use `*`."""
+        acc: Dict[Monomial, int] = {}
+        right = other.terms.items()
+        for (q1, a1, t1), c1 in self.terms.items():
+            for (q2, a2, t2), c2 in right:
+                key = (q1 + q2, a1 + a2, t1 + t2)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return LaurentPoly(acc)
 
     def scale(self, m: Monomial) -> "LaurentPoly":
         """Multiply by Q^a A^b T^c: moves each part's origin."""
@@ -808,6 +787,15 @@ class GradedSeries:
 
     def scale(self, m: Monomial) -> "GradedSeries":
         return GradedSeries(self.num.scale(m), self.den, canonical=True)
+
+    def times_t_plus_a(self, l: int) -> "GradedSeries":
+        """(t^l + a) self, one sum t^l num + a num over the same denominator.
+        It stays canonical: t^l + a = T^{2l} Q^{-2l} + A Q^{-2} has a unit
+        A-coefficient, so neither prime 1 - m_i, 1 + m_i of P_i (see above),
+        free of A, divides it; P_i then divides (t^l + a) num only if it
+        divides num."""
+        num = self.num._plus(self.num, 1, qat_monomial(0, 1, 0), qat_monomial(0, 0, l))
+        return GradedSeries(num, self.den, canonical=True)
 
     def with_extra_denominator(self, factors: Mapping[int, int]) -> "GradedSeries":
         extra = DenomVector.from_dict(dict(factors))

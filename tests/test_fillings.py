@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import torhom.fillings as fillings
+import torhom.recursion as recursion
 from torhom.fillings import (
     AdmissibilityError,
     FillArgError,
@@ -23,7 +24,8 @@ from torhom.fillings import (
     verify_lemma53,
     w_of_sigma,
 )
-from torhom.recursion import eval_p
+from torhom.links import TorusLinkSpec, torus_link_homology
+from torhom.recursion import MemoTable, RuleTag, eval_p
 from torhom.ring import GradedSeries, LaurentPoly
 from torhom.sequences import inversions, pair_validate
 
@@ -195,3 +197,23 @@ class TestIdentities:
         assert l1.passed
         # f((0)) over the empty sequence is (t^0 + a) * 1 = 1 + a
         assert l1.lhs == GradedSeries.from_poly(ONE_PLUS_A)
+
+    def test_a_rule2_fault_fails_the_t_plus_a_identities(self, monkeypatch):
+        # L1 and K1a multiply by t^l + a through rule 2's own helper; a rule 2
+        # that multiplies by t^{l+1} + a must still fail exactly those checks
+        rule2 = recursion.RULES[RuleTag.Rule2_bothEndOne]
+        wrong = rule2._replace(combine=lambda pair, values, _: values[0].times_t_plus_a(pair.l))
+        monkeypatch.setitem(recursion.RULES, RuleTag.Rule2_bothEndOne, wrong)
+        failed = [c.name for c in verify_lemma53(2, (0, 1)) if not c.passed]
+        assert failed == ["L1", "K1a[k=1]", "K1a[k=0]"]
+
+    def test_no_product_of_two_series_is_formed(self, monkeypatch):
+        want = torus_link_homology(TorusLinkSpec(6, 6), MemoTable())
+
+        def refuse(*args):
+            raise AssertionError("a product of two numerators")
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+        monkeypatch.setattr(GradedSeries, "__mul__", refuse)
+        assert all(c.passed for c in verify_lemma53(3, (0, 1, 3)))
+        assert torus_link_homology(TorusLinkSpec(6, 6), MemoTable()) == want

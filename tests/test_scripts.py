@@ -72,8 +72,13 @@ def test_benchmark_json_command_line_workload(tmp_path):
     result = record["results"]["J(2,3)"]
     # the warm child's whole call, and the JSON line it printed
     assert result["wall_s"] > 0 and len(result["wall_s_runs"]) == record["repeat"]
-    assert result["output_bytes"] > 0 and result["cache_bytes"] > 0
+    assert result["cache_bytes"] > 0
     assert "entries" not in result and "save_s" not in result
+    # the bytes before the timing block, whose digits vary from run to run
+    line = subprocess.run(
+        [sys.executable, "-m", "torhom.cli", "torus", "2", "3", "--format", "json"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC)).stdout
+    assert result["output_bytes"] == len(line.split(',"timing":')[0].encode())
     assert os.listdir(tmp_path) == ["bench.json"]  # the cache files are gone
 
 
