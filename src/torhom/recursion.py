@@ -343,8 +343,9 @@ def _plan(pair: SeqPair, memo: MemoTable) -> Tuple[List[Step], Dict[str, int], i
     planned; and the deepest stack.  The walk does not descend into a
     stored pair, and a stored pair gets no count, so eviction never drops
     it; a stored pair still held as its cache line is decoded in place.
-    A pair pushed by two parents before its first visit is popped twice,
-    and the second pop is a hit.
+    No pair is pushed twice: only rule 5 has two children, its second
+    (0v, 0w) ranks above its first (1v, 1w) under `pair_rank` (two ones
+    fewer), and every pair planned below the first ranks lower still.
     """
     steps: Dict[str, Step] = {}
     parents: Dict[str, int] = {}
@@ -359,9 +360,8 @@ def _plan(pair: SeqPair, memo: MemoTable) -> Tuple[List[Step], Dict[str, int], i
         if combine is not None:  # second visit: every child is planned
             steps[key] = entry
             continue
-        if key in steps:
-            hits += 1  # a pair pushed twice
-            continue
+        if ring.DEBUG_DESCENT:
+            assert key not in steps, ("pushed twice", current)
         children_of, combine = RULES[classify_rule(current)]
         children = children_of(current)
         keys = tuple([child.key() for child in children])

@@ -11,15 +11,15 @@ factors (1 - q t^{1-i}), i.e. (1 - Q^{2i} T^{2-2i}), indexed by i >= 1.
 
 Packed numerators (Kronecker substitution)
 ------------------------------------------
-A LaurentPoly stores one packed part per coset of the (q,a,t) sublattice.
+A LaurentPoly is one packed part on one coset of the (q,a,t) sublattice.
 The coset of (Q, A, T) is (Q mod 2, T mod 2); inside the coset (rq, rt) the
 point has local coordinates
 
     q = (Q - rq)/2 + A + (T - rt)/2,   a = A,   t = (T - rt)/2,
 
 so the sublattice itself is the coset (0, 0) with its usual (q,a,t)
-exponents.  Scaling by a monomial maps each coset onto one coset, so no
-operation splits a part.
+exponents.  A monomial maps a coset onto one coset, so every value the
+program makes lies on one coset (see LaurentPoly).
 
 Layout.  A part is a box of cells in local coordinates: an origin
 (q0, a0, t0), extents (qe, ae, te), and a layout (B, ts, ps).  The cell of
@@ -51,7 +51,7 @@ twice the width.  Division first makes room for its running sums.  B is
 
 Operations.  The recursion only adds, scales and divides; it never
 multiplies two numerators.  Scaling only moves the origin, so a sum
-M1 f + M2 g is one addition per part.  Addition aligns two parts of a
+M1 f + M2 g is one addition of two parts.  Addition aligns two parts of a
 coset: the result box is the union of theirs, in the wider of their
 layouts (grown when the union does not fit); a part whose layout differs
 is relaid through the codec; two parts of one layout that holds their
@@ -68,7 +68,7 @@ cells onto each other reads every line sum.  Only when they all vanish
 is the quotient built, by running sums with log-doubling shifts, and
 relaid to the part's own layout.
 
-Cache text.  ``encode_numerator`` writes each part as its coset, origin,
+Cache text.  ``encode_numerator`` writes the part as its coset, origin,
 extents, a digit width and the box's cells in hex: the codec's bytes cut
 to the narrowest width in 8, 16, 32, ... that holds every digit and relaid
 to the box's own layout (ts = te, ps = te * ae), so the text does not
@@ -99,7 +99,7 @@ DEBUG_DESCENT = bool(os.environ.get("TLH_DEBUG_DESCENT"))
 
 
 class LatticeError(ValueError):
-    """A term does not lie on the (q,a,t) sublattice."""
+    """A term off the (q,a,t) sublattice, or terms or summands on two cosets."""
 
 
 def qat_monomial(i: int, j: int, k: int) -> Monomial:
@@ -459,26 +459,35 @@ def _image(coset: Tuple[int, int], m: Monomial) -> Tuple[Tuple[int, int], int, i
 
 
 class LaurentPoly:
-    """Integer Laurent polynomial in Q, A, T, packed one part per coset.
+    """Integer Laurent polynomial in Q, A, T: one packed part on one coset.
+
+    One coset suffices: the recursion's base cases (1 + a)^n lie on the
+    sublattice, which its sums, its products by sublattice monomials, by
+    t^l + a and by 1 - q t^{1-i}, and its divisions by the last all keep.
+    The writhe normalization scales a finished value by one monomial,
+    which maps a coset onto one coset.  So a value holds one coset and its
+    part, or (None, None) for zero; terms on several cosets, and a sum
+    across two, raise LatticeError.
 
     Instances are immutable; all operations return new values.  `terms`
     is a read-only {(Q, A, T): coeff} view without zero coefficients,
     decoded on each access.
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ("_coset", "_part")
 
     def __init__(self, terms: Optional[Mapping[Monomial, int]] = None):
-        self._parts: Dict[Tuple[int, int], _Part] = {}
-        if terms:
-            rows = [(q, a, t, c) for (q, a, t), c in terms.items() if c]
-            if rows:
-                self._parts = _parts_of_rows(rows)
+        self._coset: Optional[Tuple[int, int]] = None
+        self._part: Optional[_Part] = None
+        rows = [(q, a, t, c) for (q, a, t), c in terms.items() if c] if terms else None
+        if rows:
+            self._coset = _coset_of(rows)
+            self._part = _pack(self._coset, rows)
 
     @classmethod
-    def _of(cls, parts: Dict[Tuple[int, int], _Part]) -> "LaurentPoly":
+    def _of(cls, coset: Tuple[int, int], part: Optional[_Part]) -> "LaurentPoly":
         res = cls.__new__(cls)
-        res._parts = parts
+        res._coset, res._part = (None, None) if part is None else (coset, part)
         return res
 
     # -- constructors ---------------------------------------------------
@@ -497,31 +506,26 @@ class LaurentPoly:
         """Build from a map {(i, j, k): coeff} of q^i a^j t^k terms, packed
         with at least `slots` = (t-slots, a-slots) when given."""
         rows = [(*qat_monomial(i, j, k), c) for (i, j, k), c in qat_terms.items() if c]
-        return cls._of(_parts_of_rows(rows, slots) if rows else {})
+        return cls._of((0, 0), _pack((0, 0), rows, slots) if rows else None)
 
     # -- arithmetic -----------------------------------------------------
 
     def _plus(self, other: "LaurentPoly", sign: int, m: Monomial = MONO_ONE,
               base: Monomial = MONO_ONE) -> "LaurentPoly":
-        """base self + sign * m other: a monomial Q^a A^b T^c maps each coset
-        onto one, so each part of other meets at most one of self."""
-        if base == MONO_ONE:
-            parts = dict(self._parts)
-        else:
-            parts = {}
-            for coset, x in self._parts.items():
-                coset, dq, da, dt = _image(coset, base)
-                parts[coset] = x.moved(dq, da, dt)
-        for coset, y in other._parts.items():
-            coset, dq, da, dt = _image(coset, m)
-            x = parts.get(coset)
-            if x is None:
-                parts[coset] = y.moved(dq, da, dt, y.n if sign > 0 else -y.n)
-            elif (s := _add_parts(x, y, sign, dq, da, dt)) is None:
-                del parts[coset]
-            else:
-                parts[coset] = s
-        return LaurentPoly._of(parts)
+        """base self + sign * m other: a monomial Q^a A^b T^c maps a coset
+        onto one, and the two summands must land on the same one."""
+        coset, x, y = self._coset, self._part, other._part
+        if x is not None and base != MONO_ONE:
+            coset, dq, da, dt = _image(coset, base)
+            x = x.moved(dq, da, dt)
+        if y is None:
+            return LaurentPoly._of(coset, x)
+        ycoset, dq, da, dt = _image(other._coset, m)
+        if x is None:
+            return LaurentPoly._of(ycoset, y.moved(dq, da, dt, y.n if sign > 0 else -y.n))
+        if ycoset != coset:
+            raise LatticeError(f"a sum across the cosets {coset} and {ycoset}")
+        return LaurentPoly._of(coset, _add_parts(x, y, sign, dq, da, dt))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self._plus(other, 1)
@@ -545,87 +549,77 @@ class LaurentPoly:
         return LaurentPoly(acc)
 
     def scale(self, m: Monomial) -> "LaurentPoly":
-        """Multiply by Q^a A^b T^c: moves each part's origin."""
+        """Multiply by Q^a A^b T^c: moves the part's origin."""
         return LaurentPoly()._plus(self, 1, m)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly):
+        if not isinstance(other, LaurentPoly) or self._coset != other._coset:
             return False
-        if self._parts.keys() != other._parts.keys():
-            return False
-        for coset, x in self._parts.items():
-            y = other._parts[coset]
-            if (x.bits, x.ts, x.ps, x.q0, x.a0, x.t0) == (y.bits, y.ts, y.ps, y.q0, y.a0, y.t0):
-                if x.n != y.n:
-                    return False
-            elif _add_parts(x, y, -1) is not None:
-                return False
-        return True
+        x, y = self._part, other._part
+        if x is None:  # both zero
+            return True
+        if (x.bits, x.ts, x.ps, x.q0, x.a0, x.t0) == (y.bits, y.ts, y.ps, y.q0, y.a0, y.t0):
+            return x.n == y.n
+        return _add_parts(x, y, -1) is None
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
-        return bool(self._parts)
+        return self._part is not None
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.sorted_terms())!r})"
 
     @property
     def terms(self) -> Mapping[Monomial, int]:
-        return MappingProxyType({(q, a, t): c for coset, p in self._parts.items()
-                                 for q, a, t, c in _part_rows(coset, p)})
+        rows = () if self._part is None else _part_rows(self._coset, self._part)
+        return MappingProxyType({(q, a, t): c for q, a, t, c in rows})
 
     def rows(self):
         """Sorted (Q, A, T, coeff) tuples of the nonzero terms."""
-        out = []
-        for coset, p in self._parts.items():
-            out.extend(_part_rows(coset, p))
+        out = [] if self._part is None else _part_rows(self._coset, self._part)
         out.sort()
         return out
 
     def is_zero(self) -> bool:
-        return not self._parts
+        return self._part is None
 
     def within(self, te: int, ae: int) -> bool:
-        """True iff every part's box spans at most te t-cells and ae a-cells."""
-        return all(p.te <= te and p.ae <= ae for p in self._parts.values())
+        """True iff the part's box spans at most te t-cells and ae a-cells."""
+        p = self._part
+        return p is None or (p.te <= te and p.ae <= ae)
 
     def sorted_terms(self):
         return [((q, a, t), c) for q, a, t, c in self.rows()]
 
     def has_even_t(self) -> bool:
-        return all(rt == 0 for _, rt in self._parts)
+        return self._coset is None or self._coset[1] == 0
 
     def on_sublattice(self) -> bool:
-        """True iff every term is a (q,a,t)-monomial, read off the cosets."""
-        return set(self._parts) <= {(0, 0)}
+        """True iff every term is a (q,a,t)-monomial, read off the coset."""
+        return self._coset in (None, (0, 0))
 
     def truncated(self, limit: int) -> "LaurentPoly":
         """The terms with Q + 2A + T <= limit, i.e. q-degree <= limit / 2."""
-        parts = {}
-        for (rq, rt), p in self._parts.items():
-            # Q + 2A + T = 2 q + rq + rt in local coordinates
-            keep = ((limit - rq - rt) >> 1) - p.q0 + 1
-            if keep >= p.qe:
-                parts[(rq, rt)] = p
-            elif keep > 0:
-                n = _balanced_low(p.n, keep * p.ps * p.bits)
-                part = _make(n, p.bits, p.ts, p.ps, p.q0, p.a0, p.t0, keep, p.ae, p.te,
-                             p.room)
-                if part is not None:
-                    parts[(rq, rt)] = part
-        return LaurentPoly._of(parts)
+        p = self._part
+        if p is None:
+            return self
+        # Q + 2A + T = 2 q + rq + rt in local coordinates
+        keep = ((limit - sum(self._coset)) >> 1) - p.q0 + 1
+        if keep >= p.qe:
+            return self
+        n = _balanced_low(p.n, keep * p.ps * p.bits) if keep > 0 else 0
+        return LaurentPoly._of(self._coset, _make(n, p.bits, p.ts, p.ps, p.q0, p.a0, p.t0,
+                                                  keep, p.ae, p.te, p.room))
 
 
-def _parts_of_rows(rows, slots: Optional[Tuple[int, int]] = None
-                   ) -> Dict[Tuple[int, int], _Part]:
-    groups: Dict[Tuple[int, int], list] = {(0, 0): rows}
-    if any([(q | t) & 1 for q, _, t, _ in rows]):  # terms off the sublattice
-        groups = {}
-        for row in rows:
-            groups.setdefault((row[0] & 1, row[2] & 1), []).append(row)
-    return {coset: _pack(coset, group, slots) for coset, group in groups.items()}
+def _coset_of(rows) -> Tuple[int, int]:
+    """The one coset of the (Q, A, T, coeff) rows; LatticeError if several."""
+    cosets = {(q & 1, t & 1) for q, _, t, _ in rows}
+    if len(cosets) > 1:
+        raise LatticeError(f"terms on the cosets {sorted(cosets)}: a numerator lies on one")
+    return cosets.pop()
 
 
 def denom_monomial(i: int) -> Monomial:
@@ -638,17 +632,14 @@ def divide_one_minus(f: LaurentPoly, i: int) -> Optional[LaurentPoly]:
 
     Along each line c + Z*M, M = q t^{1-i}, write f = sum_k f_k M^k; then
     f = (1 - M) g iff sum_k f_k = 0, with g_k = sum_{j <= k} f_j.  M moves
-    every coset onto itself, by one q-plane and i - 1 t-cells back.
+    the coset onto itself, by one q-plane and i - 1 t-cells back.
     """
     if i < 1:
         raise ValueError(f"no denominator factor i = {i}")
-    parts = {}
-    for coset, p in f._parts.items():
-        quo = _divided(p, i - 1)
-        if quo is None:
-            return None
-        parts[coset] = quo
-    return LaurentPoly._of(parts)
+    if f._part is None:
+        return f
+    quo = _divided(f._part, i - 1)
+    return None if quo is None else LaurentPoly._of(f._coset, quo)
 
 
 class DenomVector(Record):
@@ -727,9 +718,8 @@ class GradedSeries:
     in A), so equality compares forms; a monomial M is a unit, so M B / D_B
     is canonical too, as `equal_up_to_monomial` uses.  `with_extra_denominator`
     leaves the numerator as it is, so it tries only the factors that are
-    new to the series.  Products get no shortcut: off the sublattice two
-    canonical numerators can share the primes of P_i between them, as in
-    (1 - Q)/(1 - q) * (1 + Q)/(1 - q) = 1/(1 - q).
+    new to the series.  Products get no shortcut: one factor's numerator
+    can cancel the other's denominator, as in (1 - q)/1 * 1/(1 - q) = 1.
     """
 
     __slots__ = ("num", "den")
@@ -942,19 +932,14 @@ def _decode_part(item: str) -> Tuple[Tuple[int, int], _Part]:
 
 
 def encode_numerator(f: LaurentPoly) -> str:
-    """f's parts as cache text: `;`-joined, in coset order."""
-    return ";".join([_encode_part(coset, f._parts[coset]) for coset in sorted(f._parts)])
+    """f's part as cache text, or the empty text for zero."""
+    return "" if f._part is None else _encode_part(f._coset, f._part)
 
 
 def decode_numerator(text: str) -> LaurentPoly:
-    """Inverse of encode_numerator; raises ValueError on malformed text."""
-    parts: Dict[Tuple[int, int], _Part] = {}
-    for item in text.split(";") if text else ():
-        coset, part = _decode_part(item)
-        if coset in parts:
-            raise ValueError(f"duplicate coset {coset}")
-        parts[coset] = part
-    return LaurentPoly._of(parts)
+    """Inverse of encode_numerator; raises ValueError on malformed text,
+    two `;`-joined parts included: a numerator lies on one coset."""
+    return LaurentPoly._of(*_decode_part(text)) if text else LaurentPoly()
 
 
 # -- rendering ----------------------------------------------------------

@@ -375,7 +375,7 @@ class TestCache:
                         "\t0,0,0,0,0,0,1,1,8,",                       # non-positive extent
                         "\t2,0,0,0,0,1,1,1,8,01",                     # bad coset
                         "\t0,0,0,0,0,2,1,1,8,0100",                   # empty top q-plane
-                        "\t0,0,0,0,0,1,1,1,8,01;0,0,0,0,0,1,1,1,8,01",  # duplicate coset
+                        "\t0,0,0,0,0,1,1,1,8,01;0,0,0,0,0,1,1,1,8,01",  # two parts
                         "\t0,0,0,00,0,1,1,1,8,01",                    # leading zero
                         "0:1\t0,0,0,0,0,1,1,1,8,01",                  # denominator index 0
                         "1:1,1:1\t0,0,0,0,0,1,1,1,8,01",              # repeated factor
@@ -386,6 +386,15 @@ class TestCache:
             code, out, err = run(capsys, ["pair", "0", "0", "--cache", str(path)])
             assert (code, out) == (2, "")
             assert err.startswith("error: damaged cache entry '|'") and err.count("\n") == 1
+
+    def test_cache_entry_with_two_parts_exits_two(self, capsys, tmp_path):
+        # parts on two cosets under a valid checksum: a numerator lies on one
+        path = tmp_path / "memo.tsv"
+        payload = "\t0,0,0,0,0,1,1,1,8,01;0,1,0,0,0,1,1,1,8,01"
+        path.write_text(MemoTable._version_line() + "\n" + cache_line("|\t" + payload))
+        code, out, err = run(capsys, ["pair", "0", "0", "--cache", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: damaged cache entry '|'\n"
 
     @pytest.mark.parametrize("damage", [
         ("8,01\n", "8,02\n"),       # a digit

@@ -37,6 +37,12 @@ ENVELOPES = {
         "human": "c00797d5c9663bb68468fc22c555e3619153e79ed64e5ec40b392e32e0ac2b40",
         "latex": "808ecfb416dbe17a1d88c27ddc93ffbfc98eb3a0465c8d740d45f4ed01435120",
     },
+    # its numerator lies on the coset (0, 1): the expansion truncates an odd coset
+    "torus 2 3 --normalized --expand 2": {
+        "json": "83aa35acea77760372266246e49117aaef49c3c6fea205436525cefb44953e8e",
+        "human": "115d427e7c5aadfe20b42013dd71659bf4a15be2f36daecff67b84efe7e6b609",
+        "latex": "37948f04e72bc8ffccabb86393a9f146aabb933c3a6664966f1db82d5092d1f7",
+    },
     "torus 3 4 --expand 2": {
         "json": "d7499467d642630e56a3ad4b2eb2801add4a9f542c8423d8cee5b8ee14fd667d",
         "human": "b32e480801a016701e1f65413b135c5962aae12b3efc9d059402ed415e889907",

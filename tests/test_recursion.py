@@ -131,6 +131,27 @@ class TestDeterminism:
         with pytest.raises(AssertionError):
             eval_p(pair_validate("10", "01"), MemoTable(evict=evict))
 
+    def test_no_pair_is_pushed_twice(self, monkeypatch):
+        # debug mode asserts it at each first visit: every pair of length
+        # <= 8 on one keeping table, and T(n,n) on evicting tables
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
+        memo = MemoTable()
+        for pair in checks._valid_pairs(8):
+            eval_p(pair, memo)
+        assert len(memo) == 48619
+        for n in range(9):
+            eval_p(torus(n, n), MemoTable(evict=True))
+
+    def test_debug_mode_trips_on_a_pair_pushed_twice(self, monkeypatch):
+        # rule 5 made to list its first child twice: both copies are pushed
+        # before either is visited
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
+        rule = recursion.RULES[RuleTag.Rule5_bothEndZero]
+        monkeypatch.setitem(recursion.RULES, RuleTag.Rule5_bothEndZero,
+                            rule._replace(children=lambda p: rule.children(p)[:1] * 2))
+        with pytest.raises(AssertionError, match="pushed twice"):
+            recursion._plan(torus(2, 2), MemoTable())
+
     def test_long_pair_no_recursion_limit(self):
         # explicit work stack: depth 400 must evaluate even with the
         # interpreter limit squeezed near the current frame depth
@@ -154,7 +175,7 @@ def payload_bytes(series):
 
 
 def stored_parts(memo):
-    return [p for s in memo.values() for p in s.num._parts.values()]
+    return [s.num._part for s in memo.values() if not s.is_zero()]
 
 
 class TestQueryLayout:

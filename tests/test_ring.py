@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import torhom.ring as ring
 from torhom.links import TorusLinkSpec, normalized_homology, torus_link_homology
 from torhom.ring import (
+    MONO_ONE,
     DenomVector,
     GradedSeries,
     LatticeError,
@@ -33,18 +34,29 @@ ONE_PLUS_A = qat({(0, 0, 0): 1, (0, 1, 0): 1})
 T_PLUS_A = qat({(0, 0, 1): 1, (0, 1, 0): 1})
 
 
-# small random Laurent polynomials on the full (Q, A, T) lattice
-monomials = st.tuples(st.integers(-6, 6), st.integers(-3, 3), st.integers(-6, 6))
+COSETS = ((0, 0), (0, 1), (1, 0), (1, 1))  # (Q mod 2, T mod 2)
 coeffs = st.integers(-9, 9).filter(bool)
-polys = st.dictionaries(monomials, coeffs, max_size=6).map(LaurentPoly)
 
-# small polynomials with terms in each of the four cosets (Q mod 2, T mod 2)
-COSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
-small = st.integers(-2, 2)
-coset_terms = st.dictionaries(st.tuples(small, small, small), coeffs, min_size=1, max_size=3)
-coset_polys = st.tuples(*[coset_terms] * len(COSETS)).map(lambda groups: LaurentPoly(
-    {(2 * q + rq, a, 2 * t + rt): c
-     for (rq, rt), terms in zip(COSETS, groups) for (q, a, t), c in terms.items()}))
+
+def on_one_coset(count, values=coeffs, span=3, min_size=0, max_size=6):
+    """`count` term maps {(Q, A, T): coeff} with every term on one coset of
+    the (q,a,t) sublattice, drawn from all four: a numerator lies on one
+    coset, so sums of the maps' values are defined."""
+    def on(coset):
+        rq, rt = coset
+        local = st.dictionaries(st.tuples(*[st.integers(-span, span)] * 3), values,
+                                min_size=min_size, max_size=max_size)
+        return st.tuples(*[local.map(lambda terms: {(2 * q + rq, a, 2 * t + rt): c
+                                                    for (q, a, t), c in terms.items()})] * count)
+    return st.sampled_from(COSETS).flatmap(on)
+
+
+def polys_on_one_coset(count, **sizes):
+    return on_one_coset(count, **sizes).map(lambda maps: tuple(map(LaurentPoly, maps)))
+
+
+# small random Laurent polynomials, one coset each
+polys = polys_on_one_coset(1).map(lambda fs: fs[0])
 dens = st.dictionaries(st.sampled_from([1, 2, 3]), st.integers(1, 2), max_size=3).map(
     DenomVector.from_dict)
 factor_lists = st.lists(st.sampled_from([1, 2, 3]), max_size=2)
@@ -91,6 +103,36 @@ class TestLattice:
             monomial_to_qat((0, 0, 3))
 
 
+class TestOneCoset:
+    """A numerator lies on one coset (Q mod 2, T mod 2) of the sublattice."""
+
+    Q = LaurentPoly({(1, 0, 0): 1})
+
+    @pytest.mark.parametrize("terms", [
+        {(0, 0, 0): 1, (1, 0, 0): 1}, {(0, 0, 0): 1, (0, 0, 1): 1}, {(1, 0, 0): 2, (1, 0, 1): -1},
+        {(0, 0, 0): 1, (1, 0, 0): 1, (0, 0, 1): 1, (1, 0, 1): 1}])
+    def test_terms_on_several_cosets_raise(self, terms):
+        with pytest.raises(LatticeError, match="one"):
+            LaurentPoly(terms)
+
+    def test_a_sum_across_cosets_raises(self):
+        one, Q = LaurentPoly.one(), self.Q
+        for total in (lambda: one + Q, lambda: Q - one, lambda: one._plus(one, 1, (0, 0, 1)),
+                      lambda: Q._plus(Q, -1, MONO_ONE, (1, 0, 0)),
+                      lambda: GradedSeries.one() + GradedSeries.from_poly(Q)):
+            with pytest.raises(LatticeError, match="across the cosets"):
+                total()
+
+    def test_zero_sums_with_any_coset(self):
+        one, Q, zero = LaurentPoly.one(), self.Q, LaurentPoly.zero()
+        assert zero + Q == Q + zero == Q and zero - Q == -Q
+        assert (Q - Q) + one == one and one != Q and not (Q - Q)
+        # one coset's monomials map it onto one: sums and products stay defined
+        assert (Q + Q.scale((2, 0, 0))).scale((0, 1, 1)) == LaurentPoly({(1, 1, 1): 1,
+                                                                           (3, 1, 1): 1})
+        assert Q * LaurentPoly({(0, 0, 1): 1}) == LaurentPoly({(1, 0, 1): 1})
+
+
 class TestPolyArith:
     def test_additive_inverse(self):
         f = qat({(2, 1, -1): 3, (0, 0, 0): -2})
@@ -126,15 +168,15 @@ class TestPolyArith:
     def test_minimum_slots(self):
         terms = {(0, 0, 0): 1, (0, 1, 0): 2, (1, 0, 2): -1}
         f = LaurentPoly.from_qat(terms, (5, 4))
-        (part,) = f._parts.values()
+        part = f._part
         assert (part.ts, part.ps, part.te, part.ae) == (5, 20, 3, 2)
         assert f == qat(terms)
         assert f.terms == qat(terms).terms
         # slots below the extents leave the exact extents
-        (part,) = LaurentPoly.from_qat(terms, (1, 1))._parts.values()
+        part = LaurentPoly.from_qat(terms, (1, 1))._part
         assert (part.ts, part.ps) == (3, 6)
         # sums in one layout keep it
-        (part,) = (f + f.scale(qat_monomial(0, 1, 1)))._parts.values()
+        part = (f + f.scale(qat_monomial(0, 1, 1)))._part
         assert (part.ts, part.ps) == (5, 20)
 
     def test_within(self):
@@ -145,8 +187,9 @@ class TestPolyArith:
         assert LaurentPoly.zero().within(0, 0)
 
     @settings(max_examples=60, deadline=None)
-    @given(polys, polys, polys)
-    def test_ring_axioms(self, f, g, h):
+    @given(polys_on_one_coset(3))
+    def test_ring_axioms(self, fgh):
+        f, g, h = fgh
         assert (f + g) + h == f + (g + h)
         assert f + g == g + f
         assert (f * g) * h == f * (g * h)
@@ -217,11 +260,12 @@ class TestSeries:
         assert GradedSeries(s.num, s.den) == s
 
     @settings(max_examples=150, deadline=None)
-    @given(coset_polys, coset_polys, coset_polys, factor_lists, dens,
+    @given(polys_on_one_coset(3, span=2, min_size=1), factor_lists, dens,
            st.one_of(st.none(), dens))
-    def test_sum_matches_full_canonicalization(self, x, h1, h2, factors, d1, d2):
+    def test_sum_matches_full_canonicalization(self, xh, factors, d1, d2):
         # f + g = common * (h1 + h2) / d: the factors common and d share cancel
         # when both summands carry them equally (d2 None: the same denominator)
+        x, h1, h2 = xh
         common = product_of(factors)
         f = GradedSeries(x + common * h1, d1)
         g = GradedSeries(common * h2 - x, d1 if d2 is None else d2)
@@ -233,8 +277,9 @@ class TestSeries:
         assert (got.num, got.den) == (want.num, want.den)
 
     @settings(max_examples=100, deadline=None)
-    @given(coset_polys, factor_lists, dens, dens)
-    def test_extra_denominator_matches_full_canonicalization(self, h, factors, den, extra):
+    @given(polys_on_one_coset(1, span=2, min_size=1), factor_lists, dens, dens)
+    def test_extra_denominator_matches_full_canonicalization(self, hs, factors, den, extra):
+        (h,) = hs
         f = GradedSeries(product_of(factors) * h, den)
         got = f.with_extra_denominator(extra.as_dict())
         want = GradedSeries(f.num, f.den.merged_sum(extra))
@@ -260,14 +305,11 @@ class TestSeries:
         assert got == GradedSeries(ONE_PLUS_A, DenomVector.from_dict({1: 1, 3: 1}))
 
     def test_product_of_canonical_series_can_cancel(self):
-        # off the sublattice (1 - Q)(1 + Q) = 1 - q: each factor is
-        # canonical over (1 - q), but their product is not
-        one_minus_Q = LaurentPoly({(0, 0, 0): 1, (1, 0, 0): -1})
-        one_plus_Q = LaurentPoly({(0, 0, 0): 1, (1, 0, 0): 1})
-        x = GradedSeries(one_minus_Q, DenomVector.from_dict({1: 1}))
-        y = GradedSeries(one_plus_Q, DenomVector.from_dict({1: 1}))
-        assert x.den.as_dict() == y.den.as_dict() == {1: 1}
-        assert x * y == GradedSeries(LaurentPoly.one(), DenomVector.from_dict({1: 1}))
+        # (1 - q)/1 and 1/(1 - q) are each canonical, but their product is not
+        x = GradedSeries.from_poly(P(1))
+        y = GradedSeries(LaurentPoly.one(), DenomVector.from_dict({1: 1}))
+        assert x.den.is_empty() and y.den.as_dict() == {1: 1}
+        assert x * y == GradedSeries.one()
 
     def test_value_equality_across_representations(self):
         a = GradedSeries(ONE_PLUS_A, DenomVector.from_dict({1: 1}))
@@ -316,6 +358,15 @@ class TestSeries:
 
 
 class TestCacheText:
+    def test_two_parts_are_refused(self):
+        a, b = encode_numerator(LaurentPoly.one()), encode_numerator(LaurentPoly({(1, 0, 0): 1}))
+        assert decode_numerator(a) == LaurentPoly.one() and decode_numerator(b).terms == {
+            (1, 0, 0): 1}
+        assert encode_numerator(LaurentPoly.zero()) == "" and decode_numerator("").is_zero()
+        for text in (f"{a};{b}", f"{b};{a}", f"{a};{a}", f"{a};", f";{a}"):
+            with pytest.raises(ValueError):
+                decode_numerator(text)
+
     @pytest.mark.parametrize("low, high, bits", [
         (-2**29, 2**29 - 1, 32), (-2**15 - 1, 2**15, 32), (-5, 2**30, 64), (-2**31, 5, 64)])
     def test_32_bit_digits_decode_at_the_narrowest_width(self, low, high, bits):
@@ -324,7 +375,7 @@ class TestCacheText:
         text = encode_numerator(f)
         assert text.split(",")[8] == "32"  # the digit width written
         g = decode_numerator(text)
-        assert [p.bits for p in g._parts.values()] == [bits]
+        assert g._part.bits == bits
         assert g == f and g.terms == f.terms
         assert encode_numerator(g) == text
         assert g + g == f + f and (g + g).terms == {m: 2 * c for m, c in f.terms.items()}
@@ -399,9 +450,9 @@ class TestRender:
         assert render(s, "latex") == "\\frac{1 - 3 t + 2 q a t^{-2}}{(1 - q t^{-1})}"
         assert render(s, "human") == "(1 - 3*t + 2*q*a*t^(-2)) / ((1-q*t^(-1)))"
         # off the sublattice the terms are written in Q, A, T
-        g = GradedSeries.from_poly(LaurentPoly({(1, 0, 0): -2, (0, 1, 3): 1}))
-        assert render(g, "latex") == "A T^{3} - 2 Q"
-        assert render(g, "human") == "A*T^3 - 2*Q"
+        g = GradedSeries.from_poly(LaurentPoly({(1, 0, 0): -2, (-1, 1, 2): 1}))
+        assert render(g, "latex") == "Q^{-1} A T^{2} - 2 Q"
+        assert render(g, "human") == "Q^(-1)*A*T^2 - 2*Q"
 
     def test_denominator_text(self):
         s = GradedSeries(ONE_PLUS_A, DenomVector.from_dict({1: 2, 2: 1}))
@@ -423,12 +474,12 @@ class TestSeriesJson:
     """series_json writes each list by one %-format; json.dumps is its oracle."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.dictionaries(monomials, st.one_of(coeffs, st.integers(-2**80, 2**80)).filter(bool),
-                           max_size=12),
+    @given(on_one_coset(1, st.one_of(coeffs, st.integers(-2**80, 2**80)).filter(bool),
+                        max_size=12).map(lambda maps: maps[0]),
            st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=4))
-    # the zero series; one term in each coset, past 2**64 either way, over three factors
+    # the zero series; four terms off the sublattice, past 2**64 either way, over three factors
     @example({}, {})
-    @example({(0, 0, 0): 2**64 + 1, (1, 0, 0): -2**64 - 1, (0, 1, 1): -(2**70), (1, 2, 1): 3},
+    @example({(1, 0, 1): 2**64 + 1, (3, 0, -1): -2**64 - 1, (1, 1, 3): -(2**70), (-1, 2, 1): 3},
              {1: 1, 2: 3, 5: 2})
     def test_matches_json_dumps(self, terms, den):
         with pytest.MonkeyPatch.context() as mp:

@@ -2,8 +2,9 @@
 
 Every operation of the Kronecker-packed LaurentPoly is compared with the
 same operation on tests/dict_oracle.py's DictPoly, on the full (Q, A, T)
-lattice (all four cosets of the (q,a,t) sublattice, mixed in one value)
-and with coefficients large enough to force wider digits.
+lattice (each value on one of the four cosets of the (q,a,t) sublattice,
+and the summands of a sum on one) and with coefficients large enough to
+force wider digits.
 """
 
 import pytest
@@ -28,11 +29,38 @@ from torhom.ring import (
 )
 from torhom.sequences import SeqPair
 
-monomials = st.tuples(st.integers(-6, 6), st.integers(-3, 3), st.integers(-6, 6))
+COSETS = ((0, 0), (0, 1), (1, 0), (1, 1))  # (Q mod 2, T mod 2)
 coeffs = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70)).filter(bool)
-term_maps = st.dictionaries(monomials, coeffs, max_size=8)
 shifts = st.tuples(st.integers(-7, 7), st.integers(-4, 4), st.integers(-7, 7))
+sublattice_shifts = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-3, 3)).map(
+    lambda m: (2 * m[0], m[1], 2 * m[2]))
 factor_indices = st.integers(1, 5)  # the divisor 1 - q t^{1-i}
+
+
+def maps_on(coset, values=coeffs):
+    """Term maps {(Q, A, T): coeff} with every term on `coset`."""
+    rq, rt = coset
+    local = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
+    return st.dictionaries(local, values, max_size=8).map(
+        lambda terms: {(2 * q + rq, a, 2 * t + rt): c for (q, a, t), c in terms.items()})
+
+
+def one_coset(count):
+    """`count` term maps on one coset, drawn from all four: a numerator lies
+    on one coset, so their sums are defined."""
+    return st.sampled_from(COSETS).flatmap(lambda coset: st.tuples(*[maps_on(coset)] * count))
+
+
+term_maps = st.sampled_from(COSETS).flatmap(maps_on)
+
+
+@st.composite
+def shifted_pairs(draw, values=coeffs, moves=shifts):
+    """(f, g, m): term maps and a shift with m g on f's coset, as f + m g needs."""
+    (rq, rt), m = draw(st.sampled_from(COSETS)), draw(moves)
+    f = draw(maps_on((rq, rt), values))
+    g = draw(maps_on(((rq - m[0]) & 1, (rt - m[2]) & 1), values))
+    return f, g, m
 
 
 def same(packed: LaurentPoly, oracle: DictPoly) -> bool:
@@ -55,8 +83,9 @@ def test_round_trip_through_terms(terms):
 
 
 @settings(max_examples=150, deadline=None)
-@given(term_maps, term_maps)
-def test_add_sub_neg(f, g):
+@given(one_coset(2))
+def test_add_sub_neg(fg):
+    f, g = fg
     (pf, of), (pg, og) = pair(f), pair(g)
     assert same(pf + pg, of + og)
     assert same(pf - pg, of - og)
@@ -79,8 +108,9 @@ def test_scale(f, m):
 
 
 @settings(max_examples=150, deadline=None)
-@given(term_maps, term_maps, shifts)
-def test_equality(f, g, m):
+@given(shifted_pairs())
+def test_equality(gfm):
+    g, f, m = gfm  # m f on g's coset
     (pf, of), (pg, og) = pair(f), pair(g)
     assert (pf == pg) == (of == og)
     # equal values reached through different boxes and layouts
@@ -95,9 +125,10 @@ def factor(i):
 
 
 @settings(max_examples=300, deadline=None)
-@given(term_maps, term_maps, factor_indices)
-def test_divide_one_minus(f, g, i):
-    # values in all four cosets at once, with digits up to 2**70
+@given(one_coset(2), factor_indices)
+def test_divide_one_minus(fg, i):
+    # values on each of the four cosets, with digits up to 2**70
+    f, g = fg
     (pf, of), (pg, og), (pp, op) = pair(f), pair(g), factor(i)
     for p, o in ((pf, of), (pf * pp, of * op), (pf * pp + pg, of * op + og),
                  (pf * pp * pp, of * op * op)):
@@ -146,11 +177,11 @@ def test_division_keeps_a_padded_layout():
         slots = (7 + spare_t, 4 + spare_a)
         wide = LaurentPoly.from_qat(h, slots)
         p = wide._plus(wide, -1, denom_monomial(i))
-        relaid.update(part.ts < part.te + part.qe * (i - 1) for part in p._parts.values())
+        part = p._part
+        relaid.add(part.ts < part.te + part.qe * (i - 1))
         quo = divide_one_minus(p, i)
         assert quo == wide and dict(quo.terms) == dict(wide.terms)
-        layouts = {(part.ts, part.ps) for part in p._parts.values()}
-        assert {(part.ts, part.ps) for part in quo._parts.values()} == layouts
+        assert (quo._part.ts, quo._part.ps) == (part.ts, part.ps)
         for x in (wide, p + LaurentPoly.from_qat(g, slots)):
             got, want = divide_one_minus(x, i), oracle_divide(DictPoly(x.terms), denom_monomial(i))
             assert (got is None) == (want is None)
@@ -159,7 +190,7 @@ def test_division_keeps_a_padded_layout():
         # a layout whose t-slots already number te + (qe - 1) e is relaid for the fold
         terms, slots, j, extents = wrap
         x = LaurentPoly.from_qat(terms, slots)
-        (part,) = x._parts.values()
+        part = x._part
         assert (part.qe, part.ae, part.te, part.ts) == (*extents, slots[0])
         assert oracle_divide(DictPoly(x.terms), denom_monomial(j)) is None
         assert divide_one_minus(x, j) is None
@@ -178,7 +209,7 @@ def test_lines_leaving_the_box_do_not_wrap():
     # the same cells on the sublattice, packed with exactly those slots
     # (qe = 3, te = 2, e = 1), so that no relay hides the wrap
     g = LaurentPoly.from_qat({(-2, 1, -1): -1, (-4, -3, -2): 1}, (4, 5))
-    (part,) = g._parts.values()
+    part = g._part
     assert (part.qe, part.te, part.ts) == (3, 2, 4)
     assert divide_one_minus(g, 2) is None
 
@@ -220,21 +251,21 @@ wide_coeffs = st.one_of(st.integers(-100, 100), st.integers(-2**14, 2**14),
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.dictionaries(monomials, wide_coeffs, max_size=8),
-       st.dictionaries(monomials, wide_coeffs, max_size=8), shifts,
+@given(shifted_pairs(wide_coeffs),
        st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-2, 3), st.integers(-3, 3)),
                        wide_coeffs, max_size=8),
        st.tuples(st.integers(1, 12), st.integers(1, 6)))
-def test_cache_text_round_trip(f, g, m, h, slots):
-    # a difference of shifted values: mixed cosets, boxes padded to their
-    # layout's slots, and rows emptied by cancellation
+def test_cache_text_round_trip(fgm, h, slots):
+    # a difference of shifted values: each of the four cosets, boxes padded
+    # to their layout's slots, and rows emptied by cancellation
+    f, g, m = fgm
     value = LaurentPoly(f) - LaurentPoly(g).scale(m)
     text = encode_numerator(value)
     back = decode_numerator(text)
     assert back == value
     assert dict(back.terms) == (DictPoly(f) - DictPoly(g).scale(m)).terms
     assert encode_numerator(back) == text
-    # the other order of the sum: cosets inserted in another order, another layout
+    # the other order of the sum: another layout
     assert encode_numerator(-LaurentPoly(g).scale(m) + LaurentPoly(f)) == text
     # packed with spare slots, as the recursion packs its base cases: the
     # text of the value packed from its terms, at every digit width
@@ -245,15 +276,12 @@ def test_cache_text_round_trip(f, g, m, h, slots):
 
 
 class TestDigitWidth:
-    def digits(self, p):
-        return {part.bits for part in p._parts.values()}
-
     def test_sum_past_the_digit_limit_widens(self):
         # 2**29 is the largest digit a 32-bit part holds; the sum needs 64 bits
         p = LaurentPoly({(0, 0, 0): 2**29, (2, 0, 0): -2**29, (0, 1, 2): 5})
-        assert self.digits(p) == {32}
+        assert p._part.bits == 32
         s = p + p
-        assert self.digits(s) == {64}
+        assert s._part.bits == 64
         assert dict(s.terms) == {(0, 0, 0): 2**30, (2, 0, 0): -2**30, (0, 1, 2): 10}
 
     def test_repeated_doubling_never_wraps(self):
@@ -261,7 +289,7 @@ class TestDigitWidth:
         for _ in range(200):
             p, o = p + p, o + o
             assert same(p, o)
-        assert max(self.digits(p)) >= 256
+        assert p._part.bits >= 256
 
     def test_products_and_quotients_of_wide_digits(self):
         p, o = pair({(0, 0, 0): 2**70 + 1, (2, 1, -2): -(2**69), (-2, 0, 4): 3})
@@ -279,13 +307,14 @@ def test_factor_index_below_one_is_an_error():
 
 
 def oracle_planes(o: DictPoly):
-    """{coset: (q0, qe)}: the lowest local q and the number of q-planes of
-    each coset's terms, with q = (Q - rq + T - rt)/2 + A as in ring.py."""
+    """(coset, q0, qe): the coset, the lowest local q and the number of
+    q-planes of the terms, with q = (Q - rq + T - rt)/2 + A as in ring.py."""
     qs = {}
     for (q, a, t), _ in o.terms.items():
         rq, rt = q & 1, t & 1
         qs.setdefault((rq, rt), []).append((q - rq + t - rt) // 2 + a)
-    return {coset: (min(v), max(v) - min(v) + 1) for coset, v in qs.items()}
+    ((coset, v),) = qs.items()
+    return coset, min(v), max(v) - min(v) + 1
 
 
 @pytest.mark.parametrize("debug", [False, True])
@@ -310,12 +339,12 @@ def test_sum_tests_the_lowest_plane_only_where_both_operands_hold_it(f, g, sign,
     assert seen == [trim]
     want = DictPoly(f) + DictPoly(g).scale(m, sign)
     assert same(got, want)
-    assert {c: (p.q0, p.qe) for c, p in got._parts.items()} == oracle_planes(want)
+    assert (got._coset, got._part.q0, got._part.qe) == oracle_planes(want)
 
 
 def test_debug_mode_rejects_a_skipped_test_of_an_empty_plane(monkeypatch):
     # the lowest of three q-planes is empty: a vouched-for plane must not be
-    (part,) = LaurentPoly({(2, 0, 0): 1, (4, 0, 0): 1})._parts.values()
+    part = LaurentPoly({(2, 0, 0): 1, (4, 0, 0): 1})._part
     n, ps = part.n << part.bits * part.ps, part.ps
     args = (n, part.bits, part.ts, ps, part.q0 - 1, 0, 0, 3, part.ae, part.te, part.room)
     monkeypatch.setattr(ring, "DEBUG_DESCENT", False)
@@ -326,11 +355,7 @@ def test_debug_mode_rejects_a_skipped_test_of_an_empty_plane(monkeypatch):
         ring._make(*args, False)
 
 
-sublattice_shifts = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-3, 3)).map(
-    lambda m: (2 * m[0], m[1], 2 * m[2]))
 any_shift = st.one_of(shifts, sublattice_shifts)
-any_terms = st.one_of(term_maps, sublattice_maps.map(
-    lambda h: {(2 * i - 2 * j - 2 * k, j, 2 * k): c for (i, j, k), c in h.items()}))
 denominators = st.dictionaries(st.integers(1, 3), st.integers(1, 2), max_size=2)
 
 
@@ -340,15 +365,16 @@ def round_trips(p: LaurentPoly) -> bool:
 
 
 @settings(max_examples=150, deadline=None)
-@given(any_terms, any_terms, any_shift, st.sampled_from([1, -1]))
-def test_fused_sum_matches_the_oracle(f, g, m, sign):
+@given(shifted_pairs(moves=any_shift), sublattice_shifts, st.sampled_from([1, -1]))
+def test_fused_sum_matches_the_oracle(fgm, s, sign):
+    f, g, m = fgm
     (pf, of), (pg, og) = pair(f), pair(g)
     got = pf._plus(pg, sign, m)
     assert same(got, of + og.scale(m, sign))
     assert round_trips(got)
     # one value at two origins, as rule 2 and clearing a denominator add it
-    got = pf._plus(pf, sign, m)
-    assert same(got, of + of.scale(m, sign))
+    got = pf._plus(pf, sign, s)
+    assert same(got, of + of.scale(s, sign))
     assert round_trips(got)
 
 
@@ -361,8 +387,9 @@ def over(num: DictPoly, have: DenomVector, want: DenomVector) -> DictPoly:
 
 
 @settings(max_examples=100, deadline=None)
-@given(any_terms, any_terms, any_shift, denominators, denominators)
-def test_plus_scaled_matches_the_oracle(f, g, m, df, dg):
+@given(shifted_pairs(moves=any_shift), denominators, denominators)
+def test_plus_scaled_matches_the_oracle(fgm, df, dg):
+    f, g, m = fgm
     df, dg = DenomVector.from_dict(df), DenomVector.from_dict(dg)
     x, y = GradedSeries(LaurentPoly(f), df), GradedSeries(LaurentPoly(g), dg)
     got = x.plus_scaled(y, m)
@@ -378,21 +405,26 @@ def test_plus_scaled_matches_the_oracle(f, g, m, df, dg):
 # -- the recursion's fused combines -------------------------------------
 
 @st.composite
-def children(draw):
-    """A canonical series as the recursion reads a child's: on or off the
-    sublattice, over no, one or several factors, digits up to 2**100, and
+def children(draw, coset):
+    """A canonical series on `coset` as the recursion reads a child's: over
+    no, one or several factors, digits up to 2**100, and on the sublattice
     packed from its terms or with spare slots as a query packs its base
     cases, so two children often differ in layout."""
     den = DenomVector.from_dict(draw(st.dictionaries(st.integers(1, 4), st.integers(1, 2),
                                                      max_size=3)))
-    if draw(st.booleans()):
+    if coset == (0, 0) and draw(st.booleans()):
         h = draw(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(0, 3),
                                            st.integers(-3, 3)), wide_coeffs, max_size=8))
         slots = draw(st.one_of(st.none(), st.tuples(st.integers(1, 12), st.integers(1, 6))))
         num = LaurentPoly.from_qat(h, slots)
     else:
-        num = LaurentPoly(draw(any_terms))
+        num = LaurentPoly(draw(maps_on(coset)))
     return GradedSeries(num, den)
+
+
+# the recursion's children lie on the sublattice; the other cosets check the
+# combines off it, where the writhe normalization moves a value
+child_cosets = st.one_of(st.just((0, 0)), st.sampled_from(COSETS))
 
 
 def combined(combine, pair, values, debug):
@@ -402,7 +434,7 @@ def combined(combine, pair, values, debug):
 
 
 @settings(max_examples=150, deadline=None)
-@given(children(), st.integers(0, 4), st.booleans())
+@given(child_cosets.flatmap(children), st.integers(0, 4), st.booleans())
 def test_rule2_is_the_old_formula(child, l, debug):
     got = combined(recursion._rule2, SeqPair("1" * (l + 1), "1" * (l + 1)), [child], debug)
     tl, a = qat_monomial(0, 0, l), qat_monomial(0, 1, 0)
@@ -415,8 +447,10 @@ def test_rule2_is_the_old_formula(child, l, debug):
 
 
 @settings(max_examples=150, deadline=None)
-@given(children(), children(), st.integers(0, 4), st.booleans())
-def test_rule5_is_the_old_formula(first, second, l, debug):
+@given(child_cosets.flatmap(lambda coset: st.tuples(children(coset), children(coset))),
+       st.integers(0, 4), st.booleans())
+def test_rule5_is_the_old_formula(values, l, debug):
+    first, second = values
     got = combined(recursion._rule5, SeqPair("1" * l + "0", "1" * l + "0"), [first, second],
                    debug)
     tl, qtl = qat_monomial(0, 0, -l), qat_monomial(1, 0, -l)
@@ -470,8 +504,8 @@ def fields(p):
        st.sampled_from([1, -1]), st.tuples(st.integers(11, 14), st.integers(6, 8)))
 def test_same_layout_sum_is_the_general_sum(h, g, move, sign, slots):
     # slots that hold the union of any two such boxes, one moved by `move`
-    x = LaurentPoly.from_qat(h, slots)._parts[0, 0]
-    y = LaurentPoly.from_qat(g, slots)._parts[0, 0]
+    x = LaurentPoly.from_qat(h, slots)._part
+    y = LaurentPoly.from_qat(g, slots)._part
     for y in (y, x) if x.bits == y.bits else (x,):  # x and x: rule 2's two copies of f
         assert (x.bits, x.ts, x.ps) == (y.bits, y.ts, y.ps)
         assert fields(ring._add_parts(x, y, sign, *move)) == fields(general_sum(x, y, sign, *move))
