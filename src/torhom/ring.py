@@ -11,9 +11,9 @@ factors (1 - q t^{1-i}), i.e. (1 - Q^{2i} T^{2-2i}), indexed by i >= 1.
 
 Packed numerators (Kronecker substitution)
 ------------------------------------------
-A LaurentPoly is one packed part on one coset of the (q,a,t) sublattice.
-The coset of (Q, A, T) is (Q mod 2, T mod 2); inside the coset (rq, rt) the
-point has local coordinates
+A LaurentPoly is a coset of the (q,a,t) sublattice and the packed cells
+of its terms on it.  The coset of (Q, A, T) is (Q mod 2, T mod 2); inside
+the coset (rq, rt) the point has local coordinates
 
     q = (Q - rq)/2 + A + (T - rt)/2,   a = A,   t = (T - rt)/2,
 
@@ -21,28 +21,29 @@ so the sublattice itself is the coset (0, 0) with its usual (q,a,t)
 exponents.  A monomial maps a coset onto one coset, so every value the
 program makes lies on one coset (see LaurentPoly).
 
-Layout.  A part is a box of cells in local coordinates: an origin
-(q0, a0, t0), extents (qe, ae, te), and a layout (B, ts, ps).  The cell of
-(q0 + i, a0 + j, t0 + k) has index  i*ps + j*ts + k,  with 0 <= k < te <= ts
-and 0 <= j < ae <= ps // ts: t is the innermost axis and q the outermost.
-The whole part is the one signed integer  n = sum(c_cell * 2**(B * index)),
-every coefficient a balanced digit of width B.  The recursion packs its
-base cases with the slots of a bound on the query's root pair, so every
-part of one query shares one layout and its sums never repack.  Elsewhere
-a part packed from terms gets exactly its extents as slots, and a sum
-that outgrows its slots rounds them up to a multiple of four.  Memory
-follows the box and its slots, so terms far apart, or a small part in a
-large query's layout, pay for the empty cells.  Because q is
-outermost, multiplying by q t^{1-i} is a shift by ps - (i - 1) cells.
+Layout.  A value's cells form a box in local coordinates on its coset:
+an origin (q0, a0, t0), extents (qe, ae, te), and a layout (B, ts, ps).
+The cell of (q0 + i, a0 + j, t0 + k) has index  i*ps + j*ts + k,  with
+0 <= k < te <= ts and 0 <= j < ae <= ps // ts: t is the innermost axis and
+q the outermost.  The cells are the one signed integer
+n = sum(c_cell * 2**(B * index)), every coefficient a balanced digit of
+width B.  The recursion packs its base cases with the slots of a bound on
+the query's root pair, so every value of one query shares one layout and
+its sums never repack.  Elsewhere a value packed from terms gets exactly
+its extents as slots, and a sum that outgrows its slots rounds them up to
+a multiple of four.  Memory follows the box and its slots, so terms far
+apart, or a small value in a large query's layout, pay for the empty
+cells.  Because q is outermost, multiplying by q t^{1-i} is a shift by
+ps - (i - 1) cells.
 
-Codec.  One set of byte routines changes a part's digit width or layout,
+Codec.  One set of byte routines changes a value's digit width or layout,
 for the arithmetic and the cache alike: n as little-endian two's-complement
 digits (``_bytes``), each digit's low bytes at another width (``_recut``;
-``_int`` reads the result back as a part's int, sign-extending a widened
+``_int`` reads the result back as a value's int, sign-extending a widened
 digit), and one slice per row into another (ts, ps) (``_relayout``).
 
 Digit invariant.  Every stored digit satisfies |c| <= 2**(B - 3 - room)
-for the part's `room` >= 0.  The sum of two parts at room 0 has digits
+for the value's `room` >= 0.  The sum of two values at room 0 has digits
 below 2**(B - 2), which still decode uniquely; a sum whose room would fall
 below 0 ends with an add-and-mask test of every cell (``_fits``) that
 certifies new room, and when even room 0 fails the value is repacked at
@@ -50,31 +51,32 @@ twice the width.  Division first makes room for its running sums.  B is
 32, 64, 128, ...; a digit never wraps.
 
 Operations.  The recursion only adds, scales and divides; it never
-multiplies two numerators.  Scaling only moves the origin, so a sum
-M1 f + M2 g is one addition of two parts.  Addition aligns two parts of a
-coset: the result box is the union of theirs, in the wider of their
-layouts (grown when the union does not fit); a part whose layout differs
-is relaid through the codec; two parts of one layout that holds their
-union, as in one query, are added as they are.  A sum shifts only an
-operand that is off the union's corner, and tests the lowest q-plane only
-where both operands hold it, as a plane one operand holds alone cannot
-cancel.  Multiplying by 1 - X, as clearing a denominator does, is a shift
-and a subtraction, and by t^l + a, as rule 2 does, a sum of two shifts;
-a sum of series looks up by its two denominators which factors to clear.
-Division by 1 - q t^{1-i} is one fold along that shift for every i: with
-t-slots ts >= te + qe (i - 1) (the part is relaid when it has fewer) no
-line of the box wraps onto another, so folding blocks of ps - (i - 1)
-cells onto each other reads every line sum.  Only when they all vanish
-is the quotient built, by running sums with log-doubling shifts, and
-relaid to the part's own layout.
+multiplies two numerators.  Scaling only moves the origin and the coset,
+so a sum M1 f + M2 g is one addition of two values.  Addition aligns two
+values on one coset: the result box is the union of theirs, in the wider
+of their layouts (grown when the union does not fit); a value whose
+layout differs is relaid through the codec; two values of one layout that
+holds their union, as in one query, are added as they are.  A sum shifts
+only an operand that is off the union's corner, and tests the lowest
+q-plane only where both operands hold it, as a plane one operand holds
+alone cannot cancel.  Multiplying by 1 - X, as clearing a denominator
+does, is a shift and a subtraction, and by t^l + a, as rule 2 does, a sum
+of two shifts; a sum of series looks up by its two denominators which
+factors to clear.  Division by 1 - q t^{1-i} is one fold along that shift
+for every i: with t-slots ts >= te + qe (i - 1) (the value is relaid when
+it has fewer) no line of the box wraps onto another, so folding blocks of
+ps - (i - 1) cells onto each other reads every line sum.  Only when they
+all vanish is the quotient built, by running sums with log-doubling
+shifts, and relaid to the value's own layout.
 
-Cache text.  ``encode_numerator`` writes the part as its coset, origin,
+Cache text.  ``encode_numerator`` writes a value as its coset, origin,
 extents, a digit width and the box's cells in hex: the codec's bytes cut
 to the narrowest width in 8, 16, 32, ... that holds every digit and relaid
 to the box's own layout (ts = te, ps = te * ae), so the text does not
 depend on the layout.  ``decode_numerator`` reads them back into that
 layout at the digits' own width (at least 32) unless a digit needs the
-invariant's headroom, and raises ValueError on any malformed field.
+invariant's headroom, and raises ValueError on any malformed field.  Zero
+is the empty text.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def monomial_to_qat(m: Monomial) -> Tuple[int, int, int]:
     return (qexp // 2 + aexp + texp // 2, aexp, texp // 2)
 
 
-# -- packed parts -------------------------------------------------------
+# -- packed values ------------------------------------------------------
 
 _MIN_BITS = 32
 # signed array typecode for each digit width that fits a machine word
@@ -124,17 +126,17 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _slots(x: int, y: int, n: int) -> int:
-    """Slots for an extent n of a sum of parts with x and y slots: the
+    """Slots for an extent n of a sum of values with x and y slots: the
     wider of those, or n rounded up to a multiple of four where it
-    outgrows both.  Every part of one recursion query has the query's
+    outgrows both.  Every value of one recursion query has the query's
     layout, so only arithmetic outside one grows: references, and sums of
-    parts from different queries."""
+    values from different queries."""
     wide = max(x, y)
     return wide if n <= wide else (n + 3) & ~3
 
 
 def _room_for(maxabs: int, bits: int) -> int:
-    """Spare bits of a part whose digits are at most maxabs <= 2**(bits - 3)."""
+    """Spare bits of a value whose digits are at most maxabs <= 2**(bits - 3)."""
     return bits - 3 - (maxabs - 1).bit_length()
 
 
@@ -206,31 +208,18 @@ def _cells(n: int, bits: int, cells: int):
             for i in range(0, len(raw), width)]
 
 
-class _Part:
-    """One coset's packed value; see the module docstring.  Immutable."""
-
-    __slots__ = ("n", "bits", "ts", "ps", "q0", "a0", "t0", "qe", "ae", "te", "room")
-
-    def __init__(self, n, bits, ts, ps, q0, a0, t0, qe, ae, te, room):
-        self.n = n
-        self.bits = bits
-        self.ts = ts
-        self.ps = ps
-        self.q0 = q0
-        self.a0 = a0
-        self.t0 = t0
-        self.qe = qe
-        self.ae = ae
-        self.te = te
-        self.room = room  # every digit is at most 2**(bits - 3 - room), room >= 0
-
-    def moved(self, dq: int, da: int, dt: int, n: Optional[int] = None) -> "_Part":
-        return _Part(self.n if n is None else n, self.bits, self.ts, self.ps,
-                     self.q0 + dq, self.a0 + da, self.t0 + dt, self.qe, self.ae, self.te,
-                     self.room)
+_NEW = object.__new__
 
 
-def _relayout(raw, step: int, p: _Part, ts: int, ps: int):
+def _poly(n, bits, ts, ps, q0, a0, t0, qe, ae, te, room, coset) -> LaurentPoly:
+    """The value with these fields, stored as given; see LaurentPoly."""
+    f = _NEW(LaurentPoly)
+    f.n, f.bits, f.ts, f.ps, f.q0, f.a0, f.t0 = n, bits, ts, ps, q0, a0, t0
+    f.qe, f.ae, f.te, f.room, f.coset = qe, ae, te, room, coset
+    return f
+
+
+def _relayout(raw, step: int, p: LaurentPoly, ts: int, ps: int):
     """raw, p's cells at `step` bytes a digit, moved from p's layout to
     (ts, ps): its rows of te digits joined with zeros in the empty slots."""
     if (p.ts, p.ps) == (ts, ps):
@@ -243,8 +232,8 @@ def _relayout(raw, step: int, p: _Part, ts: int, ps: int):
     return end.join(planes + [b""])
 
 
-def _relaid(p: _Part, bits: int, ts: int, ps: int) -> int:
-    """p's value in the layout (bits, ts, ps), same origin, bits >= p.bits."""
+def _relaid(p: LaurentPoly, bits: int, ts: int, ps: int) -> int:
+    """p's n in the layout (bits, ts, ps), same origin, bits >= p.bits."""
     if (p.bits, p.ts, p.ps) == (bits, ts, ps):
         return p.n
     raw = _relayout(_bytes(p.n, p.bits, p.qe * p.ps), p.bits // 8, p, ts, ps)
@@ -254,18 +243,18 @@ def _relaid(p: _Part, bits: int, ts: int, ps: int) -> int:
 _SPARE = 8  # spare bits a passed digit test tries to certify, so most sums skip it
 
 
-def _make(n, bits, ts, ps, q0, a0, t0, qe, ae, te, room, trim=True) -> Optional[_Part]:
-    """Part from a fresh value, or None if it is zero.
+def _make(n, bits, ts, ps, q0, a0, t0, qe, ae, te, room, coset, trim=True) -> LaurentPoly:
+    """The value of a fresh n on `coset`, or the zero if n is 0.
 
     room = -1 means the digits may be up to 2**(bits - 2), as after a sum
-    of two parts with no spare bits: they are then tested, and the value
+    of two values with no spare bits: they are then tested, and the value
     is repacked at twice the width if any digit breaks the invariant.
     Empty q-planes at either end are trimmed, tested on |n| (a negative
     int's low bits cost a two's-complement pass); trim=False vouches that
     the lowest plane is not empty, which debug mode checks.
     """
     if not n:
-        return None
+        return _ZERO
     if room < 0:
         cells = qe * ps
         if _fits(n, bits, cells, bits - 3 - _SPARE):
@@ -283,12 +272,13 @@ def _make(n, bits, ts, ps, q0, a0, t0, qe, ae, te, room, trim=True) -> Optional[
         q0 += low
     # with |digit| <= 2**(bits - 3) the top digit sits at bit_length // bits
     qe = n.bit_length() // bits // ps + 1
-    return _Part(n, bits, ts, ps, q0, a0, t0, qe, ae, te, room)
+    return _poly(n, bits, ts, ps, q0, a0, t0, qe, ae, te, room, coset)
 
 
-def _add_parts(x: _Part, y: _Part, sign: int, dq=0, da=0, dt=0) -> Optional[_Part]:
-    """x + sign * y, y's origin moved by (dq, da, dt), over the union of
-    their boxes; see "Operations" in the module docstring."""
+def _add_parts(x: LaurentPoly, y: LaurentPoly, sign: int, dq=0, da=0, dt=0) -> LaurentPoly:
+    """x + sign * y for nonzero x and y on one coset, y's origin moved by
+    (dq, da, dt), over the union of their boxes; see "Operations" in the
+    module docstring."""
     xq, xa, xt, yq, ya, yt = x.q0, x.a0, x.t0, y.q0 + dq, y.a0 + da, y.t0 + dt
     xq1, xa1, xt1, yq1, ya1, yt1 = xq + x.qe, xa + x.ae, xt + x.te, yq + y.qe, ya + y.ae, yt + y.te
     # the union box, by comparisons: builtin min and max cost a call each
@@ -316,21 +306,21 @@ def _add_parts(x: _Part, y: _Part, sign: int, dq=0, da=0, dt=0) -> Optional[_Par
     nx = nx << bits * sx if sx else nx  # n << 0 copies the whole int
     ny = ny << bits * sy if sy else ny
     return _make(nx + ny if sign > 0 else nx - ny, bits, ts, ps, q0, a0, t0, qe, ae, te, room,
-                 xq == yq)
+                 x.coset, xq == yq)
 
 
-def _with_headroom(p: _Part, spare: int) -> _Part:
+def _with_headroom(p: LaurentPoly, spare: int) -> LaurentPoly:
     """p with room >= spare: a sum of at most 2**spare of its digits keeps
     the digit invariant, with room - spare to spare."""
     if p.room >= spare:
         return p
     if _fits(p.n, p.bits, p.qe * p.ps, p.bits - 3 - spare):
-        return _Part(p.n, p.bits, p.ts, p.ps, p.q0, p.a0, p.t0, p.qe, p.ae, p.te, spare)
+        return _poly(p.n, p.bits, p.ts, p.ps, p.q0, p.a0, p.t0, p.qe, p.ae, p.te, spare, p.coset)
     bits = p.bits
     while bits < p.bits + spare:
         bits <<= 1
-    return _Part(_relaid(p, bits, p.ts, p.ps), bits, p.ts, p.ps,
-                 p.q0, p.a0, p.t0, p.qe, p.ae, p.te, p.room + bits - p.bits)
+    return _poly(_relaid(p, bits, p.ts, p.ps), bits, p.ts, p.ps,
+                 p.q0, p.a0, p.t0, p.qe, p.ae, p.te, p.room + bits - p.bits, p.coset)
 
 
 def _balanced_low(n: int, nbits: int) -> int:
@@ -339,8 +329,8 @@ def _balanced_low(n: int, nbits: int) -> int:
     return low - (1 << nbits) if low >> (nbits - 1) else low
 
 
-def _divided(p: _Part, e: int) -> Optional[_Part]:
-    """p / (1 - q t^{-e}), or None if it does not divide.
+def _divided(p: LaurentPoly, e: int) -> Optional[LaurentPoly]:
+    """Nonzero p / (1 - q t^{-e}), or None if it does not divide.
 
     q t^{-e} moves a cell s = ps - e further along the index.  Once
     ts >= te + qe*e (p is relaid to such t-slots when it has fewer), no
@@ -378,10 +368,10 @@ def _divided(p: _Part, e: int) -> Optional[_Part]:
         span <<= 1
     g = _balanced_low(g, (p.qe - 1) * ps * bits) >> (e * bits)
     if (ts, ps) != (p.ts, p.ps):
-        quo = _Part(g, bits, ts, ps, p.q0, p.a0, p.t0 + e, p.qe - 1, p.ae, p.te - e, 0)
+        quo = _poly(g, bits, ts, ps, p.q0, p.a0, p.t0 + e, p.qe - 1, p.ae, p.te - e, 0, p.coset)
         g = _relaid(quo, bits, p.ts, p.ps)
     return _make(g, bits, p.ts, p.ps, p.q0, p.a0, p.t0 + e, p.qe - 1, p.ae, p.te - e,
-                 p.room - spare)
+                 p.room - spare, p.coset)
 
 
 _PLANE_ORDER: Dict[Tuple[int, int], tuple] = {}  # (ts, ps) -> see _plane_order
@@ -404,12 +394,14 @@ def _plane_order(ts: int, ps: int):
     return got
 
 
-def _part_rows(coset: Tuple[int, int], p: _Part):
+def _rows(p: LaurentPoly):
     """(Q, A, T, coeff) of every nonzero cell, each q-plane in order."""
+    if not p.n:
+        return []
     cells = _cells(p.n, p.bits, p.qe * p.ps)
     ps = p.ps
     gather, qrel, arel, trel = _plane_order(p.ts, ps)
-    rq, rt = coset
+    rq, rt = p.coset
     qoff = 2 * (p.q0 - p.a0 - p.t0) + rq
     aexp = list(map(add, arel, repeat(p.a0)))
     texp = list(map(add, trel, repeat(2 * p.t0 + rt)))
@@ -421,10 +413,10 @@ def _part_rows(coset: Tuple[int, int], p: _Part):
     return out
 
 
-def _pack(coset, rows, slots: Optional[Tuple[int, int]] = None) -> _Part:
-    """Part of one coset from its (Q, A, T, coeff) rows, each monomial once
-    and every coeff nonzero, with at least `slots` = (t-slots, a-slots)
-    when given."""
+def _pack(coset, rows, slots: Optional[Tuple[int, int]] = None) -> LaurentPoly:
+    """The value on `coset` of its (Q, A, T, coeff) rows, each monomial
+    once and every coeff nonzero, with at least `slots` = (t-slots,
+    a-slots) when given."""
     rq, rt = coset
     _, aexp, texp, coeffs = zip(*rows)
     a0, t0 = min(aexp), (min(texp) - rt) >> 1
@@ -448,95 +440,101 @@ def _pack(coset, rows, slots: Optional[Tuple[int, int]] = None) -> _Part:
         at = (key - base) * step
         raw[at:at + step] = c.to_bytes(step, "little", signed=True)
     return _make(_int(raw, bits, bits, qe * ps), bits, ts, ps, low, a0, t0, qe, ae, te,
-                 _room_for(maxabs, bits))
+                 _room_for(maxabs, bits), coset)
 
 
 def _image(coset: Tuple[int, int], m: Monomial) -> Tuple[Tuple[int, int], int, int, int]:
     """The coset that multiplying by m maps `coset` onto, and the move of a
-    part's origin in local coordinates."""
+    value's origin in local coordinates."""
     sq, st = coset[0] + m[0], coset[1] + m[2]
     return (sq & 1, st & 1), (sq >> 1) + m[1] + (st >> 1), m[1], st >> 1
 
 
 class LaurentPoly:
-    """Integer Laurent polynomial in Q, A, T: one packed part on one coset.
+    """Integer Laurent polynomial in Q, A, T: a coset and its packed cells.
+
+    The fields are those of the module docstring: `coset`, the packed int
+    `n`, its digit width `bits`, layout `ts`, `ps`, origin `q0`, `a0`,
+    `t0`, extents `qe`, `ae`, `te`, and `room`, with every digit at most
+    2**(bits - 3 - room), room >= 0.  Zero is one object, with n = 0 and
+    coset None: every way of making zero returns it.
 
     One coset suffices: the recursion's base cases (1 + a)^n lie on the
     sublattice, which its sums, its products by sublattice monomials, by
     t^l + a and by 1 - q t^{1-i}, and its divisions by the last all keep.
     The writhe normalization scales a finished value by one monomial,
-    which maps a coset onto one coset.  So a value holds one coset and its
-    part, or (None, None) for zero; terms on several cosets, and a sum
-    across two, raise LatticeError.
+    which maps a coset onto one coset.  So terms on several cosets, and a
+    sum across two, raise LatticeError.
 
     Instances are immutable; all operations return new values.  `terms`
     is a read-only {(Q, A, T): coeff} view without zero coefficients,
     decoded on each access.
     """
 
-    __slots__ = ("_coset", "_part")
+    __slots__ = ("n", "bits", "ts", "ps", "q0", "a0", "t0", "qe", "ae", "te", "room", "coset")
 
-    def __init__(self, terms: Optional[Mapping[Monomial, int]] = None):
-        self._coset: Optional[Tuple[int, int]] = None
-        self._part: Optional[_Part] = None
+    def __new__(cls, terms: Optional[Mapping[Monomial, int]] = None):
         rows = [(q, a, t, c) for (q, a, t), c in terms.items() if c] if terms else None
-        if rows:
-            self._coset = _coset_of(rows)
-            self._part = _pack(self._coset, rows)
+        return _pack(_coset_of(rows), rows) if rows else _ZERO
 
-    @classmethod
-    def _of(cls, coset: Tuple[int, int], part: Optional[_Part]) -> "LaurentPoly":
-        res = cls.__new__(cls)
-        res._coset, res._part = (None, None) if part is None else (coset, part)
-        return res
+    def __reduce__(self):
+        # copy and pickle rebuild from the fields; by default they would write
+        # them into the one zero that __new__() returns
+        return _poly, tuple([getattr(self, name) for name in self.__slots__])
+
+    def moved(self, coset: Tuple[int, int], dq: int, da: int, dt: int,
+              n: Optional[int] = None) -> LaurentPoly:
+        """The value with origin moved by (dq, da, dt) onto `coset`, as
+        `_image` gives them, and n in place of its own when given."""
+        return _poly(self.n if n is None else n, self.bits, self.ts, self.ps, self.q0 + dq,
+                     self.a0 + da, self.t0 + dt, self.qe, self.ae, self.te, self.room, coset)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
+    def zero(cls) -> LaurentPoly:
+        return _ZERO
 
     @classmethod
-    def one(cls) -> "LaurentPoly":
+    def one(cls) -> LaurentPoly:
         return cls({MONO_ONE: 1})
 
     @classmethod
     def from_qat(cls, qat_terms: Mapping[Tuple[int, int, int], int],
-                 slots: Optional[Tuple[int, int]] = None) -> "LaurentPoly":
+                 slots: Optional[Tuple[int, int]] = None) -> LaurentPoly:
         """Build from a map {(i, j, k): coeff} of q^i a^j t^k terms, packed
         with at least `slots` = (t-slots, a-slots) when given."""
         rows = [(*qat_monomial(i, j, k), c) for (i, j, k), c in qat_terms.items() if c]
-        return cls._of((0, 0), _pack((0, 0), rows, slots) if rows else None)
+        return _pack((0, 0), rows, slots) if rows else _ZERO
 
     # -- arithmetic -----------------------------------------------------
 
-    def _plus(self, other: "LaurentPoly", sign: int, m: Monomial = MONO_ONE,
-              base: Monomial = MONO_ONE) -> "LaurentPoly":
+    def _plus(self, other: LaurentPoly, sign: int, m: Monomial = MONO_ONE,
+              base: Monomial = MONO_ONE) -> LaurentPoly:
         """base self + sign * m other: a monomial Q^a A^b T^c maps a coset
         onto one, and the two summands must land on the same one."""
-        coset, x, y = self._coset, self._part, other._part
-        if x is not None and base != MONO_ONE:
-            coset, dq, da, dt = _image(coset, base)
-            x = x.moved(dq, da, dt)
-        if y is None:
-            return LaurentPoly._of(coset, x)
-        ycoset, dq, da, dt = _image(other._coset, m)
-        if x is None:
-            return LaurentPoly._of(ycoset, y.moved(dq, da, dt, y.n if sign > 0 else -y.n))
-        if ycoset != coset:
-            raise LatticeError(f"a sum across the cosets {coset} and {ycoset}")
-        return LaurentPoly._of(coset, _add_parts(x, y, sign, dq, da, dt))
+        x = self
+        if x.n and base != MONO_ONE:
+            x = x.moved(*_image(x.coset, base))
+        if not other.n:
+            return x
+        coset, dq, da, dt = _image(other.coset, m)
+        if not x.n:
+            return other.moved(coset, dq, da, dt, other.n if sign > 0 else -other.n)
+        if coset != x.coset:
+            raise LatticeError(f"a sum across the cosets {x.coset} and {coset}")
+        return _add_parts(x, other, sign, dq, da, dt)
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def __add__(self, other: LaurentPoly) -> LaurentPoly:
         return self._plus(other, 1)
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         return self._plus(other, -1)
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly()._plus(self, -1)
+    def __neg__(self) -> LaurentPoly:
+        return _ZERO._plus(self, -1)
 
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         """Schoolbook product over the terms.  The recursion never multiplies
         two numerators; only reference values, tests and the benchmark's
         tracer still use `*`."""
@@ -548,70 +546,69 @@ class LaurentPoly:
                 acc[key] = acc.get(key, 0) + c1 * c2
         return LaurentPoly(acc)
 
-    def scale(self, m: Monomial) -> "LaurentPoly":
-        """Multiply by Q^a A^b T^c: moves the part's origin."""
-        return LaurentPoly()._plus(self, 1, m)
+    def scale(self, m: Monomial) -> LaurentPoly:
+        """Multiply by Q^a A^b T^c: moves the origin."""
+        return _ZERO._plus(self, 1, m)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly) or self._coset != other._coset:
+        if not isinstance(other, LaurentPoly) or self.coset != other.coset:
             return False
-        x, y = self._part, other._part
-        if x is None:  # both zero
+        if not self.n:  # both zero
             return True
-        if (x.bits, x.ts, x.ps, x.q0, x.a0, x.t0) == (y.bits, y.ts, y.ps, y.q0, y.a0, y.t0):
-            return x.n == y.n
-        return _add_parts(x, y, -1) is None
+        if ((self.bits, self.ts, self.ps, self.q0, self.a0, self.t0)
+                == (other.bits, other.ts, other.ps, other.q0, other.a0, other.t0)):
+            return self.n == other.n
+        return not _add_parts(self, other, -1).n
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
-        return self._part is not None
+        return bool(self.n)
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({dict(self.sorted_terms())!r})"
+        terms = {(q, a, t): c for q, a, t, c in self.rows()}
+        return f"LaurentPoly({terms!r})"
 
     @property
     def terms(self) -> Mapping[Monomial, int]:
-        rows = () if self._part is None else _part_rows(self._coset, self._part)
-        return MappingProxyType({(q, a, t): c for q, a, t, c in rows})
+        return MappingProxyType({(q, a, t): c for q, a, t, c in _rows(self)})
 
     def rows(self):
         """Sorted (Q, A, T, coeff) tuples of the nonzero terms."""
-        out = [] if self._part is None else _part_rows(self._coset, self._part)
+        out = _rows(self)
         out.sort()
         return out
 
     def is_zero(self) -> bool:
-        return self._part is None
+        return not self.n
 
     def within(self, te: int, ae: int) -> bool:
-        """True iff the part's box spans at most te t-cells and ae a-cells."""
-        p = self._part
-        return p is None or (p.te <= te and p.ae <= ae)
-
-    def sorted_terms(self):
-        return [((q, a, t), c) for q, a, t, c in self.rows()]
+        """True iff the box spans at most te t-cells and ae a-cells."""
+        return self.te <= te and self.ae <= ae
 
     def has_even_t(self) -> bool:
-        return self._coset is None or self._coset[1] == 0
+        return self.coset is None or self.coset[1] == 0
 
     def on_sublattice(self) -> bool:
         """True iff every term is a (q,a,t)-monomial, read off the coset."""
-        return self._coset in (None, (0, 0))
+        return self.coset in (None, (0, 0))
 
-    def truncated(self, limit: int) -> "LaurentPoly":
+    def truncated(self, limit: int) -> LaurentPoly:
         """The terms with Q + 2A + T <= limit, i.e. q-degree <= limit / 2."""
-        p = self._part
-        if p is None:
+        if not self.n:
             return self
         # Q + 2A + T = 2 q + rq + rt in local coordinates
-        keep = ((limit - sum(self._coset)) >> 1) - p.q0 + 1
-        if keep >= p.qe:
+        keep = ((limit - sum(self.coset)) >> 1) - self.q0 + 1
+        if keep >= self.qe:
             return self
-        n = _balanced_low(p.n, keep * p.ps * p.bits) if keep > 0 else 0
-        return LaurentPoly._of(self._coset, _make(n, p.bits, p.ts, p.ps, p.q0, p.a0, p.t0,
-                                                  keep, p.ae, p.te, p.room))
+        n = _balanced_low(self.n, keep * self.ps * self.bits) if keep > 0 else 0
+        return _make(n, self.bits, self.ts, self.ps, self.q0, self.a0, self.t0, keep, self.ae,
+                     self.te, self.room, self.coset)
+
+
+# the one zero: no cells, and extents 0 so that it lies within any box
+_ZERO = _poly(0, _MIN_BITS, 1, 1, 0, 0, 0, 0, 0, 0, 0, None)
 
 
 def _coset_of(rows) -> Tuple[int, int]:
@@ -636,10 +633,7 @@ def divide_one_minus(f: LaurentPoly, i: int) -> Optional[LaurentPoly]:
     """
     if i < 1:
         raise ValueError(f"no denominator factor i = {i}")
-    if f._part is None:
-        return f
-    quo = _divided(f._part, i - 1)
-    return None if quo is None else LaurentPoly._of(f._coset, quo)
+    return _divided(f, i - 1) if f.n else f
 
 
 class DenomVector(Record):
@@ -885,26 +879,33 @@ def equal_up_to_monomial(f: GradedSeries, g: GradedSeries) -> Optional[Monomial]
 
 # -- cache text ---------------------------------------------------------
 
-def _encode_part(coset: Tuple[int, int], p: _Part) -> str:
-    """rq,rt,q0,a0,t0,qe,ae,te,width,hex: the box's cells, t innermost, as
-    little-endian two's-complement digits of the narrowest width in 8, 16,
-    32, ... that holds them all; the layout's slots are left out."""
-    bits, cells = p.bits, p.qe * p.ps
+def encode_numerator(f: LaurentPoly) -> str:
+    """rq,rt,q0,a0,t0,qe,ae,te,width,hex: f's coset, origin, extents and
+    box's cells, t innermost, as little-endian two's-complement digits of
+    the narrowest width in 8, 16, 32, ... that holds them all, the layout's
+    slots left out; the empty text for zero."""
+    if not f.n:
+        return ""
+    bits, cells = f.bits, f.qe * f.ps
     width = 8
-    while width < bits and not _fits(p.n, bits, cells, width - 1):
+    while width < bits and not _fits(f.n, bits, cells, width - 1):
         width <<= 1
-    raw = _recut(_bytes(p.n, bits, cells), bits, width, cells)
-    raw = _relayout(raw, width // 8, p, p.te, p.te * p.ae)  # drops the slots
-    return f"{coset[0]},{coset[1]},{p.q0},{p.a0},{p.t0},{p.qe},{p.ae},{p.te},{width},{raw.hex()}"
+    raw = _recut(_bytes(f.n, bits, cells), bits, width, cells)
+    raw = _relayout(raw, width // 8, f, f.te, f.te * f.ae)  # drops the slots
+    rq, rt = f.coset
+    return f"{rq},{rt},{f.q0},{f.a0},{f.t0},{f.qe},{f.ae},{f.te},{width},{raw.hex()}"
 
 
-def _decode_part(item: str) -> Tuple[Tuple[int, int], _Part]:
-    """Inverse of _encode_part, in the box's own layout (ts = te,
-    ps = te * ae); raises ValueError on any malformed field."""
-    *head, text = item.split(",")
+def decode_numerator(text: str) -> LaurentPoly:
+    """Inverse of encode_numerator, in the box's own layout (ts = te,
+    ps = te * ae); raises ValueError on any malformed field, two
+    `;`-joined parts included: a numerator lies on one coset."""
+    if not text:
+        return _ZERO
+    *head, digits = text.split(",")
     fields = [int(x) for x in head]
     if len(fields) != 9 or list(map(str, fields)) != head:
-        raise ValueError(f"bad part header {item[:80]!r}")
+        raise ValueError(f"bad part header {text[:80]!r}")
     rq, rt, q0, a0, t0, qe, ae, te, width = fields
     if rq not in (0, 1) or rt not in (0, 1):
         raise ValueError(f"bad coset ({rq}, {rt})")
@@ -913,9 +914,9 @@ def _decode_part(item: str) -> Tuple[Tuple[int, int], _Part]:
     if width < 8 or width & (width - 1):
         raise ValueError(f"unknown digit width {width}")
     cells, keep = qe * ae * te, width // 8
-    if len(text) != 2 * cells * keep:
-        raise ValueError(f"{len(text)} hex digits for {cells} cells of width {width}")
-    raw = bytes.fromhex(text)
+    if len(digits) != 2 * cells * keep:
+        raise ValueError(f"{len(digits)} hex digits for {cells} cells of width {width}")
+    raw = bytes.fromhex(digits)
     if len(raw) != cells * keep:  # fromhex skips whitespace
         raise ValueError("whitespace in the digits")
     # the digits' own width, or twice it when a digit needs the invariant's headroom
@@ -924,22 +925,11 @@ def _decode_part(item: str) -> Tuple[Tuple[int, int], _Part]:
     if bits == width and not _fits(n, bits, cells, bits - 3):
         bits <<= 1
         n = _int(raw, width, bits, cells)
-    part = _make(n, bits, te, te * ae, q0, a0, t0, qe, ae, te,
-                 _room_for(1 << min(width - 1, bits - 3), bits))
-    if part is None or (part.q0, part.qe) != (q0, qe):
+    f = _make(n, bits, te, te * ae, q0, a0, t0, qe, ae, te,
+              _room_for(1 << min(width - 1, bits - 3), bits), (rq, rt))
+    if (f.q0, f.qe) != (q0, qe):  # the zero has qe = 0
         raise ValueError("an empty q-plane at an end of the box")
-    return (rq, rt), part
-
-
-def encode_numerator(f: LaurentPoly) -> str:
-    """f's part as cache text, or the empty text for zero."""
-    return "" if f._part is None else _encode_part(f._coset, f._part)
-
-
-def decode_numerator(text: str) -> LaurentPoly:
-    """Inverse of encode_numerator; raises ValueError on malformed text,
-    two `;`-joined parts included: a numerator lies on one coset."""
-    return LaurentPoly._of(*_decode_part(text)) if text else LaurentPoly()
+    return f
 
 
 # -- rendering ----------------------------------------------------------
@@ -982,7 +972,7 @@ def _poly_text(f: LaurentPoly, latex: bool) -> str:
         keyed = sorted((j, k, i, c) for m, c in f.terms.items() for i, j, k in [monomial_to_qat(m)])
         terms = [("qat", (i, j, k), c) for j, k, i, c in keyed]
     else:
-        terms = [("QAT", m, c) for m, c in f.sorted_terms()]
+        terms = [("QAT", (q, a, t), c) for q, a, t, c in f.rows()]
     return "".join([_fmt_signed(_fmt_monomial(names, m, latex), c, n == 0, latex)
                     for n, (names, m, c) in enumerate(terms)])
 
@@ -1011,8 +1001,6 @@ def series_json(s: GradedSeries) -> str:
 
 
 def render(s: GradedSeries, fmt: str = "human") -> str:
-    if fmt == "json":
-        return series_json(s)
     if fmt not in ("human", "latex"):
         raise ValueError(f"unknown format {fmt!r}")
     latex = fmt == "latex"

@@ -157,7 +157,7 @@ class TestTorus:
 
     def test_json_matches_library(self, capsys):
         data = run_json(capsys, ["torus", "2", "3"])
-        want = json.loads(render(torus_link_homology(TorusLinkSpec(2, 3)), "json"))
+        want = json.loads(series_json(torus_link_homology(TorusLinkSpec(2, 3))))
         assert data["command"] == "torus"
         assert data["params"] == {"m": 2, "n": 3, "normalized": False}
         assert data["result"] == want
@@ -544,7 +544,7 @@ class TestTruncatedCache:
         memo = MemoTable()
         result = torus_link_homology(TorusLinkSpec(4, 4), memo)
         memo.save(str(path))
-        return path.read_bytes(), json.loads(render(result, "json"))
+        return path.read_bytes(), json.loads(series_json(result))
 
     def run_cut(self, capsys, tmp_path, cold, cut):
         data, result = cold
@@ -581,7 +581,7 @@ class TestDamagedCache:
         memo = MemoTable()
         result = torus_link_homology(TorusLinkSpec(4, 4), memo)
         memo.save(str(path))
-        return path.read_bytes(), json.loads(render(result, "json"))
+        return path.read_bytes(), json.loads(series_json(result))
 
     def test_single_byte_change(self, cold, tmp_path_factory):
         data, result = cold

@@ -4,6 +4,7 @@ import pytest
 
 import torhom.fillings as fillings
 import torhom.recursion as recursion
+import torhom.ring as ring
 from torhom.fillings import (
     AdmissibilityError,
     FillArgError,
@@ -200,7 +201,9 @@ class TestIdentities:
 
     def test_a_rule2_fault_fails_the_t_plus_a_identities(self, monkeypatch):
         # L1 and K1a multiply by t^l + a through rule 2's own helper; a rule 2
-        # that multiplies by t^{l+1} + a must still fail exactly those checks
+        # that multiplies by t^{l+1} + a must still fail exactly those checks;
+        # debug mode would stop the faulty rule earlier, at its layout bound
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", False)
         rule2 = recursion.RULES[RuleTag.Rule2_bothEndOne]
         wrong = rule2._replace(combine=lambda pair, values, _: values[0].times_t_plus_a(pair.l))
         monkeypatch.setitem(recursion.RULES, RuleTag.Rule2_bothEndOne, wrong)
