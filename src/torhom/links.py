@@ -67,9 +67,15 @@ def colored_torus_homology(m: int, n: int, l: int, order: str = "theorem",
                            memo: Optional[MemoTable] = None) -> GradedSeries:
     """Sym^l-colored invariant: prod_{i=1..l} (1 - q t^{1-i})^{-1} times
     the recursion value.  Defined up to an overall monomial (framing of
-    the colored component is not fixed)."""
+    the colored component is not fixed).  T(m,n) must be a knot: with
+    gcd(m, n) > 1 the pair colors one component of a link, which
+    `torhom pair` computes as it stands."""
     if m < 1 or n < 1 or l < 1:
         raise DomainError(f"need m, n, l >= 1, got ({m}, {n}, {l})")
+    if gcd(m, n) > 1:
+        v, w = "1" * l + "0" * (m * l - l), "1" * l + "0" * (n * l - l)
+        raise DomainError(f"T({m},{n}) is a link (gcd {gcd(m, n)}) and colored takes knots only; "
+                          f"`pair {v} {w}` symmetrizes one of its components")
     pair = colored_sequences(m, n, l, order)
     value = eval_p(pair, memo)
     return value.with_extra_denominator({i: 1 for i in range(1, l + 1)})

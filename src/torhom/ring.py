@@ -67,7 +67,8 @@ for every i: with t-slots ts >= te + qe (i - 1) (the value is relaid when
 it has fewer) no line of the box wraps onto another, so folding blocks of
 ps - (i - 1) cells onto each other reads every line sum.  Only when they
 all vanish is the quotient built, by running sums with log-doubling
-shifts, and relaid to the value's own layout.
+shifts, and relaid to the value's own layout.  A sum of series tries no
+division at all when its numerator's digits do not sum to 0.
 
 Cache text.  ``encode_numerator`` writes a value as its coset, origin,
 extents, a digit width and the box's cells in hex: the codec's bytes cut
@@ -143,6 +144,7 @@ def _room_for(maxabs: int, bits: int) -> int:
 # Both caches below hold constants, each a pure function of its key, so
 # sharing them between callers cannot change any result.
 _PATTERNS: Dict[Tuple[int, int], Tuple[int, int]] = {}  # (bits, word) -> (pattern, cells)
+_MASKS: Dict[int, int] = {}  # width -> (1 << width) - 1, a q-plane's mask in _make
 
 
 def _pattern(bits: int, word: int, cells: int) -> int:
@@ -265,7 +267,8 @@ def _make(n, bits, ts, ps, q0, a0, t0, qe, ae, te, room, coset, trim=True) -> La
             n = _int(_bytes(n, bits, cells), bits, 2 * bits, cells)
             bits, room = 2 * bits, bits - 1
     plane = bits * ps
-    if (trim or DEBUG_DESCENT) and not abs(n) & ((1 << plane) - 1):
+    if (trim or DEBUG_DESCENT) and not abs(n) & (
+            _MASKS.get(plane) or _MASKS.setdefault(plane, (1 << plane) - 1)):
         assert trim, "a sum skipped the test of its empty lowest q-plane"
         low = ((n & -n).bit_length() - 1) // plane
         n >>= low * plane
@@ -327,6 +330,20 @@ def _balanced_low(n: int, nbits: int) -> int:
     """The value of the lowest nbits of n read as balanced digits."""
     low = n & ((1 << nbits) - 1)
     return low - (1 << nbits) if low >> (nbits - 1) else low
+
+
+def _digit_sum_residue(n: int, bits: int) -> int:
+    """The sum of n's digits of width `bits` mod 2**bits - 1.
+
+    2**bits is 1 mod 2**bits - 1, and so is 2**cut for every multiple
+    `cut` of bits: adding n's bits above `cut` onto those below keeps the
+    residue and halves the length, down to two digits for one small %.
+    A negative n folds the same way, its high part a negative floor.
+    """
+    while n.bit_length() > 2 * bits:
+        cut = bits * ((n.bit_length() + bits) // (2 * bits))
+        n = (n & ((1 << cut) - 1)) + (n >> cut)
+    return n % ((1 << bits) - 1)
 
 
 def _divided(p: LaurentPoly, e: int) -> Optional[LaurentPoly]:
@@ -714,6 +731,12 @@ class GradedSeries:
     leaves the numerator as it is, so it tries only the factors that are
     new to the series.  Products get no shortcut: one factor's numerator
     can cancel the other's denominator, as in (1 - q)/1 * 1/(1 - q) = 1.
+
+    Every P_i vanishes at q = t = 1, so a numerator N = P_i G has
+    N(1, 1, 1) = 0: its coefficients sum to 0.  A numerator whose sum is
+    not 0 is divisible by no factor, and a sum reads it as the residue of
+    its packed digits mod 2**B - 1 (`_digit_sum_residue`, one fold), so
+    it tries the divisions only when that residue is 0.
     """
 
     __slots__ = ("num", "den")
@@ -808,10 +831,18 @@ def _canonical_parts(num: LaurentPoly, den: DenomVector, factors: Iterable[int]
                      ) -> Tuple[LaurentPoly, DenomVector]:
     """num / den in lowest terms, dividing by the factors i in `factors`
     (ascending, each active in den) as often as they divide; the caller
-    proves that no other factor of den divides num."""
+    proves that no other factor of den divides num.  A num whose
+    coefficients do not sum to 0 tries none (see GradedSeries), which
+    debug mode checks against the divisions themselves."""
     if num.is_zero():
         return LaurentPoly.zero(), DenomVector()
     if not factors:
+        return num, den
+    if _digit_sum_residue(num.n, num.bits):
+        # num(1, 1, 1) != 0, and every factor vanishes at q = t = 1
+        if DEBUG_DESCENT:
+            for i in factors:
+                assert divide_one_minus(num, i) is None, i
         return num, den
     given, d = num, den.as_dict()
     for i in factors:

@@ -75,9 +75,6 @@ class DictPoly:
     def on_sublattice(self) -> bool:
         return all(q % 2 == 0 and t % 2 == 0 for q, _, t in self.terms)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
     def rows(self):
         return [(q, a, t, c) for (q, a, t), c in sorted(self.terms.items())]
 

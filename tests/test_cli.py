@@ -307,6 +307,13 @@ class TestColored:
     def test_domain_error(self, capsys):
         assert run(capsys, ["colored", "0", "1", "1"])[0] == 2
 
+    def test_a_link_is_refused(self, capsys):
+        # T(2,4) has two components: its pair colors one of them, so it is no colored knot
+        code, out, err = run(capsys, ["colored", "2", "4", "2"])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: T(2,4) is a link (gcd 2) and colored takes knots "
+                                    "only; `pair 1100 11000000` symmetrizes one of its components"]
+
     def test_both_orders_expand_each(self, capsys):
         # one series, so one expansion: the theorem order's, after expand_depth
         data = run_json(capsys, ["colored", "2", "3", "2", "--expand", "1"])

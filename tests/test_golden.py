@@ -18,12 +18,23 @@ import shlex
 import pytest
 
 from torhom.cli import main
-from torhom.recursion import MemoTable
+from torhom.recursion import ENCODER_VERSION, MemoTable, eval_p
+from torhom.ring import series_json
+from torhom.sequences import pair_validate
 
 # SHA-256 of the compact JSON of the "result" object of `torhom torus 8 8 --format json`
 T88_RESULT = "1a8dbcacb071da18e3a27809dab77b2108d005b1a391a99aec7189d771cd7ef9"
 # SHA-256 of the file written by `torhom torus 6 6 --format json --cache FILE`
 T66_CACHE = "b54900e7b812f7c7391708f2cac53a8db097921542052120cf04efe452fd6408"
+# A cache file is trusted when its ENCODER_VERSION matches, so the version pins
+# the values: {ENCODER_VERSION: SHA-256 of the newline-joined series_json of the
+# PROBE pairs' values}.  The probe's 48 entries reach every rule tag but
+# base-empty-right; a change of any value fails this until the version is bumped
+# and its digest recorded.
+PROBE = [("000", "0000"), ("0011", "000011"), ("0100", "0010"), ("10", "0001")]
+PROBE_DIGESTS = {
+    "torhom-series-packed-3": "f0dc80cc8757490d7cc07d381722e8716ee9992d5cb7db867241d6ef8453e03d",
+}
 # SHA-256 of the stdout of `torhom COMMAND --format FORMAT`, each JSON envelope
 # with its `timing` block popped and dumped compactly again
 ENVELOPES = {
@@ -105,6 +116,14 @@ def test_torus_6_6_cache_file(capsys, tmp_path):
     assert main(["torus", "6", "6", "--format", "json", "--cache", str(path)]) == 0
     capsys.readouterr()
     assert sha256(path.read_bytes()) == T66_CACHE
+
+
+def test_encoder_version_pins_the_probe_values():
+    memo = MemoTable()
+    text = "\n".join(series_json(eval_p(pair_validate(v, w), memo)) for v, w in PROBE)
+    assert len(memo) == 48
+    assert PROBE_DIGESTS.get(ENCODER_VERSION) == sha256(text.encode()), \
+        "the probe's values changed: bump ENCODER_VERSION and record its digest"
 
 
 def test_save_load_save_is_byte_identical(capsys, tmp_path):

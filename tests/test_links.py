@@ -72,6 +72,17 @@ class TestColored:
         with pytest.raises(DomainError):
             colored_torus_homology(0, 3, 1)
 
+    @pytest.mark.parametrize("m, n, l", [(2, 4, 2), (3, 6, 1), (4, 4, 3), (6, 9, 2)])
+    def test_links_are_refused(self, m, n, l):
+        # gcd(m, n) > 1: the pair symmetrizes one component of a link; the
+        # message names that pair, whose value `torhom pair` still computes
+        v, w = "1" * l + "0" * (m * l - l), "1" * l + "0" * (n * l - l)
+        assert colored_sequences(m, n, l, "theorem").key() == f"{v}|{w}"
+        for call in (colored_torus_homology, colored_torus_both):
+            with pytest.raises(DomainError, match=f"`pair {v} {w}`") as err:
+                call(m, n, l)
+            assert "\n" not in str(err.value)
+
     def test_l1_degenerates_to_torus(self, memo):
         for m, n in [(1, 1), (2, 3), (3, 4)]:
             colored = colored_torus_homology(m, n, 1, "theorem", memo)

@@ -8,7 +8,7 @@ force wider digits.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dict_oracle import DictPoly
@@ -399,6 +399,95 @@ def test_plus_scaled_matches_the_oracle(fgm, df, dg):
     lcd = df.merged_max(dg).merged_max(got.den)
     ox, oy = (over(DictPoly(s.num.terms), s.den, lcd) for s in (x, y))
     assert over(DictPoly(got.num.terms), got.den, lcd) == ox + oy.scale(m)
+
+
+# -- the digit-sum test of a sum's divisions ------------------------------
+#
+# Every factor 1 - q t^{1-i} vanishes at q = t = 1, so a numerator whose
+# coefficients do not sum to 0 is divisible by none; _canonical_parts reads
+# the sum mod 2**bits - 1 off the packed int and tries no division then.
+
+@settings(max_examples=200, deadline=None)
+@given(one_coset(2), sublattice_maps, sublattice_shifts,
+       st.tuples(st.integers(0, 9), st.integers(0, 3)))
+def test_digit_sum_residue_is_the_coefficient_sum(fg, h, m, spare):
+    f, g = fg
+    pf, pg = LaurentPoly(f), LaurentPoly(g)
+    wide = LaurentPoly.from_qat(h, (8 + spare[0], 7 + spare[1]))
+    # packed from terms, sums at room -1 that may widen, and a padded layout
+    for p in (pf, pf + pg, pf._plus(pf, -1, m), wide, wide._plus(wide, 1, m)):
+        if p:
+            want = sum(p.terms.values()) % ((1 << p.bits) - 1)
+            assert ring._digit_sum_residue(p.n, p.bits) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_maps.filter(bool), factor_indices)
+def test_a_multiple_of_a_factor_still_divides(f, i):
+    pf, of = pair(f)
+    num = pf._plus(pf, -1, denom_monomial(i))  # (1 - q t^{1-i}) f
+    got, den = ring._canonical_parts(num, DenomVector.from_dict({i: 1}), [i])
+    assert den.is_empty()
+    assert same(got, oracle_divide(DictPoly(num.terms), denom_monomial(i)))
+    assert same(got, of)
+
+
+def counting_divisions(mp, calls):
+    """Record each factor _canonical_parts tries, dividing as before."""
+    divide = ring.divide_one_minus
+    mp.setattr(ring, "divide_one_minus", lambda p, i: calls.append(i) or divide(p, i))
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_coset(2), st.dictionaries(st.integers(1, 3), st.integers(1, 2), min_size=1, max_size=2))
+def test_a_numerator_with_a_nonzero_sum_tries_no_division(fg, den):
+    f, g = fg
+    den = DenomVector.from_dict(den)
+    x, y = GradedSeries(LaurentPoly(f), den), GradedSeries(LaurentPoly(g), den)
+    num = x.num + y.num
+    assume(x.den == den == y.den and sum(num.terms.values()))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring, "DEBUG_DESCENT", False)
+        counting_divisions(mp, calls)
+        got = ring._canonical_parts(num, den, [i for i, _ in den.mult])
+        assert got[0] is num and got[1] is den
+        # a sum of series over one denominator tries the factors both carry
+        total = x + y
+    assert not calls
+    assert total.num == num and total.den == den
+    for i, _ in den.mult:
+        assert oracle_divide(DictPoly(num.terms), denom_monomial(i)) is None
+
+
+@pytest.mark.parametrize("qat", [
+    {(0, 2, 0): 1, (0, 0, 0): -1},  # (a - 1)(1 + a), one q-plane
+    {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): -1, (1, 1, 0): -1},  # (1 - a)(1 + q), two
+])
+def test_a_numerator_with_a_zero_sum_takes_the_full_test(monkeypatch, qat):
+    # it vanishes at q = a = t = 1, yet no factor 1 - q t^{1-i} divides it
+    num, den = LaurentPoly.from_qat(qat), DenomVector.from_dict({1: 1, 2: 2, 3: 1})
+    assert ring._digit_sum_residue(num.n, num.bits) == 0
+    calls = []
+    counting_divisions(monkeypatch, calls)
+    got = ring._canonical_parts(num, den, [1, 2, 3])
+    assert got[0] is num and got[1] is den
+    assert calls == [1, 2, 3]
+    for i in (1, 2, 3):
+        assert oracle_divide(DictPoly(num.terms), denom_monomial(i)) is None
+
+
+def test_debug_mode_checks_each_rejection_by_the_divisions(monkeypatch):
+    f = LaurentPoly.from_qat({(0, 0, 0): 1, (1, 1, 0): 2})
+    num, den = f._plus(f, -1, denom_monomial(2)), DenomVector.from_dict({2: 1})
+    assert ring._canonical_parts(num, den, [2]) == (f, DenomVector())
+    # a test that rejects this divisible numerator
+    monkeypatch.setattr(ring, "_digit_sum_residue", lambda n, bits: 1)
+    monkeypatch.setattr(ring, "DEBUG_DESCENT", False)
+    assert ring._canonical_parts(num, den, [2]) == (num, den)  # unchecked: kept whole
+    monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
+    with pytest.raises(AssertionError):
+        ring._canonical_parts(num, den, [2])
 
 
 # -- the recursion's fused combines -------------------------------------
