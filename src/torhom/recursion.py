@@ -61,18 +61,18 @@ def classify_rule(p: SeqPair) -> RuleTag:
     return RuleTag.Rule5_bothEndZero if "1" in v or "1" in w else RuleTag.AllZeros
 
 
-Layout = Tuple[int, int]  # (t-slots, a-slots) of every numerator part in one query
+Layout = Tuple[int, int]  # (t-slots, a-slots) of every numerator in one query
 
 
 def query_layout(pair: SeqPair) -> Layout:
-    """Slots that hold every part the recursion builds below `pair`.
+    """Slots that hold every numerator the recursion builds below `pair`.
 
     With M = len(v) and N = len(w): te = (MN - M - N + gcd(M, N))/2 + 1
     t-cells (1 when either sequence is empty) and ae = max(M, N) + 1
     a-cells.  The bound is measured, not proved: it is exact for T(n,n)
     and for the all-ones pairs (l ones on each side), and it held for
-    every part of random pairs with up to 5 ones and 7 zeros a side; for
-    the algebra behind it see Gorsky-Oblomkov-Rasmussen-Shende,
+    every numerator of random pairs with up to 5 ones and 7 zeros a side;
+    for the algebra behind it see Gorsky-Oblomkov-Rasmussen-Shende,
     arXiv:1207.4523.  Both extents are nondecreasing in M and N, and no
     rule lengthens a sequence, so the root's bound covers every pair
     below it.  A bound that is too small costs repacks, never an answer.
@@ -149,9 +149,9 @@ class MemoTable:
 
     Cache file: a version header, then one line per entry, sorted by key:
 
-        <checksum>\t<v>|<w>\t<den>\t<parts>
+        <checksum>\t<v>|<w>\t<den>\t<num>
 
-    `den` is `i:m,...` (empty for no factor), `parts` the numerator as
+    `den` is `i:m,...` (empty for no factor), `num` the numerator as
     `ring.encode_numerator` writes it, and the checksum the first 8 bytes
     of the SHA-256 of everything after the first tab, in hex.  `save`
     writes what the table holds: for an evicting table, the query results

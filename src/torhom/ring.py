@@ -47,8 +47,7 @@ for the value's `room` >= 0.  The sum of two values at room 0 has digits
 below 2**(B - 2), which still decode uniquely; a sum whose room would fall
 below 0 ends with an add-and-mask test of every cell (``_fits``) that
 certifies new room, and when even room 0 fails the value is repacked at
-twice the width.  Division first makes room for its running sums.  B is
-32, 64, 128, ...; a digit never wraps.
+twice the width.  B is 32, 64, 128, ...; a digit never wraps.
 
 Operations.  The recursion only adds, scales and divides; it never
 multiplies two numerators.  Scaling only moves the origin and the coset,
@@ -62,13 +61,9 @@ q-plane only where both operands hold it, as a plane one operand holds
 alone cannot cancel.  Multiplying by 1 - X, as clearing a denominator
 does, is a shift and a subtraction, and by t^l + a, as rule 2 does, a sum
 of two shifts; a sum of series looks up by its two denominators which
-factors to clear.  Division by 1 - q t^{1-i} is one fold along that shift
-for every i: with t-slots ts >= te + qe (i - 1) (the value is relaid when
-it has fewer) no line of the box wraps onto another, so folding blocks of
-ps - (i - 1) cells onto each other reads every line sum.  Only when they
-all vanish is the quotient built, by running sums with log-doubling
-shifts, and relaid to the value's own layout.  A sum of series tries no
-division at all when its numerator's digits do not sum to 0.
+factors to clear.  Division by 1 - q t^{1-i} works on the terms, by
+running sums along the lines of that shift (``divide_one_minus``), and a
+sum of series tries none when its numerator's digits do not sum to 0.
 
 Cache text.  ``encode_numerator`` writes a value as its coset, origin,
 extents, a digit width and the box's cells in hex: the codec's bytes cut
@@ -312,20 +307,6 @@ def _add_parts(x: LaurentPoly, y: LaurentPoly, sign: int, dq=0, da=0, dt=0) -> L
                  x.coset, xq == yq)
 
 
-def _with_headroom(p: LaurentPoly, spare: int) -> LaurentPoly:
-    """p with room >= spare: a sum of at most 2**spare of its digits keeps
-    the digit invariant, with room - spare to spare."""
-    if p.room >= spare:
-        return p
-    if _fits(p.n, p.bits, p.qe * p.ps, p.bits - 3 - spare):
-        return _poly(p.n, p.bits, p.ts, p.ps, p.q0, p.a0, p.t0, p.qe, p.ae, p.te, spare, p.coset)
-    bits = p.bits
-    while bits < p.bits + spare:
-        bits <<= 1
-    return _poly(_relaid(p, bits, p.ts, p.ps), bits, p.ts, p.ps,
-                 p.q0, p.a0, p.t0, p.qe, p.ae, p.te, p.room + bits - p.bits, p.coset)
-
-
 def _balanced_low(n: int, nbits: int) -> int:
     """The value of the lowest nbits of n read as balanced digits."""
     low = n & ((1 << nbits) - 1)
@@ -344,51 +325,6 @@ def _digit_sum_residue(n: int, bits: int) -> int:
         cut = bits * ((n.bit_length() + bits) // (2 * bits))
         n = (n & ((1 << cut) - 1)) + (n >> cut)
     return n % ((1 << bits) - 1)
-
-
-def _divided(p: LaurentPoly, e: int) -> Optional[LaurentPoly]:
-    """Nonzero p / (1 - q t^{-e}), or None if it does not divide.
-
-    q t^{-e} moves a cell s = ps - e further along the index.  Once
-    ts >= te + qe*e (p is relaid to such t-slots when it has fewer), no
-    line c + Z*(1, 0, -e) through the box reaches another line's cells: one
-    that leaves the box below t0 runs on through empty slots.  So each
-    line is one residue class mod s, and folding blocks of s cells onto
-    each other reads every line sum.  When they all vanish the running
-    sums along s are the quotient, whose box starts e t-cells later; it is
-    relaid to p's own layout.  For e = 0 the blocks are the q-planes.
-    """
-    if p.qe < 2:
-        return None
-    spare = p.qe.bit_length()
-    p = _with_headroom(p, spare)
-    bits, ts, ps, n = p.bits, p.ts, p.ps, p.n
-    if ts < p.te + p.qe * e:
-        ts = p.te + p.qe * e
-        ps = ts * p.ae
-        n = _relaid(p, bits, ts, ps)
-    step = bits * (ps - e)
-    # fold the blocks onto each other; what is left holds every line sum
-    s, blocks = n, -(-p.qe * ps // (ps - e))
-    while blocks > 1:
-        half = (blocks + 1) >> 1
-        k = half * step
-        low = _balanced_low(s, k)
-        s = low + ((s - low) >> k)
-        blocks = half
-    if s:
-        return None
-    # quotient = running sums along the lines, doubling the span
-    g, span = n, 1
-    while span < p.qe:
-        g += g << (span * step)
-        span <<= 1
-    g = _balanced_low(g, (p.qe - 1) * ps * bits) >> (e * bits)
-    if (ts, ps) != (p.ts, p.ps):
-        quo = _poly(g, bits, ts, ps, p.q0, p.a0, p.t0 + e, p.qe - 1, p.ae, p.te - e, 0, p.coset)
-        g = _relaid(quo, bits, p.ts, p.ps)
-    return _make(g, bits, p.ts, p.ps, p.q0, p.a0, p.t0 + e, p.qe - 1, p.ae, p.te - e,
-                 p.room - spare, p.coset)
 
 
 _PLANE_ORDER: Dict[Tuple[int, int], tuple] = {}  # (ts, ps) -> see _plane_order
@@ -644,13 +580,34 @@ def denom_monomial(i: int) -> Monomial:
 def divide_one_minus(f: LaurentPoly, i: int) -> Optional[LaurentPoly]:
     """Exact quotient f / (1 - q t^{1-i}), or None if it does not divide.
 
-    Along each line c + Z*M, M = q t^{1-i}, write f = sum_k f_k M^k; then
-    f = (1 - M) g iff sum_k f_k = 0, with g_k = sum_{j <= k} f_j.  M moves
-    the coset onto itself, by one q-plane and i - 1 t-cells back.
+    Along each line c + Z*M, M = q t^{1-i} = Q^{2i} T^{2-2i}, write
+    f = sum_k f_k M^k; then f = (1 - M) g iff sum_k f_k = 0, with
+    g_k = sum_{j <= k} f_j.  A term at Q has k = Q // 2i on the line whose
+    foot c has Q mod 2i.  The quotient's terms lie between f's on each
+    line, so inside f's box, and it keeps f's slots.
     """
     if i < 1:
         raise ValueError(f"no denominator factor i = {i}")
-    return _divided(f, i - 1) if f.n else f
+    if not f.n:
+        return f
+    rows, step, back = _rows(f), 2 * i, 2 * i - 2
+    feet = [(q % step, a, t + back * (q // step)) for q, a, t, _ in rows]
+    sums: Dict[Monomial, int] = {}
+    for foot, row in zip(feet, rows):  # the line sums alone, as most attempts fail
+        sums[foot] = sums.get(foot, 0) + row[3]
+    if any(sums.values()):
+        return None
+    lines: Dict[Monomial, Dict[int, int]] = {}
+    for foot, (q, _, _, c) in zip(feet, rows):
+        lines.setdefault(foot, {})[q // step] = c
+    out = []
+    for (q, a, t), line in lines.items():
+        g = 0
+        for k in range(min(line), max(line)):
+            g += line.get(k, 0)
+            if g:
+                out.append((q + step * k, a, t - back * k, g))
+    return _pack(f.coset, out, (f.ts, f.ps // f.ts))
 
 
 class DenomVector(Record):
@@ -930,13 +887,13 @@ def encode_numerator(f: LaurentPoly) -> str:
 def decode_numerator(text: str) -> LaurentPoly:
     """Inverse of encode_numerator, in the box's own layout (ts = te,
     ps = te * ae); raises ValueError on any malformed field, two
-    `;`-joined parts included: a numerator lies on one coset."""
+    `;`-joined numerators included: a numerator lies on one coset."""
     if not text:
         return _ZERO
     *head, digits = text.split(",")
     fields = [int(x) for x in head]
     if len(fields) != 9 or list(map(str, fields)) != head:
-        raise ValueError(f"bad part header {text[:80]!r}")
+        raise ValueError(f"bad numerator header {text[:80]!r}")
     rq, rt, q0, a0, t0, qe, ae, te, width = fields
     if rq not in (0, 1) or rt not in (0, 1):
         raise ValueError(f"bad coset ({rq}, {rt})")

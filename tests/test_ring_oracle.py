@@ -15,6 +15,7 @@ from dict_oracle import DictPoly
 from dict_oracle import divide_one_minus as oracle_divide
 import torhom.recursion as recursion
 import torhom.ring as ring
+from torhom import checks, cli
 from torhom.ring import (
     DenomVector,
     GradedSeries,
@@ -148,10 +149,11 @@ sublattice_maps = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(0, 3
 def wrapping_cells(draw):
     """Cells c at (0, 0, tb) and -c at (qe - 1, ae - 1, tb + te - e), packed
     with te + (qe - 1) e t-slots and no spare a-slots.  Their indices differ
-    by qe (ps - e), so a fold along ps - e in this layout would add them,
-    though no line joins them; the fold needs te + qe e t-slots.  Pairs at
-    tb = 0 and tb = e - 1 make the box's t-extent te.  Returns (terms,
-    slots, i, extents) for the divisor 1 - q t^{1-i}, i = e + 1."""
+    by qe (ps - e), a multiple of the shift by q t^{-e}, though no line of
+    that shift joins them: a division that read lines off the packed
+    indices would accept them.  Pairs at tb = 0 and tb = e - 1 make the
+    box's t-extent te.  Returns (terms, slots, i, extents) for the divisor
+    1 - q t^{1-i}, i = e + 1."""
     e, qe, ae = draw(st.integers(1, 4)), draw(st.integers(2, 4)), draw(st.integers(1, 4))
     te = draw(st.integers(e, e + 3))
     dq, da, dt = draw(st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(-3, 3)))
@@ -164,11 +166,11 @@ def wrapping_cells(draw):
 
 
 def test_division_keeps_a_padded_layout():
-    # parts packed with spare slots, as in a recursion query, divide in
-    # their own layout when the slots already hold the fold, and are
-    # relaid for the fold when they do not; either way a quotient keeps it.
-    # P_i f is formed as f - q t^{1-i} f, a sum that keeps f's padded slots
-    # as a recursion query's does, and both branches must occur.
+    # values packed with spare slots, as in a recursion query, divide to a
+    # quotient in their own layout, with t-slots below te + qe (i - 1), where
+    # a line of the shift can wrap in the packed index, and with more.  P_i f
+    # is formed as f - q t^{1-i} f, a sum that keeps f's padded slots as a
+    # recursion query's does, and both cases must occur.
     relaid = set()
 
     @settings(max_examples=150, deadline=None)
@@ -187,7 +189,7 @@ def test_division_keeps_a_padded_layout():
             assert (got is None) == (want is None)
             if want is not None:
                 assert same(got, want)
-        # a layout whose t-slots already number te + (qe - 1) e is relaid for the fold
+        # cells whose indices in this layout differ by a multiple of the shift
         terms, slots, j, extents = wrap
         x = LaurentPoly.from_qat(terms, slots)
         assert (x.qe, x.ae, x.te, x.ts) == (*extents, slots[0])
@@ -200,13 +202,13 @@ def test_division_keeps_a_padded_layout():
 
 def test_lines_leaving_the_box_do_not_wrap():
     # with t-slots te + (qe - 1) e instead of te + qe e, the two cells'
-    # lines share a residue class of the fold, and f would pass as
-    # divisible with a quotient in the padding slots
+    # packed indices differ by a multiple of the shift, though no line joins
+    # them, and f must not pass as divisible
     f = {(-3, 1, -1): -1, (3, -3, -3): 1}
     assert oracle_divide(DictPoly(f), denom_monomial(2)) is None
     assert divide_one_minus(LaurentPoly(f), 2) is None
     # the same cells on the sublattice, packed with exactly those slots
-    # (qe = 3, te = 2, e = 1), so that no relay hides the wrap
+    # (qe = 3, te = 2, e = 1)
     g = LaurentPoly.from_qat({(-2, 1, -1): -1, (-4, -3, -2): 1}, (4, 5))
     assert (g.qe, g.te, g.ts) == (3, 2, 4)
     assert divide_one_minus(g, 2) is None
@@ -458,6 +460,23 @@ def test_a_numerator_with_a_nonzero_sum_tries_no_division(fg, den):
     assert total.num == num and total.den == den
     for i, _ in den.mult:
         assert oracle_divide(DictPoly(num.terms), denom_monomial(i)) is None
+
+
+@pytest.mark.parametrize("command", [
+    "torus 7 7", "colored 3 5 3", "pair 0001000000 0000001000", "sigma 5 3,0,1,5 --g",
+    "torus 4 6 --normalized --expand 3", "lemma53"])
+def test_the_commands_try_no_division(monkeypatch, capsys, command):
+    # the digit-sum test settles every sum these make, so the division
+    # itself serves only tests and debug mode
+    calls = []
+    monkeypatch.setattr(ring, "DEBUG_DESCENT", False)
+    counting_divisions(monkeypatch, calls)
+    if command == "lemma53":
+        assert all(passed for _, passed, _ in checks.suite_lemma53(r_max=2, length=3))
+    else:
+        assert cli.main(command.split() + ["--format", "json"]) == 0
+        capsys.readouterr()
+    assert not calls
 
 
 @pytest.mark.parametrize("qat", [
