@@ -19,24 +19,24 @@ S(suite) runs one check suite of `torhom check` with its defaults, on the
 memo table the suite makes itself; `checks` counts its checks, and a
 failed check fails the workload.
 
-K(m,n) measures the `--cache` file of T(m,n).  Each repeat runs two
-children on one new file: a cold one that computes T(m,n) and saves the
-file (`save_s`), and a warm one whose wall time is loading the file plus
-looking T(m,n) up in it (`wall_s`; its save finds nothing to write).
-J(m,n) is the same pair of children on the command line: each runs
-`torhom torus m n --format json --cache FILE` through `cli.main` with its
-stdout captured, and `wall_s` is the warm child's whole call, from
-parsing its argv to printing the JSON; the warm result must be the cold
-one's.  Its `output_bytes` counts the JSON line up to its timing block,
-so equal results print equal counts.
+J(m,n) measures the `--cache` file of T(m,n) on the command line.  Each
+repeat runs two children on one new file, each running `torhom torus m n
+--format json --cache FILE` through `cli.main` with its stdout captured:
+a cold one that computes T(m,n) and saves the file, and a warm one that
+loads it and looks T(m,n) up.  `wall_s` is the warm child's whole call,
+from parsing its argv to printing the JSON, and the warm result must be
+the cold one's.  `save_s` is the cold child's `cache_save_s` and `load_s`
+the warm child's `cache_load_s`, both read from their JSON `timing`
+blocks.  `output_bytes` counts the JSON line up to its timing block, so
+equal results print equal counts.
 
 I(module) measures start-up: its `wall_s` runs from just before a fresh
 interpreter is spawned to the end of `import module` in it, on the
 monotonic clock both processes read, and its peak RSS is that child's.
 
 Usage: python scripts/benchmark.py [--json BENCH.json [--label NAME]]
-                                   [--workloads T(6,6) P(01,10) C(2,3,2) K(8,8)
-                                                J(8,8) S(lemma53) I(torhom) ...]
+                                   [--workloads T(6,6) P(01,10) C(2,3,2) J(8,8)
+                                                S(lemma53) I(torhom) ...]
 """
 
 import argparse
@@ -61,12 +61,12 @@ from torhom.sequences import pair_validate
 
 WORKLOADS = ([f"T({n},{n})" for n in range(6, 15)] + ["T(7,11)"]
              + ["P(0001000000,0000001000)"]  # a shuffled pair: one 1 on each side
-             + [f"C(2,3,{l})" for l in range(2, 5)] + ["K(8,8)", "K(11,11)", "J(8,8)", "J(11,11)"]
+             + [f"C(2,3,{l})" for l in range(2, 5)] + ["J(8,8)", "J(11,11)"]
              + ["S(lemma53)", "S(symmetry)"] + ["I(torhom)", "I(torhom.cli)"])
 
 REPEAT = 5
 
-_NAME = re.compile(r"(T)\((\d+),(\d+)\)|(C)\((\d+),(\d+),(\d+)\)|(K)\((\d+),(\d+)\)"
+_NAME = re.compile(r"(T)\((\d+),(\d+)\)|(C)\((\d+),(\d+),(\d+)\)"
                    r"|J\((?P<jm>\d+),(?P<jn>\d+)\)"
                    r"|P\((?P<v>[01]*),(?P<w>[01]*)\)|S\((?P<suite>[\w-]+)\)"
                    r"|I\((torhom(?:\.\w+)?)\)")
@@ -81,7 +81,7 @@ def workload_name(name: str) -> str:
     match = _NAME.fullmatch(name)
     if not match:
         raise argparse.ArgumentTypeError(
-            f"not a workload name T(m,n), P(v,w), C(m,n,l), K(m,n), J(m,n), S(suite) or "
+            f"not a workload name T(m,n), P(v,w), C(m,n,l), J(m,n), S(suite) or "
             f"I(module): {name!r}")
     if match["suite"] and match["suite"] not in checks.SUITES:
         raise argparse.ArgumentTypeError(f"no check suite {match['suite']!r}")
@@ -113,19 +113,20 @@ def _command_line(m: str, n: str, cache: str) -> dict:
         raise RuntimeError(f"torhom torus {m} {n} exited {code}")
     text = out.getvalue()
     result = text.split(',"timing":')[0].encode()  # the line up to its timing block
+    timing = json.loads(text)["timing"]
     return {"wall_s": wall, "output_bytes": len(result),
+            "save_s": timing["cache_save_s"], "load_s": timing["cache_load_s"],
             "result_sha256": hashlib.sha256(result).hexdigest(),
             "cache_bytes": os.path.getsize(cache), "peak_rss_mb": peak_rss_mb()}
 
 
 def run_one(name: str, cache: Optional[str] = None) -> dict:
-    """Answer one workload in this process, from an empty memo; K(m,n)
-    loads `cache` (if it exists) inside the timed region and saves it
-    after, and J(m,n) runs the command line on it."""
+    """Answer one workload in this process, from an empty memo; J(m,n)
+    runs the command line on `cache`."""
     match = _NAME.fullmatch(name)
     if match["jm"]:
         return _command_line(match["jm"], match["jn"], cache)
-    _, m, n, colored, cm, cn, l, cached, km, kn, _, _, v, w, suite, _ = match.groups()
+    _, m, n, colored, cm, cn, l, _, _, v, w, suite, _ = match.groups()
     t0 = time.perf_counter()
     if suite:
         results = checks.SUITES[suite]()
@@ -134,22 +135,16 @@ def run_one(name: str, cache: Optional[str] = None) -> dict:
         if failed:
             raise RuntimeError(f"{name}: failed checks {failed}")
         return {"wall_s": wall, "checks": len(results), "peak_rss_mb": peak_rss_mb()}
-    memo = MemoTable(path=cache, evict=True)  # as the command line makes it
+    memo = MemoTable(evict=True)  # as the command line makes it
     if colored:
         colored_torus_homology(int(cm), int(cn), int(l), "theorem", memo)
     elif v is not None:
         eval_p(pair_validate(v, w), memo)
     else:
-        eval_p(pair_validate("0" * int(m or km), "0" * int(n or kn)), memo)
+        eval_p(pair_validate("0" * int(m), "0" * int(n)), memo)
     wall = time.perf_counter() - t0
-    out = {"wall_s": wall, "entries": len(memo), "peak_entries": memo.peak_entries}
-    if cached:
-        t0 = time.perf_counter()
-        memo.save()
-        out["save_s"] = time.perf_counter() - t0
-        out["cache_bytes"] = os.path.getsize(cache)
-    out["peak_rss_mb"] = peak_rss_mb()
-    return out
+    return {"wall_s": wall, "entries": len(memo), "peak_entries": memo.peak_entries,
+            "peak_rss_mb": peak_rss_mb()}
 
 
 def _child(name: str, cache: Optional[str] = None) -> dict:
@@ -160,15 +155,15 @@ def _child(name: str, cache: Optional[str] = None) -> dict:
 
 
 def _cache_sample(name: str) -> dict:
-    """A warm child's record, with the file size (and K's save time) of the
-    cold child before it."""
+    """A warm child's record, with the file size and save time of the cold
+    child before it."""
     with tempfile.TemporaryDirectory() as tmp:
         cache = os.path.join(tmp, "memo.tsv")
         cold = _child(name, cache)
         warm = _child(name, cache)
     if warm.get("result_sha256") != cold.get("result_sha256"):
         raise RuntimeError(f"{name}: the warm result differs from the cold one")
-    return dict(warm, **{key: cold[key] for key in ("save_s", "cache_bytes") if key in cold})
+    return dict(warm, save_s=cold["save_s"], cache_bytes=cold["cache_bytes"])
 
 
 def _import_sample(module: str) -> dict:
@@ -182,7 +177,7 @@ def _import_sample(module: str) -> dict:
 def _sample(name: str) -> dict:
     if name[0] == "I":
         return _import_sample(name[2:-1])
-    return _cache_sample(name) if name[0] in "KJ" else _child(name)
+    return _cache_sample(name) if name[0] == "J" else _child(name)
 
 
 def measure(names, path: Optional[str], label: str) -> None:
@@ -206,16 +201,14 @@ def measure(names, path: Optional[str], label: str) -> None:
             results[name].update(entries=runs[0]["entries"],
                                  peak_entries=runs[0]["peak_entries"])
             line += f"  entries {runs[0]['entries']} (peak {runs[0]['peak_entries']})"
-        if "save_s" in runs[0]:
-            results[name].update(
-                save_s=statistics.median(r["save_s"] for r in runs),
-                save_s_runs=[round(r["save_s"], 4) for r in runs],
-                cache_bytes=runs[0]["cache_bytes"])
-            line += f"  save {results[name]['save_s']:.3f}s  {runs[0]['cache_bytes']} B"
         if "output_bytes" in runs[0]:
             results[name].update(output_bytes=runs[0]["output_bytes"],
                                  cache_bytes=runs[0]["cache_bytes"])
-            line += f"  {runs[0]['output_bytes']} B out  cache {runs[0]['cache_bytes']} B"
+            for key in ("save_s", "load_s"):
+                results[name].update({key: statistics.median(r[key] for r in runs),
+                                      f"{key}_runs": [round(r[key], 4) for r in runs]})
+            line += (f"  {runs[0]['output_bytes']} B out  cache {runs[0]['cache_bytes']} B"
+                     f"  save {results[name]['save_s']:.3f}s  load {results[name]['load_s']:.3f}s")
         print(line)
     if not path:
         return
@@ -240,12 +233,12 @@ def main() -> None:
     parser.add_argument("--one", type=workload_name,
                         help="answer one workload here and print its record as JSON")
     parser.add_argument("--cache", metavar="FILE",
-                        help="with --one K(m,n) or J(m,n): the cache file to load and save")
+                        help="with --one J(m,n): the cache file to load and save")
     args = parser.parse_args()
-    if (args.cache is None) != (args.one is None or args.one[0] not in "KJ"):
-        parser.error("--cache goes with --one K(m,n) or J(m,n), and those with --cache")
+    if (args.cache is None) != (args.one is None or args.one[0] != "J"):
+        parser.error("--cache goes with --one J(m,n), and J(m,n) with --cache")
     if args.one and args.one[0] == "I":
-        parser.error("--one takes T, P, C, K, J or S workloads; I(module) spawns its own "
+        parser.error("--one takes T, P, C, J or S workloads; I(module) spawns its own "
                      "interpreter")
     if args.label is not None and args.json is None:
         parser.error("--label goes with --json")

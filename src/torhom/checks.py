@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from . import fillings, links, reference
 from .recursion import MemoTable, eval_p
-from .ring import equal_up_to_monomial, expand_series, series_equal
+from .ring import GradedSeries, equal_up_to_monomial, expand_series, series_equal
 from .sequences import SeqPair, pair_validate
 
 CheckResult = Tuple[str, bool, str]
@@ -75,146 +75,123 @@ def suite_paper_values(memo: Optional[MemoTable] = None) -> List[CheckResult]:
                 f"shift={shift}" if shift is not None else "no match"))
 
     sig = fillings.SigmaSeq.of(reference.SIGMA_EXAMPLE_R, reference.SIGMA_EXAMPLE)
-    ok = (fillings.v_of_sigma(sig) == reference.SIGMA_EXAMPLE_V
-          and fillings.w_of_sigma(sig) == reference.SIGMA_EXAMPLE_W)
-    out.append(("sigma example v/w", ok,
-                f"v={fillings.v_of_sigma(sig)} w={fillings.w_of_sigma(sig)}"))
+    v, w = fillings.v_of_sigma(sig), fillings.w_of_sigma(sig)
+    ok = (v, w) == (reference.SIGMA_EXAMPLE_V, reference.SIGMA_EXAMPLE_W)
+    out.append(("sigma example v/w", ok, f"v={v} w={w}"))
     return out
+
+
+def _tally(summary: str, cases: Iterable[Tuple[str, bool]], detail: str = "") -> List[CheckResult]:
+    """A failed result for each failing (name, ok) case, then the block's
+    summary, passed iff no case failed; {n} in `summary` is the case count."""
+    cases = list(cases)
+    failed = [(name, False, detail) for name, ok in cases if not ok]
+    return failed + [(summary.format(n=len(cases)), not failed, "")]
+
+
+def _torus_links(memo: MemoTable) -> Iterator[Tuple[str, GradedSeries]]:
+    for m in range(1, TORUS_MAX + 1):
+        for n in range(1, TORUS_MAX + 1):
+            yield f"T({m},{n})", links.torus_link_homology(links.TorusLinkSpec(m, n), memo)
+
+
+def _sigmas(r_max: int, length: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """Every (r, sigma) with r <= r_max and sigma of length <= `length`."""
+    for r in range(1, r_max + 1):
+        for n in range(0, length + 1):
+            for sigma in itertools.product(range(r + 1), repeat=n):
+                yield r, sigma
 
 
 def suite_symmetry(length: int = 10, seed: int = 0,
                    memo: Optional[MemoTable] = None) -> List[CheckResult]:
     memo = MemoTable() if memo is None else memo
-    out: List[CheckResult] = []
-    bad = 0
-    total = 0
-    for pair in _valid_pairs(length, max_total=length):
-        total += 1
-        lhs = eval_p(pair, memo)
-        rhs = eval_p(SeqPair(pair.w, pair.v), memo)
-        if lhs != rhs:
-            bad += 1
-            out.append((f"symmetry {pair.v}|{pair.w}", False, "p(v,w) != p(w,v)"))
-    out.append((f"symmetry exhaustive len<={length} ({total} pairs)", bad == 0, ""))
+
+    def cases(kind: str, pairs: Iterable[SeqPair]) -> Iterator[Tuple[str, bool]]:
+        for pair in pairs:
+            yield (f"symmetry {kind}{pair.v}|{pair.w}",
+                   eval_p(pair, memo) == eval_p(SeqPair(pair.w, pair.v), memo))
+
     rng = random.Random(seed)
-    bad = 0
-    for _ in range(SYMMETRY_RANDOM_COUNT):
-        pair = _random_pair(rng, SYMMETRY_RANDOM_MAX_LEN)
-        if eval_p(pair, memo) != eval_p(SeqPair(pair.w, pair.v), memo):
-            bad += 1
-            out.append((f"symmetry random {pair.v}|{pair.w}", False, ""))
-    out.append((f"symmetry random x{SYMMETRY_RANDOM_COUNT} seed={seed}", bad == 0, ""))
-    bad = 0
-    for v, w in (("0" * 11, "0" * 9), ("0" * 12, "0" * 10), ("10" * 6, "0" * 10 + "1" * 6)):
-        if eval_p(SeqPair(v, w), memo) != eval_p(SeqPair(w, v), memo):
-            bad += 1
-            out.append((f"symmetry deep {v}|{w}", False, ""))
-    out.append(("symmetry deep zero-heavy probes", bad == 0, ""))
-    return out
+    deep = (("0" * 11, "0" * 9), ("0" * 12, "0" * 10), ("10" * 6, "0" * 10 + "1" * 6))
+    return (_tally(f"symmetry exhaustive len<={length} ({{n}} pairs)",
+                   cases("", _valid_pairs(length, max_total=length)), "p(v,w) != p(w,v)")
+            + _tally(f"symmetry random x{SYMMETRY_RANDOM_COUNT} seed={seed}",
+                     cases("random ", (_random_pair(rng, SYMMETRY_RANDOM_MAX_LEN)
+                                       for _ in range(SYMMETRY_RANDOM_COUNT))))
+            + _tally("symmetry deep zero-heavy probes",
+                     cases("deep ", (SeqPair(v, w) for v, w in deep))))
 
 
 def suite_positivity(length: int = 6, depth: int = 12,
                      memo: Optional[MemoTable] = None) -> List[CheckResult]:
     memo = MemoTable() if memo is None else memo
-    out: List[CheckResult] = []
-    bad = 0
-    total = 0
-    for pair in _valid_pairs(length):
-        total += 1
-        expanded = expand_series(eval_p(pair, memo), depth)
-        if any(c < 0 for c in expanded.terms.values()):
-            bad += 1
-            out.append((f"positivity {pair.v}|{pair.w}", False, ""))
-    out.append((f"positivity pairs len<={length} depth={depth} ({total} pairs)", bad == 0, ""))
-    bad = 0
-    for m in range(1, TORUS_MAX + 1):
-        for n in range(1, TORUS_MAX + 1):
-            expanded = expand_series(
-                links.torus_link_homology(links.TorusLinkSpec(m, n), memo), depth)
-            if any(c < 0 for c in expanded.terms.values()):
-                bad += 1
-                out.append((f"positivity T({m},{n})", False, ""))
-    out.append((f"positivity torus m,n<={TORUS_MAX}", bad == 0, ""))
-    return out
+
+    def cases(named: Iterable[Tuple[str, GradedSeries]]) -> Iterator[Tuple[str, bool]]:
+        for name, series in named:
+            yield (f"positivity {name}",
+                   all(c >= 0 for c in expand_series(series, depth).terms.values()))
+
+    return (_tally(f"positivity pairs len<={length} depth={depth} ({{n}} pairs)",
+                   cases((f"{p.v}|{p.w}", eval_p(p, memo)) for p in _valid_pairs(length)))
+            + _tally(f"positivity torus m,n<={TORUS_MAX}", cases(_torus_links(memo))))
 
 
 def suite_parity(length: int = 6, memo: Optional[MemoTable] = None) -> List[CheckResult]:
     memo = MemoTable() if memo is None else memo
-    bad = 0
-    total = 0
-    for pair in _valid_pairs(length):
-        total += 1
-        if not eval_p(pair, memo).num.has_even_t():
-            bad += 1
-    for m in range(1, TORUS_MAX + 1):
-        for n in range(1, TORUS_MAX + 1):
-            total += 1
-            if not links.torus_link_homology(links.TorusLinkSpec(m, n), memo).num.has_even_t():
-                bad += 1
-    return [(f"even T-exponent on {total} values", bad == 0, f"{bad} violations")]
+    even = [s.num.has_even_t() for s in itertools.chain(
+        (eval_p(pair, memo) for pair in _valid_pairs(length)),
+        (series for _, series in _torus_links(memo)))]
+    bad = sum(not ok for ok in even)
+    return [(f"even T-exponent on {len(even)} values", bad == 0, f"{bad} violations")]
 
 
 def suite_lemma53(r_max: int = 3, length: int = 4, seed: int = 0,
                   memo: Optional[MemoTable] = None) -> List[CheckResult]:
     memo = MemoTable() if memo is None else memo
-    out: List[CheckResult] = []
-    bad = 0
-    total = 0
-    for r in range(1, r_max + 1):
-        for n in range(0, length + 1):
-            for sigma in itertools.product(range(r + 1), repeat=n):
-                for check in fillings.verify_lemma53(r, sigma, memo):
-                    total += 1
-                    if not check.passed:
-                        bad += 1
-                        out.append((f"lemma53 r={r} sigma={sigma} {check.name}", False, ""))
-    out.append((f"lemma53 exhaustive r<={r_max} N<={length} ({total} identities)", bad == 0, ""))
-    rng = random.Random(seed)
-    bad = 0
-    for _ in range(LEMMA53_RANDOM_COUNT):
-        r = rng.randint(1, LEMMA53_RANDOM_R_MAX)
-        n = rng.randint(0, LEMMA53_RANDOM_LEN_MAX)
-        sigma = tuple(rng.randint(0, r) for _ in range(n))
-        for check in fillings.verify_lemma53(r, sigma, memo):
-            if not check.passed:
-                bad += 1
-                out.append((f"lemma53 random r={r} sigma={sigma} {check.name}", False, ""))
-    out.append((f"lemma53 random x{LEMMA53_RANDOM_COUNT} seed={seed}", bad == 0, ""))
-    return out
+
+    def cases(kind: str, sigmas: Iterable[Tuple[int, Tuple[int, ...]]]):
+        for r, sigma in sigmas:
+            for check in fillings.verify_lemma53(r, sigma, memo):
+                yield f"lemma53 {kind}r={r} sigma={sigma} {check.name}", check.passed
+
+    def random_sigmas(rng: random.Random) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+        for _ in range(LEMMA53_RANDOM_COUNT):
+            r = rng.randint(1, LEMMA53_RANDOM_R_MAX)
+            n = rng.randint(0, LEMMA53_RANDOM_LEN_MAX)
+            yield r, tuple(rng.randint(0, r) for _ in range(n))
+
+    return (_tally(f"lemma53 exhaustive r<={r_max} N<={length} ({{n}} identities)",
+                   cases("", _sigmas(r_max, length)))
+            + _tally(f"lemma53 random x{LEMMA53_RANDOM_COUNT} seed={seed}",
+                     cases("random ", random_sigmas(random.Random(seed)))))
 
 
 def suite_roundtrip(r_max: int = 4, length: int = 5) -> List[CheckResult]:
-    out: List[CheckResult] = []
-    bad_sigma = bad_w = bad_rot = 0
-    total = 0
-    for r in range(1, r_max + 1):
-        for n in range(0, length + 1):
-            for entries in itertools.product(range(r + 1), repeat=n):
-                total += 1
-                sig = fillings.SigmaSeq.of(r, entries)
-                filling = fillings.filling_from_sigma(sig)
-                if fillings.sigma_from_filling(filling) != sig:
-                    bad_sigma += 1
-                if fillings.filling_from_w(r, n, fillings.w_of_sigma(sig)) != filling:
-                    bad_w += 1
-                if n >= 1 and not _rotation_matches(sig):
-                    bad_rot += 1
-    out.append((f"sigma->filling->sigma r<={r_max} N<={length} ({total} cases)", bad_sigma == 0, ""))
-    out.append(("sigma->w->filling->sigma", bad_w == 0, f"{bad_w} failures"))
-    out.append(("rotation matches sequence rules", bad_rot == 0, f"{bad_rot} failures"))
-    return out
+    cases = [(sig, fillings.filling_from_sigma(sig)) for sig in
+             (fillings.SigmaSeq.of(r, sigma) for r, sigma in _sigmas(r_max, length))]
+    bad_sigma = sum(fillings.sigma_from_filling(filling) != sig for sig, filling in cases)
+    bad_w = sum(not _w_rebuilds(sig, filling) for sig, filling in cases)
+    bad_rot = sum(not _rotation_matches(sig, filling) for sig, filling in cases if sig.entries)
+    return [(f"sigma->filling->sigma r<={r_max} N<={length} ({len(cases)} cases)",
+             bad_sigma == 0, ""),
+            ("sigma->w->filling->sigma", bad_w == 0, f"{bad_w} failures"),
+            ("rotation matches sequence rules", bad_rot == 0, f"{bad_rot} failures")]
 
 
-def _rotation_matches(sig: fillings.SigmaSeq) -> bool:
-    filling = fillings.filling_from_sigma(sig)
+def _w_rebuilds(sig: fillings.SigmaSeq, filling: fillings.Filling) -> bool:
+    try:
+        return fillings.filling_from_w(sig.r, sig.N, fillings.w_of_sigma(sig)) == filling
+    except fillings.ReconstructionError:  # a readout that cannot be rebuilt fails
+        return False
+
+
+def _rotation_matches(sig: fillings.SigmaSeq, filling: fillings.Filling) -> bool:
     r = sig.r
     head, last = sig.entries[:-1], sig.entries[-1]
-    if last == 0:
-        got = fillings.sigma_from_filling(fillings.rotate(filling))
-        return got.entries == head
     if last < r:
         got = fillings.sigma_from_filling(fillings.rotate(filling))
-        return got.entries == (last - 1,) + head
+        return got.entries == (head if last == 0 else (last - 1,) + head)
     f0, f1 = fillings.rotate_both(filling)
     return (fillings.sigma_from_filling(f0).entries == (r,) + head
             and fillings.sigma_from_filling(f1).entries == (r - 1,) + head)

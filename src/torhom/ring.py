@@ -809,8 +809,6 @@ def _canonical_parts(num: LaurentPoly, den: DenomVector, factors: Iterable[int]
                 break
             num = quo
             d[i] -= 1
-            if num.is_zero():
-                return LaurentPoly.zero(), DenomVector()
     # most sums divide by nothing: then den is already the answer's
     return num, den if num is given else DenomVector.from_dict(d)
 

@@ -379,6 +379,7 @@ class TestCache:
         for payload in ("\t0,0,0,0,0,1,1,1,8,0",                      # odd hex length
                         "\t0,0,0,0,0,1,1,1,8,zz",                     # not hex
                         "\t0,0,0,0,0,1,1,1,12,01",                    # unknown width
+                        "\t0,0,0,0,0,1,1,2,8,01  ",                   # whitespace in the digits
                         "\t0,0,0,0,0,0,1,1,8,",                       # non-positive extent
                         "\t2,0,0,0,0,1,1,1,8,01",                     # bad coset
                         "\t0,0,0,0,0,2,1,1,8,0100",                   # empty top q-plane
@@ -676,6 +677,81 @@ class TestCheckFailurePath:
         assert code == 1
         assert "[FAIL] colored trefoil equals the display  (shift=(-2, 0, 0))" in out
         assert out.endswith("6/7 checks passed\n")
+
+    # Each suite below runs through `main` with one fault injected, and
+    # prints a [FAIL] line for each failing case and block, then exits 1.
+
+    @staticmethod
+    def scale_values(monkeypatch, when, m):
+        """checks.eval_p, with its value at each pair `when` accepts times m."""
+        import torhom.checks as checks
+
+        real = checks.eval_p
+        monkeypatch.setattr(checks, "eval_p", lambda pair, memo: (
+            real(pair, memo).scale(m) if when(pair) else real(pair, memo)))
+
+    def test_symmetry_lists_each_asymmetric_pair(self, capsys, monkeypatch):
+        self.scale_values(monkeypatch, lambda pair: pair.v > pair.w, qat_monomial(1, 0, 0))
+        code, out, _ = run(capsys, ["check", "symmetry", "--len", "3"])
+        assert code == 1
+        assert out.startswith("[FAIL] symmetry |0  (p(v,w) != p(w,v))\n")
+        for line in ("[FAIL] symmetry exhaustive len<=3 (15 pairs)",
+                     "[FAIL] symmetry random x200 seed=0",
+                     "[FAIL] symmetry deep 00000000000|000000000",
+                     "[FAIL] symmetry deep zero-heavy probes"):
+            assert f"\n{line}\n" in out
+        assert out.endswith("\n0/211 checks passed\n")
+
+    def test_positivity_lists_each_negative_expansion(self, capsys, monkeypatch):
+        import torhom.checks as checks
+
+        real = checks.expand_series
+        monkeypatch.setattr(checks, "expand_series", lambda s, depth: -real(s, depth))
+        code, out, _ = run(capsys, ["check", "positivity", "--len", "1", "--depth", "2"])
+        assert code == 1
+        assert out.startswith("[FAIL] positivity |\n")
+        for line in ("[FAIL] positivity pairs len<=1 depth=2 (5 pairs)",
+                     "[FAIL] positivity T(1,1)", "[FAIL] positivity T(6,6)",
+                     "[FAIL] positivity torus m,n<=6"):
+            assert f"\n{line}\n" in out
+        assert out.endswith("\n0/43 checks passed\n")
+
+    def test_parity_counts_each_odd_value(self, capsys, monkeypatch):
+        self.scale_values(monkeypatch, lambda pair: pair.w == "1", (0, 0, 1))  # times T
+        code, out, _ = run(capsys, ["check", "parity", "--len", "2"])
+        assert (code, out) == (1, "[FAIL] even T-exponent on 55 values  (3 violations)\n"
+                                  "0/1 checks passed\n")
+
+    def test_lemma53_lists_each_failing_identity(self, capsys, monkeypatch):
+        import torhom.ring as ring
+        from test_mutations import FAULTS
+
+        tag, combine = FAULTS["rule 2: t^l -> t^(l+1)"]
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", False)  # as test_mutations runs its faults
+        monkeypatch.setitem(recursion.RULES, tag, recursion.RULES[tag]._replace(combine=combine))
+        code, out, _ = run(capsys, ["check", "lemma53", "--r", "2", "--len", "2"])
+        assert code == 1
+        assert out.startswith("[FAIL] lemma53 r=1 sigma=() L1\n")
+        for line in ("[FAIL] lemma53 exhaustive r<=2 N<=2 (139 identities)",
+                     "[FAIL] lemma53 random x100 seed=0"):
+            assert f"\n{line}\n" in out
+        assert "\n[FAIL] lemma53 random r=" in out and out.endswith("\n0/450 checks passed\n")
+
+    # a misread w is rebuilt into another filling, or cannot be rebuilt at all
+    @pytest.mark.parametrize("misread, failures", [
+        (lambda w: w[::-1], 33),
+        (lambda w: w[1:] + w[:1], 41),
+    ], ids=["reversed", "rotated"])
+    def test_roundtrip_counts_each_unreadable_w(self, capsys, monkeypatch, misread, failures):
+        import torhom.fillings as fillings
+
+        real = fillings.w_of_sigma
+        monkeypatch.setattr(fillings, "w_of_sigma", lambda sig: misread(real(sig)))
+        code, out, _ = run(capsys, ["check", "roundtrip", "--r", "2", "--len", "3"])
+        assert (code, out) == (1, "[PASS] sigma->filling->sigma r<=2 N<=3 (55 cases)\n"
+                                  f"[FAIL] sigma->w->filling->sigma  ({failures} failures)\n"
+                                  "[PASS] rotation matches sequence rules  (0 failures)\n"
+                                  "2/3 checks passed\n")
 
     def test_suite_names_are_the_suites(self):
         # the parser's choices are kept in cli.py, so that importing it skips checks

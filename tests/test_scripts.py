@@ -45,22 +45,6 @@ def test_benchmark_json(tmp_path):
         assert 0 < result["entries"] < result["peak_entries"]
 
 
-def test_benchmark_json_cache_workload(tmp_path):
-    path = tmp_path / "bench.json"
-    done = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "benchmark.py"), "--json", str(path),
-         "--workloads", "K(2,3)"],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
-    assert done.returncode == 0, done.stderr
-    record = json.loads(path.read_text())["runs"]["run"]
-    result = record["results"]["K(2,3)"]
-    # the warm child's table: the one root the cold child saved
-    assert result["entries"] == result["peak_entries"] == 1 and result["cache_bytes"] > 0
-    for key in ("wall_s", "save_s"):
-        assert result[key] > 0 and len(result[f"{key}_runs"]) == record["repeat"]
-    assert os.listdir(tmp_path) == ["bench.json"]  # the cache files are gone
-
-
 def test_benchmark_json_command_line_workload(tmp_path):
     path = tmp_path / "bench.json"
     done = subprocess.run(
@@ -70,10 +54,11 @@ def test_benchmark_json_command_line_workload(tmp_path):
     assert done.returncode == 0, done.stderr
     record = json.loads(path.read_text())["runs"]["run"]
     result = record["results"]["J(2,3)"]
-    # the warm child's whole call, and the JSON line it printed
-    assert result["wall_s"] > 0 and len(result["wall_s_runs"]) == record["repeat"]
-    assert result["cache_bytes"] > 0
-    assert "entries" not in result and "save_s" not in result
+    # the warm child's whole call and its load, the cold child's save, and
+    # the JSON line the warm child printed
+    for key in ("wall_s", "save_s", "load_s"):
+        assert result[key] > 0 and len(result[f"{key}_runs"]) == record["repeat"]
+    assert result["cache_bytes"] > 0 and "entries" not in result
     # the bytes before the timing block, whose digits vary from run to run
     line = subprocess.run(
         [sys.executable, "-m", "torhom.cli", "torus", "2", "3", "--format", "json"],
@@ -128,6 +113,21 @@ def test_benchmark_hooks_resolve():
     assert json.loads(done.stdout) == [[], 500]
 
 
+def test_identity_batch_queries_are_pinned():
+    # identity-batch draws its pairs through checks._random_pair; a change to
+    # that draw, or to the sessions built on it, changes what the benchmark
+    # times.  perfbench/expected.json pins the answers, not the queries.
+    code = ("import hashlib, json, workloads\n"
+            "queries = workloads.session_queries(7, 0)\n"
+            "print(len(queries), hashlib.sha256(json.dumps(queries).encode()).hexdigest())\n")
+    path = os.pathsep.join([SRC, os.path.join(ROOT, "perfbench")])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    count, digest = done.stdout.split()
+    assert count == "500" and digest.startswith("9414049659e621b4")
+
+
 def test_benchmark_json_pair_and_suite_workloads(tmp_path):
     path = tmp_path / "bench.json"
     done = subprocess.run(
@@ -147,6 +147,7 @@ def test_benchmark_json_pair_and_suite_workloads(tmp_path):
     ("P(1,)", "weight mismatch"),
     ("P(012,1)", "not a workload name"),
     ("J(2)", "not a workload name"),
+    ("K(2,3)", "not a workload name"),
 ])
 def test_benchmark_rejects_a_bad_workload_name(name, message):
     done = subprocess.run(
