@@ -253,16 +253,17 @@ def verify_lemma53(r: int, entries: Sequence[int],
     def record(name, lhs, rhs, sigma=s.entries):
         checks.append(IdentityCheck(name, sigma, lhs == rhs, lhs, rhs))
 
+    def rotations(tag2, tag3, h):  # (L2) and (L3) for h = f, (K2) and (K3) for h = g
+        # h(sigma k) = h((k-1) sigma), 1 <= k <= r-1
+        for k in range(1, r):
+            record(f"{tag2}[k={k}]", h(_extend(s, [k])), h(_prepend(s, [k - 1])))
+        # h(sigma r) = t^-l h((r-1) sigma) + q t^-l h(r sigma)
+        record(tag3, h(_extend(s, [r])), h(_prepend(s, [r - 1])).scale(qat_monomial(0, 0, -l))
+               + h(_prepend(s, [r])).scale(qat_monomial(1, 0, -l)))
+
     # (L1) f(sigma 0) = (t^l + a) f(sigma)
     record("L1", f(_extend(s, [0])), f(s).times_t_plus_a(l))
-    # (L2) f(sigma k) = f((k-1) sigma), 1 <= k <= r-1
-    for k in range(1, r):
-        record(f"L2[k={k}]", f(_extend(s, [k])), f(_prepend(s, [k - 1])))
-    # (L3) f(sigma r) = t^-l f((r-1) sigma) + q t^-l f(r sigma)
-    lhs = f(_extend(s, [r]))
-    rhs = f(_prepend(s, [r - 1])).scale(qat_monomial(0, 0, -l)) \
-        + f(_prepend(s, [r])).scale(qat_monomial(1, 0, -l))
-    record("L3", lhs, rhs)
+    rotations("L2", "L3", f)
     # (K1a) g(sigma k 0) = (t^{l+1} + a) g((k-1) sigma), 1 <= k <= r-1
     for k in range(1, r):
         record(f"K1a[k={k}]", g(_extend(s, [k, 0])), g(_prepend(s, [k - 1])).times_t_plus_a(l + 1))
@@ -270,12 +271,5 @@ def verify_lemma53(r: int, entries: Sequence[int],
     record("K1a[k=0]", g(_extend(s, [0, 0])), g(_extend(s, [0])).times_t_plus_a(l + 1))
     # (K1b) g(sigma r 0) = g((r-1) sigma)
     record("K1b", g(_extend(s, [r, 0])), g(_prepend(s, [r - 1])))
-    # (K2) g(sigma k) = g((k-1) sigma), 1 <= k <= r-1
-    for k in range(1, r):
-        record(f"K2[k={k}]", g(_extend(s, [k])), g(_prepend(s, [k - 1])))
-    # (K3) g(sigma r) = t^-l g((r-1) sigma) + q t^-l g(r sigma)
-    lhs = g(_extend(s, [r]))
-    rhs = g(_prepend(s, [r - 1])).scale(qat_monomial(0, 0, -l)) \
-        + g(_prepend(s, [r])).scale(qat_monomial(1, 0, -l))
-    record("K3", lhs, rhs)
+    rotations("K2", "K3", g)
     return checks

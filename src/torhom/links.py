@@ -73,9 +73,9 @@ def colored_torus_homology(m: int, n: int, l: int, order: str = "theorem",
     if m < 1 or n < 1 or l < 1:
         raise DomainError(f"need m, n, l >= 1, got ({m}, {n}, {l})")
     if gcd(m, n) > 1:
-        v, w = "1" * l + "0" * (m * l - l), "1" * l + "0" * (n * l - l)
+        link = colored_sequences(m, n, l)
         raise DomainError(f"T({m},{n}) is a link (gcd {gcd(m, n)}) and colored takes knots only; "
-                          f"`pair {v} {w}` symmetrizes one of its components")
+                          f"`pair {link.v} {link.w}` symmetrizes one of its components")
     pair = colored_sequences(m, n, l, order)
     value = eval_p(pair, memo)
     return value.with_extra_denominator({i: 1 for i in range(1, l + 1)})

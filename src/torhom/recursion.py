@@ -86,9 +86,7 @@ def _base_case(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> Gra
     """(1 + a)^n / (1 - q)^n, n the length of the sequence that is not empty."""
     n = len(pair.v) + len(pair.w)
     num = LaurentPoly.from_qat({(0, j, 0): comb(n, j) for j in range(n + 1)}, layout)
-    # (1+a)^n has no common factor with any 1 - q t^{1-i}: already canonical
-    den = DenomVector.from_dict({1: n}) if n else DenomVector()
-    return GradedSeries(num, den, canonical=True)
+    return GradedSeries(num, DenomVector.from_dict({1: n}))
 
 
 def _rule2(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedSeries:
@@ -96,9 +94,7 @@ def _rule2(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedS
 
 
 def _all_zeros(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedSeries:
-    (child,) = values
-    return GradedSeries(child.num, child.den.merged_sum(DenomVector.from_dict({1: 1})),
-                        canonical=True)
+    return values[0].with_extra_denominator({1: 1})
 
 
 def _rule5(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedSeries:
@@ -156,11 +152,12 @@ class MemoTable:
     of the SHA-256 of everything after the first tab, in hex.  `save`
     writes what the table holds: for an evicting table, the query results
     and the lines it loaded.  `load` reads the file into one buffer and
-    checks every line's checksum and key in place, so a damaged line
-    exits 2 however far it is from the query; a file cut at a line
-    boundary is a smaller valid table.  An entry stays a `memoryview` of
-    its line until a lookup first needs it, so a query decodes only the
-    series it reads, and `save` copies an unchanged line verbatim.
+    checks every line's checksum and key in place, and that each key sorts
+    after the one before, so a damaged line or a repeated key exits 2
+    however far it is from the query; a file cut at a line boundary is a
+    smaller valid table.  An entry stays a `memoryview` of its line until
+    a lookup first needs it, so a query decodes only the series it reads,
+    and `save` copies an unchanged line verbatim.
     """
 
     def __init__(self, path: Optional[str] = None, evict: bool = False):
@@ -276,7 +273,7 @@ class MemoTable:
         pos = data.index(b"\n") + 1
         if data[:pos - 1] != self._version_line().encode():
             raise ValueError(f"cache version mismatch in {path}")
-        view, number = memoryview(data), 1
+        view, number, last = memoryview(data), 1, ""
         while pos < len(data):
             end = data.index(b"\n", pos)
             number += 1
@@ -292,8 +289,11 @@ class MemoTable:
                     pair_validate(v, w)
                 except ValueError as exc:
                     raise ValueError(f"bad cache key {key!r} in {path}: {exc}") from exc
+            if key <= last:  # save writes each key once, in order
+                raise ValueError(f"cache key {key!r} repeated or out of order "
+                                 f"at line {number} in {path}")
             self._table[key] = view[pos:end]
-            pos = end + 1
+            pos, last = end + 1, key
         self._synced = synced
         self.load_s = time.perf_counter() - t0
 
@@ -314,7 +314,7 @@ def _encode_series(key: str, series: GradedSeries) -> bytes:
 
 def _decode_series(line: memoryview) -> GradedSeries:
     """The series of a cache line whose checksum and key `load` checked;
-    raises ValueError on a malformed field."""
+    raises ValueError on a malformed field or a series not in lowest terms."""
     _, _, den_text, num_text = str(line, "ascii").split("\t")
     mult = {}
     for item in den_text.split(",") if den_text else ():
@@ -323,10 +323,10 @@ def _decode_series(line: memoryview) -> GradedSeries:
     den = DenomVector.from_dict(mult)
     if _den_text(den) != den_text:
         raise ValueError(f"bad denominator {den_text!r}")
-    num = decode_numerator(num_text)
-    if num.is_zero() and not den.is_empty():
-        raise ValueError("a zero numerator over a denominator")
-    return GradedSeries(num, den, canonical=True)
+    series = GradedSeries(decode_numerator(num_text), den)
+    if series.den != den:  # a zero numerator over a denominator, too
+        raise ValueError("a series not in lowest terms")
+    return series
 
 
 Step = Tuple[SeqPair, str, Callable, Tuple[str, ...]]  # pair, key, combine, children's keys

@@ -91,7 +91,7 @@ Monomial = Tuple[int, int, int]  # (qexp, aexp, texp) on the (Q,A,T) lattice
 
 MONO_ONE: Monomial = (0, 0, 0)
 
-# Debug mode: GradedSeries checks every canonical=True shortcut, a sum each
+# Debug mode: `_series` checks each series it stores unreduced, a sum each
 # skipped plane test, and recursion.eval_p descent and its layout bound.
 DEBUG_DESCENT = bool(os.environ.get("TLH_DEBUG_DESCENT"))
 
@@ -665,10 +665,13 @@ def _common_denominator(a: DenomVector, b: DenomVector) -> tuple:
 
 
 class GradedSeries:
-    """num / prod (1 - q t^{1-i})^{d_i}, kept canonical.
+    """num / prod (1 - q t^{1-i})^{d_i}, in lowest terms by construction.
 
     Canonical: the numerator is not divisible by any active denominator
     factor, and a zero numerator carries an empty denominator.
+    `GradedSeries(num, den)` always reduces.  Only this module skips the
+    reduction: each shortcut below builds through `_series` beside its
+    proof that the result is already canonical, and debug mode checks it.
 
     Sums try to divide only by the factors both summands carry with the
     same multiplicity; no other factor can cancel.  Write
@@ -698,29 +701,22 @@ class GradedSeries:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: DenomVector = DenomVector(),
-                 canonical: bool = False):
-        if canonical:
-            self.num = num
-            self.den = den
-            if DEBUG_DESCENT:  # the caller's shortcut must be a fixed point
-                assert _is_canonical(self), den
-        else:
-            self.num, self.den = _canonical_parts(num, den, [i for i, _ in den.mult])
+    def __init__(self, num: LaurentPoly, den: DenomVector = DenomVector()):
+        self.num, self.den = _canonical_parts(num, den, [i for i, _ in den.mult])
 
-    # -- constructors ---------------------------------------------------
+    # -- constructors: over no denominator, any numerator is canonical ---
 
     @classmethod
     def zero(cls) -> "GradedSeries":
-        return cls(LaurentPoly.zero(), DenomVector(), canonical=True)
+        return _series(LaurentPoly.zero(), DenomVector())
 
     @classmethod
     def one(cls) -> "GradedSeries":
-        return cls(LaurentPoly.one(), DenomVector(), canonical=True)
+        return _series(LaurentPoly.one(), DenomVector())
 
     @classmethod
     def from_poly(cls, p: LaurentPoly) -> "GradedSeries":
-        return cls(p, DenomVector(), canonical=True)
+        return _series(p, DenomVector())
 
     # -- arithmetic -----------------------------------------------------
 
@@ -735,13 +731,12 @@ class GradedSeries:
             n1 = n1._plus(n1, -1, d)
         for d in clear_other:
             n2 = n2._plus(n2, -1, d)
-        return GradedSeries(*_canonical_parts(n1._plus(n2, 1, m, base), lcd, shared),
-                            canonical=True)
+        return _series(*_canonical_parts(n1._plus(n2, 1, m, base), lcd, shared))
 
     __add__ = plus_scaled
 
     def __neg__(self) -> "GradedSeries":
-        return GradedSeries(-self.num, self.den, canonical=True)
+        return _series(-self.num, self.den)  # -1 is a unit
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
         return self + (-other)
@@ -750,7 +745,7 @@ class GradedSeries:
         return GradedSeries(self.num * other.num, self.den.merged_sum(other.den))
 
     def scale(self, m: Monomial) -> "GradedSeries":
-        return GradedSeries(self.num.scale(m), self.den, canonical=True)
+        return _series(self.num.scale(m), self.den)  # a monomial is a unit
 
     def times_t_plus_a(self, l: int) -> "GradedSeries":
         """(t^l + a) self, one sum t^l num + a num over the same denominator.
@@ -759,14 +754,13 @@ class GradedSeries:
         free of A, divides it; P_i then divides (t^l + a) num only if it
         divides num."""
         num = self.num._plus(self.num, 1, qat_monomial(0, 1, 0), qat_monomial(0, 0, l))
-        return GradedSeries(num, self.den, canonical=True)
+        return _series(num, self.den)
 
     def with_extra_denominator(self, factors: Mapping[int, int]) -> "GradedSeries":
         extra = DenomVector.from_dict(dict(factors))
         have = self.den.as_dict()
         new = [i for i, _ in extra.mult if i not in have]
-        return GradedSeries(*_canonical_parts(self.num, self.den.merged_sum(extra), new),
-                            canonical=True)
+        return _series(*_canonical_parts(self.num, self.den.merged_sum(extra), new))
 
     def __eq__(self, other: object) -> bool:
         # canonical representatives are unique, so syntactic equality suffices
@@ -787,8 +781,10 @@ class GradedSeries:
 def _canonical_parts(num: LaurentPoly, den: DenomVector, factors: Iterable[int]
                      ) -> Tuple[LaurentPoly, DenomVector]:
     """num / den in lowest terms, dividing by the factors i in `factors`
-    (ascending, each active in den) as often as they divide; the caller
-    proves that no other factor of den divides num.  A num whose
+    (ascending, each active in den) as often as they divide.  Only
+    `GradedSeries.__init__`, which passes every factor, and this module's
+    shortcuts call it; a shortcut proves that no other factor of den
+    divides num, and builds its result through `_series`.  A num whose
     coefficients do not sum to 0 tries none (see GradedSeries), which
     debug mode checks against the divisions themselves."""
     if num.is_zero():
@@ -813,9 +809,15 @@ def _canonical_parts(num: LaurentPoly, den: DenomVector, factors: Iterable[int]
     return num, den if num is given else DenomVector.from_dict(d)
 
 
-def _is_canonical(s: GradedSeries) -> bool:
-    """True iff s is a fixed point of canonicalizing by every factor."""
-    return _canonical_parts(s.num, s.den, [i for i, _ in s.den.mult]) == (s.num, s.den)
+def _series(num: LaurentPoly, den: DenomVector) -> GradedSeries:
+    """The series num / den, stored as given: its caller proves it
+    canonical, and debug mode checks that it is a fixed point of reducing
+    by every factor."""
+    s = _NEW(GradedSeries)
+    s.num, s.den = num, den
+    if DEBUG_DESCENT:
+        assert _canonical_parts(num, den, [i for i, _ in den.mult]) == (num, den), den
+    return s
 
 
 def series_equal(f: GradedSeries, g: GradedSeries) -> bool:

@@ -388,6 +388,7 @@ class TestCache:
                         "0:1\t0,0,0,0,0,1,1,1,8,01",                  # denominator index 0
                         "1:1,1:1\t0,0,0,0,0,1,1,1,8,01",              # repeated factor
                         "1:1\t",                                      # zero over a factor
+                        "1:1\t0,0,0,0,0,2,1,1,8,01ff",                # (1 - q) / (1 - q)
                         "\t0,0,0,0,0,1,1,1,01",                       # nine fields
                         "0,0,0,0,0,1,1,1,8,01"):                      # no denominator
             path.write_text(MemoTable._version_line() + "\n" + cache_line("|\t" + payload))
@@ -457,6 +458,24 @@ class TestCache:
         code, out, err = run(capsys, ["torus", "2", "2", "--cache", str(path)])
         assert (code, out) == (2, "")
         assert err == f"error: bad cache key {key!r} in {path}: {reason}\n"
+
+    @pytest.mark.parametrize("order, number, key", [
+        ((1, 0), 3, "000|00"),
+        ((1, 0, 0), 3, "000|00"),
+        ((0, 1, 1), 4, "00|000"),
+    ], ids=["swapped", "swapped and repeated", "repeated"])
+    def test_repeated_or_out_of_order_key_exits_two(self, capsys, tmp_path, order, number, key):
+        # save writes each key once, in order: two lines of one key would make
+        # the answer depend on which of them is read
+        path = tmp_path / "memo.tsv"
+        run_json(capsys, ["torus", "2", "3", "--cache", str(path)])
+        run_json(capsys, ["torus", "3", "2", "--cache", str(path)])
+        header, *lines = path.read_text().splitlines(keepends=True)
+        assert [line.split("\t")[1] for line in lines] == ["000|00", "00|000"]
+        path.write_text(header + "".join(lines[i] for i in order))
+        code, out, err = run(capsys, ["torus", "2", "3", "--cache", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: cache key {key!r} repeated or out of order at line {number} in {path}\n"
 
     def test_warm_run_decodes_only_the_entry_it_reads(self, capsys, tmp_path, monkeypatch):
         path = str(tmp_path / "memo.tsv")

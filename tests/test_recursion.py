@@ -242,9 +242,8 @@ class TestQueryLayout:
 
         def padded(pair, values, layout):  # the right value, not in lowest terms
             value = recursion._all_zeros(pair, values, layout)
-            return GradedSeries(value.num * one_minus_q,
-                                value.den.merged_sum(DenomVector.from_dict({1: 1})),
-                                canonical=True)
+            return ring._series(value.num * one_minus_q,
+                                value.den.merged_sum(DenomVector.from_dict({1: 1})))
 
         rule = recursion.RULES[RuleTag.AllZeros]
         monkeypatch.setitem(recursion.RULES, RuleTag.AllZeros, rule._replace(combine=padded))
@@ -493,11 +492,12 @@ class TestPersistence:
             MemoTable(path=path).peek(SeqPair("0", "0"))
 
     def test_debug_mode_checks_that_decoded_entries_are_canonical(self, tmp_path, monkeypatch):
-        # (1 - q) / (1 - q) under a valid checksum: decodable, not canonical
+        # (1 - q) / (1 - q) under a valid checksum: decodable, not canonical,
+        # so refused in both modes
         monkeypatch.setattr(ring, "DEBUG_DESCENT", False)
         one_minus_q = qat({(0, 0, 0): 1, (1, 0, 0): -1})
         line = recursion._encode_series(
-            "0|0", GradedSeries(one_minus_q, DenomVector.from_dict({1: 1}), canonical=True))
+            "0|0", ring._series(one_minus_q, DenomVector.from_dict({1: 1})))
         monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
         path = str(tmp_path / "cache.tsv")
         memo = MemoTable()
@@ -506,10 +506,10 @@ class TestPersistence:
         assert len(list(MemoTable(path=path).values())) == 63  # all canonical
         with open(path, "wb") as fh:
             fh.write(MemoTable._version_line().encode() + b"\n" + line + b"\n")
-        with pytest.raises(AssertionError):
-            MemoTable(path=path).peek(SeqPair("0", "0"))
-        monkeypatch.setattr(ring, "DEBUG_DESCENT", False)
-        assert MemoTable(path=path).peek(SeqPair("0", "0")).num == one_minus_q
+        for debug in (True, False):
+            monkeypatch.setattr(ring, "DEBUG_DESCENT", debug)
+            with pytest.raises(ValueError, match=r"damaged cache entry '0\|0'"):
+                MemoTable(path=path).peek(SeqPair("0", "0"))
 
     def test_stored_bytes_are_a_function_of_the_value(self):
         # every part the recursion stores at T(7,7) has a tight box, so its

@@ -347,9 +347,8 @@ class TestSeries:
         monkeypatch.setattr(ring, "DEBUG_DESCENT", False)
         a = GradedSeries(ONE_PLUS_A, DenomVector.from_dict({1: 1}))
         factor = LaurentPoly({(0, 0, 0): 1, denom_monomial(2): -1})
-        b = GradedSeries(ONE_PLUS_A * factor,
-                         DenomVector.from_dict({1: 1, 2: 1}),
-                         canonical=True)  # deliberately non-canonical value
+        b = ring._series(ONE_PLUS_A * factor,
+                         DenomVector.from_dict({1: 1, 2: 1}))  # deliberately non-canonical value
         assert expand_series(a, 6) == expand_series(b, 6)
 
     def test_debug_mode_checks_shortcuts_outside_the_recursion(self, monkeypatch):
@@ -503,8 +502,7 @@ class TestSeriesJson:
     def test_matches_json_dumps(self, terms, den):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ring, "DEBUG_DESCENT", False)  # terms / den need not be in lowest terms
-            s = GradedSeries(LaurentPoly(terms), DenomVector.from_dict(den if terms else {}),
-                             canonical=True)
+            s = ring._series(LaurentPoly(terms), DenomVector.from_dict(den if terms else {}))
         assert series_json(s) == dumps_json(s)
 
     @pytest.mark.parametrize("value", [

@@ -221,7 +221,7 @@ def test_render(f, den):
     den = DenomVector.from_dict(den)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ring, "DEBUG_DESCENT", False)  # f / den need not be in lowest terms
-        packed, oracle = (GradedSeries(x, den, canonical=True) for x in (pf, of))
+        packed, oracle = (ring._series(x, den) for x in (pf, of))
     assert series_json(packed) == series_json(oracle)
     for fmt in ("human", "latex"):
         assert render(packed, fmt) == render(oracle, fmt)
@@ -240,7 +240,7 @@ def test_expansion_matches_geometric_series(f, depth):
         power = power.scale(q)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ring, "DEBUG_DESCENT", False)  # f / (1 - q) need not be in lowest terms
-        s = GradedSeries(pf, DenomVector.from_dict({1: 1}), canonical=True)
+        s = ring._series(pf, DenomVector.from_dict({1: 1}))
     got = expand_series(s, depth)
     assert same(got, want)
 
@@ -536,7 +536,7 @@ child_cosets = st.one_of(st.just((0, 0)), st.sampled_from(COSETS))
 
 def combined(combine, pair, values, debug):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ring, "DEBUG_DESCENT", debug)  # checks each canonical=True shortcut
+        mp.setattr(ring, "DEBUG_DESCENT", debug)  # checks each shortcut through ring._series
         return combine(pair, values, (1, 1))
 
 
