@@ -10,7 +10,10 @@ so keys are never canonicalized across the swap.
 pairs its value depends on and the step that combines their values;
 `query_layout` sizes the packed numerators of one query.  The plan keeps
 each pair's key and its children's, so the combine loop reads and evicts
-by key, and each rule's combine is one ring call.
+by key, and each rule's combine is one ring call.  Rules 3 and 4 only
+rename a pair, handing their one child's value on: the walk follows them
+to the pair whose value they hand on, so a renaming is never a step and
+never an entry, unless it is a query's root.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .ring import (
     LaurentPoly,
     decode_numerator,
     encode_numerator,
-    qat_monomial,
 )
 from .sequences import SeqPair, pair_strictly_precedes, pair_validate
 
@@ -90,7 +92,12 @@ def _base_case(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> Gra
 
 
 def _rule2(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedSeries:
-    return values[0].times_t_plus_a(pair.l - 1)
+    return values[0].times_t_plus_a(pair.v.count("1") - 1)
+
+
+def _same(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedSeries:
+    """Rules 3 and 4: the pair's value is its one child's."""
+    return values[0]
 
 
 def _all_zeros(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedSeries:
@@ -98,15 +105,18 @@ def _all_zeros(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> Gra
 
 
 def _rule5(pair: SeqPair, values: List[GradedSeries], layout: Layout) -> GradedSeries:
-    # t^{-l} p(1v,1w) + q t^{-l} p(0v,0w)
-    l = pair.l
+    # t^{-l} p(1v,1w) + q t^{-l} p(0v,0w); t^{-l} and q t^{-l} are the
+    # lattice points qat_monomial(0, 0, -l) and qat_monomial(1, 0, -l)
+    l2 = 2 * pair.v.count("1")
     first, second = values
-    return first.plus_scaled(second, qat_monomial(1, 0, -l), qat_monomial(0, 0, -l))
+    return first.plus_scaled(second, (l2 + 2, 0, -l2), (l2, 0, -l2))
 
 
 class Rule(NamedTuple):
     """A rule: the pairs a value depends on, and how their values combine
-    (the query's layout sizes the numerators a combine packs afresh)."""
+    (the query's layout sizes the numerators a combine packs afresh).  A
+    rule whose combine is `_same` renames its one child, and `_plan`
+    follows it instead of planning it."""
 
     children: Callable[[SeqPair], Tuple[SeqPair, ...]]
     combine: Callable[[SeqPair, List[GradedSeries], Layout], GradedSeries]
@@ -116,10 +126,8 @@ RULES: Dict[RuleTag, Rule] = {
     RuleTag.BaseEmptyLeft: Rule(lambda p: (), _base_case),
     RuleTag.BaseEmptyRight: Rule(lambda p: (), _base_case),
     RuleTag.Rule2_bothEndOne: Rule(lambda p: (SeqPair(p.v[:-1], p.w[:-1]),), _rule2),
-    RuleTag.Rule3_v0w1: Rule(lambda p: (SeqPair(p.v[:-1], "1" + p.w[:-1]),),
-                             lambda p, vs, _: vs[0]),
-    RuleTag.Rule4_v1w0: Rule(lambda p: (SeqPair("1" + p.v[:-1], p.w[:-1]),),
-                             lambda p, vs, _: vs[0]),
+    RuleTag.Rule3_v0w1: Rule(lambda p: (SeqPair(p.v[:-1], "1" + p.w[:-1]),), _same),
+    RuleTag.Rule4_v1w0: Rule(lambda p: (SeqPair("1" + p.v[:-1], p.w[:-1]),), _same),
     RuleTag.Rule5_bothEndZero: Rule(
         lambda p: (SeqPair("1" + p.v[:-1], "1" + p.w[:-1]),
                    SeqPair("0" + p.v[:-1], "0" + p.w[:-1])),
@@ -141,7 +149,9 @@ class MemoTable:
     as the last pair that needs it has been combined.  Entries stored
     before the query started, loaded or computed, are never dropped.  A
     table made without `evict` keeps every entry, so queries that share
-    it reuse each other's work.
+    it reuse each other's work.  Either way a pair of rule 3 or 4, which
+    only renames its child, is an entry only as a query's root (see
+    `_plan`).
 
     Cache file: a version header, then one line per entry, sorted by key:
 
@@ -201,12 +211,6 @@ class MemoTable:
 
     def put(self, pair: SeqPair, value: GradedSeries) -> None:
         self._table[pair.key()] = value
-        self._synced = None
-
-    def drop(self, key: str) -> None:
-        """Forget the entry of the pair whose `SeqPair.key()` is `key`."""
-        self._peak = max(self._peak, len(self._table))  # only a drop lowers the count
-        del self._table[key]
         self._synced = None
 
     @property
@@ -335,52 +339,88 @@ Step = Tuple[SeqPair, str, Callable, Tuple[str, ...]]  # pair, key, combine, chi
 def _plan(pair: SeqPair, memo: MemoTable) -> Tuple[List[Step], Dict[str, int], int, int]:
     """One post-order walk from `pair`, its rule's first child first.
 
-    Returns, for `pair` and every pair below it that `memo` does not hold,
-    the pair, its key, its rule's combine step and its children's keys, in
-    an order in which each pair follows its children; for an evicting
-    memo, how many parents each of those pairs but `pair` has among them;
-    the hits, a reference to a pair stored before the walk or already
-    planned; and the deepest stack.  The walk does not descend into a
-    stored pair, and a stored pair gets no count, so eviction never drops
-    it; a stored pair still held as its cache line is decoded in place.
-    No pair is pushed twice: only rule 5 has two children, its second
-    (0v, 0w) ranks above its first (1v, 1w) under `pair_rank` (two ones
-    fewer), and every pair planned below the first ranks lower still.
+    Returns, for `pair` and every pair below it that `memo` does not hold
+    and whose rule combines, the pair, its key, its rule's combine step
+    and its children's keys, in an order in which each pair follows its
+    children; for an evicting memo, how many parents each of those pairs
+    but `pair` has among them; the hits, a reference to a pair stored
+    before the walk or already planned; and the deepest stack.  The walk
+    does not descend into a stored pair, and a stored pair gets no count,
+    so eviction never drops it; a stored pair still held as its cache
+    line is decoded in place.
+
+    Renamings.  Rules 3 and 4 hand their one child's value on: their
+    combine is `_same`.  A child whose rule's combine is `_same` is
+    followed down its chain of such rules to the first pair that is
+    stored or whose rule combines, and that pair's key stands for the
+    child; debug mode asserts that each hop descends.  So a renaming is
+    neither a step nor an entry, except the query's root, which is
+    planned with `_same` so that it is stored under its own key.  A rule
+    whose combine is not `_same` is planned as a step, whatever its tag.
+
+    Each pair is planned once.  Only rule 5 has two children, and its
+    second (0v, 0w) waits on the stack, as the end X of its chain, while
+    the first (1v, 1w) is walked.  With no hop, X is (0v, 0w), which ranks
+    above the first child under `pair_rank` (two ones fewer), and every
+    pair below the first ranks lower still, so the walk cannot meet X
+    there.  A hop shortens the pair, so a chain's end can lie below the
+    first child (both children of (10, 100) reach (1, 1)); the walk then
+    pushes X again and plans it there, and the copy left on the stack
+    finds X planned at its first visit and counts as a hit.  Debug mode
+    asserts that only the end of a chain is pushed twice.
     """
     steps: Dict[str, Step] = {}
     parents: Dict[str, int] = {}
-    table, hits, depth, evict = memo._table, 0, 1, memo.evict
-    todo: List[Tuple[SeqPair, str, Optional[Callable], Tuple[str, ...]]] = [
-        (pair, pair.key(), None, ())]
+    table, hits, depth, evict, debug = memo._table, 0, 1, memo.evict, ring.DEBUG_DESCENT
+    chained = set()  # debug mode: every pair a chain reached
+    # a pair's first visit carries its rule and no keys; its second, its step
+    todo: list = [(pair, pair.key(), RULES[classify_rule(pair)], None)]
     while todo:
-        if len(todo) > depth:
-            depth = len(todo)
         entry = todo.pop()
-        current, key, combine, _ = entry
-        if combine is not None:  # second visit: every child is planned
+        current, key, rule, keys = entry
+        if keys is not None:  # second visit: every child is planned
             steps[key] = entry
             continue
-        if ring.DEBUG_DESCENT:
-            assert key not in steps, ("pushed twice", current)
-        children_of, combine = RULES[classify_rule(current)]
-        children = children_of(current)
-        keys = tuple([child.key() for child in children])
-        todo.append((current, key, combine, keys))
-        for child, child_key in zip(reversed(children), reversed(keys)):
-            if ring.DEBUG_DESCENT:
+        if key in steps:  # a chain's end, planned since it was pushed
+            if debug:
+                assert key in chained, ("pushed twice", current)
+            hits += 1
+            continue
+        children_of, combine = rule
+        at, keys = len(todo), []
+        todo.append(None)  # the second visit, once the children's keys are known
+        for child in reversed(children_of(current)):  # the first child is popped first
+            if debug:
                 assert pair_strictly_precedes(child, current), (current, child)
+            child_key = child.key()
             stored = table.get(child_key)
-            if stored is not None:
+            while stored is None and child_key not in steps:
+                rule = RULES[classify_rule(child)]
+                if rule.combine is not _same:
+                    break
+                below, = rule.children(child)
+                if debug:  # a chain that did not descend would never end
+                    assert pair_strictly_precedes(below, child), (child, below)
+                    chained.add(below.key())
+                child, child_key = below, below.key()
+                stored = table.get(child_key)
+            else:  # a hit: stored, or planned already
+                keys.append(child_key)
                 hits += 1
-                if isinstance(stored, memoryview):
+                if stored is None:
+                    if evict:
+                        parents[child_key] += 1
+                elif isinstance(stored, memoryview):
                     memo._decode(child_key, stored)
                 continue
+            keys.append(child_key)
             if evict:
                 parents[child_key] = parents.get(child_key, 0) + 1
-            if child_key in steps:
-                hits += 1
-            else:
-                todo.append((child, child_key, None, ()))
+            todo.append((child, child_key, rule, None))
+        if len(todo) > depth:
+            depth = len(todo)
+        keys.reverse()
+        todo[at] = (current, key, combine, tuple(keys))
     return list(steps.values()), parents, hits, depth
 
 
@@ -405,21 +445,26 @@ def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
         return cached
     layout = query_layout(pair)
     steps, parents, hits, depth = _plan(pair, memo)
-    read, put, evict = memo._table.__getitem__, memo.put, memo.evict
+    table, put, evict, debug = memo._table, memo.put, memo.evict, ring.DEBUG_DESCENT
+    read, peak = table.__getitem__, memo._peak
     for current, _, combine, keys in steps:
-        if ring.DEBUG_DESCENT:
+        if debug:
             for key in keys:  # read only while a parent still needs it
                 assert parents.get(key, 1) > 0, ("evicted", current, key)
         value = combine(current, [*map(read, keys)], layout)
-        if ring.DEBUG_DESCENT:
+        if debug:
             assert value.num.within(*layout), (current, layout)
         put(current, value)
-        for key in keys if evict else ():
-            left = parents.get(key)
-            if left is not None:  # computed by this query
-                parents[key] = left - 1
-                if left == 1:
-                    memo.drop(key)
+        if evict:
+            for key in keys:
+                left = parents.get(key)
+                if left is not None:  # computed by this query
+                    parents[key] = left - 1
+                    if left == 1:
+                        if len(table) > peak:  # only a drop lowers the count
+                            peak = len(table)
+                        del table[key]
+    memo._peak = peak
     memo.record(hits, len(steps), depth)
     return value
 

@@ -268,16 +268,19 @@ def _make(n, bits, ts, ps, q0, a0, t0, qe, ae, te, room, coset, trim=True) -> La
         low = ((n & -n).bit_length() - 1) // plane
         n >>= low * plane
         q0 += low
+    f = _NEW(LaurentPoly)  # as _poly builds it, without the call
+    f.n, f.bits, f.ts, f.ps, f.q0, f.a0, f.t0 = n, bits, ts, ps, q0, a0, t0
     # with |digit| <= 2**(bits - 3) the top digit sits at bit_length // bits
-    qe = n.bit_length() // bits // ps + 1
-    return _poly(n, bits, ts, ps, q0, a0, t0, qe, ae, te, room, coset)
+    f.qe, f.ae, f.te, f.room, f.coset = n.bit_length() // bits // ps + 1, ae, te, room, coset
+    return f
 
 
-def _add_parts(x: LaurentPoly, y: LaurentPoly, sign: int, dq=0, da=0, dt=0) -> LaurentPoly:
-    """x + sign * y for nonzero x and y on one coset, y's origin moved by
-    (dq, da, dt), over the union of their boxes; see "Operations" in the
-    module docstring."""
-    xq, xa, xt, yq, ya, yt = x.q0, x.a0, x.t0, y.q0 + dq, y.a0 + da, y.t0 + dt
+def _add_parts(x: LaurentPoly, y: LaurentPoly, sign: int, dq=0, da=0, dt=0,
+               bq=0, ba=0, bt=0, coset=None) -> LaurentPoly:
+    """x + sign * y for nonzero x and y, y's origin moved by (dq, da, dt)
+    and x's by (bq, ba, bt), both onto `coset` (x's own when None), over
+    the union of their boxes; see "Operations" in the module docstring."""
+    xq, xa, xt, yq, ya, yt = x.q0 + bq, x.a0 + ba, x.t0 + bt, y.q0 + dq, y.a0 + da, y.t0 + dt
     xq1, xa1, xt1, yq1, ya1, yt1 = xq + x.qe, xa + x.ae, xt + x.te, yq + y.qe, ya + y.ae, yt + y.te
     # the union box, by comparisons: builtin min and max cost a call each
     q0, a0, t0 = xq if xq < yq else yq, xa if xa < ya else ya, xt if xt < yt else yt
@@ -304,7 +307,7 @@ def _add_parts(x: LaurentPoly, y: LaurentPoly, sign: int, dq=0, da=0, dt=0) -> L
     nx = nx << bits * sx if sx else nx  # n << 0 copies the whole int
     ny = ny << bits * sy if sy else ny
     return _make(nx + ny if sign > 0 else nx - ny, bits, ts, ps, q0, a0, t0, qe, ae, te, room,
-                 x.coset, xq == yq)
+                 coset or x.coset, xq == yq)
 
 
 def _balanced_low(n: int, nbits: int) -> int:
@@ -465,18 +468,20 @@ class LaurentPoly:
     def _plus(self, other: LaurentPoly, sign: int, m: Monomial = MONO_ONE,
               base: Monomial = MONO_ONE) -> LaurentPoly:
         """base self + sign * m other: a monomial Q^a A^b T^c maps a coset
-        onto one, and the two summands must land on the same one."""
-        x = self
-        if x.n and base != MONO_ONE:
-            x = x.moved(*_image(x.coset, base))
+        onto one, and the two summands must land on the same one.  Both
+        moves go to `_add_parts`, so neither summand is copied."""
         if not other.n:
-            return x
+            return self.moved(*_image(self.coset, base)) if self.n and base != MONO_ONE else self
         coset, dq, da, dt = _image(other.coset, m)
-        if not x.n:
+        if not self.n:
             return other.moved(coset, dq, da, dt, other.n if sign > 0 else -other.n)
-        if coset != x.coset:
-            raise LatticeError(f"a sum across the cosets {x.coset} and {coset}")
-        return _add_parts(x, other, sign, dq, da, dt)
+        if base == MONO_ONE:
+            xcoset, bq, ba, bt = self.coset, 0, 0, 0
+        else:
+            xcoset, bq, ba, bt = _image(self.coset, base)
+        if coset != xcoset:
+            raise LatticeError(f"a sum across the cosets {xcoset} and {coset}")
+        return _add_parts(self, other, sign, dq, da, dt, bq, ba, bt, coset)
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         return self._plus(other, 1)
@@ -753,7 +758,8 @@ class GradedSeries:
         A-coefficient, so neither prime 1 - m_i, 1 + m_i of P_i (see above),
         free of A, divides it; P_i then divides (t^l + a) num only if it
         divides num."""
-        num = self.num._plus(self.num, 1, qat_monomial(0, 1, 0), qat_monomial(0, 0, l))
+        # a and t^l as lattice points: qat_monomial(0, 1, 0) and qat_monomial(0, 0, l)
+        num = self.num._plus(self.num, 1, (-2, 1, 0), (-2 * l, 0, 2 * l))
         return _series(num, self.den)
 
     def with_extra_denominator(self, factors: Mapping[int, int]) -> "GradedSeries":

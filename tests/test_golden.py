@@ -26,11 +26,15 @@ from torhom.sequences import pair_validate
 T88_RESULT = "1a8dbcacb071da18e3a27809dab77b2108d005b1a391a99aec7189d771cd7ef9"
 # SHA-256 of the file written by `torhom torus 6 6 --format json --cache FILE`
 T66_CACHE = "b54900e7b812f7c7391708f2cac53a8db097921542052120cf04efe452fd6408"
+# the same for `torhom pair 0001 0010`, whose root is a rule-4 renaming: the
+# header and the root's line, as written before renamings left the plan
+RENAMING_ROOT_CACHE = "2318235ceb71baf52bebce108e6e713de24da437609089fc567f75b1f609bae7"
 # A cache file is trusted when its ENCODER_VERSION matches, so the version pins
 # the values: {ENCODER_VERSION: SHA-256 of the newline-joined series_json of the
-# PROBE pairs' values}.  The probe's 48 entries reach every rule tag but
-# base-empty-right; a change of any value fails this until the version is bumped
-# and its digest recorded.
+# PROBE pairs' values}.  The probe's 30 entries reach five of the seven rule
+# tags: not base-empty-right, and rule 4 only through the renamings the walk
+# follows, as no probe root is one; a change of any value fails this until the
+# version is bumped and its digest recorded.
 PROBE = [("000", "0000"), ("0011", "000011"), ("0100", "0010"), ("10", "0001")]
 PROBE_DIGESTS = {
     "torhom-series-packed-3": "f0dc80cc8757490d7cc07d381722e8716ee9992d5cb7db867241d6ef8453e03d",
@@ -118,10 +122,21 @@ def test_torus_6_6_cache_file(capsys, tmp_path):
     assert sha256(path.read_bytes()) == T66_CACHE
 
 
+def test_renaming_root_cache_file(capsys, tmp_path):
+    path = tmp_path / "e.tsv"
+    runs = []
+    for _ in range(2):  # cold, then warm
+        assert main(["pair", "0001", "0010", "--format", "json", "--cache", str(path)]) == 0
+        runs.append(json.loads(capsys.readouterr().out))
+        assert sha256(path.read_bytes()) == RENAMING_ROOT_CACHE
+    assert runs[0]["result"] == runs[1]["result"]
+    assert runs[1]["timing"]["misses"] == 0 and path.read_bytes().count(b"\n") == 2
+
+
 def test_encoder_version_pins_the_probe_values():
     memo = MemoTable()
     text = "\n".join(series_json(eval_p(pair_validate(v, w), memo)) for v, w in PROBE)
-    assert len(memo) == 48
+    assert len(memo) == 30
     assert PROBE_DIGESTS.get(ENCODER_VERSION) == sha256(text.encode()), \
         "the probe's values changed: bump ENCODER_VERSION and record its digest"
 

@@ -115,7 +115,8 @@ class TestDeterminism:
     @pytest.mark.parametrize("evict", [True, False])
     def test_descent_check_trips_on_a_rule_that_does_not_descend(self, monkeypatch, evict):
         # debug mode only: without the check, a pair that is its own child
-        # is walked forever, so the patched rule gives up after many calls
+        # is walked forever, so the patched rule gives up after many calls;
+        # (10, 01) is the root, and below rule 2's (101, 011) a chain's head
         monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
         calls = []
 
@@ -127,12 +128,15 @@ class TestDeterminism:
 
         rule = recursion.RULES[RuleTag.Rule3_v0w1]
         monkeypatch.setitem(recursion.RULES, RuleTag.Rule3_v0w1, rule._replace(children=itself))
-        with pytest.raises(AssertionError):
-            eval_p(pair_validate("10", "01"), MemoTable(evict=evict))
+        for v, w in [("10", "01"), ("101", "011")]:
+            calls.clear()
+            with pytest.raises(AssertionError):
+                eval_p(pair_validate(v, w), MemoTable(evict=evict))
 
     def test_no_pair_is_pushed_twice(self, monkeypatch):
-        # debug mode asserts it at each first visit: every pair of length
-        # <= 8 on one keeping table, and T(n,n) on evicting tables
+        # debug mode asserts at each first visit that only a chain's end
+        # is pushed twice: every pair of length <= 8 on one keeping table,
+        # and T(n,n) on evicting tables
         monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
         memo = MemoTable()
         for pair in checks._valid_pairs(8):
@@ -140,6 +144,21 @@ class TestDeterminism:
         assert len(memo) == 48619
         for n in range(9):
             eval_p(torus(n, n), MemoTable(evict=True))
+
+    @pytest.mark.parametrize("evict", [True, False])
+    def test_a_chain_end_below_the_first_child_is_planned_once(self, monkeypatch, evict):
+        # (10, 100), rule 5: its first child (11, 110) reaches (1, 1) by
+        # rule 4 and rule 2, its second (01, 010) by three renamings; (1, 1)
+        # waits on the stack while the first child's walk plans it
+        monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
+        root = pair_validate("10", "100")
+        steps, parents, hits, _ = recursion._plan(root, MemoTable(evict=evict))
+        assert [key for _, key, _, _ in steps] == ["|", "1|1", "11|11", "10|100"]
+        assert [keys for _, _, _, keys in steps][-1] == ("11|11", "1|1")
+        assert hits == 1 and parents == ({"1|1": 2, "11|11": 1, "|": 1} if evict else {})
+        memo = MemoTable(evict=evict)
+        assert eval_p(root, memo) == eval_p(root, MemoTable())
+        assert sorted(memo._table) == (["10|100"] if evict else ["10|100", "11|11", "1|1", "|"])
 
     def test_debug_mode_trips_on_a_pair_pushed_twice(self, monkeypatch):
         # rule 5 made to list its first child twice: both copies are pushed
@@ -279,6 +298,20 @@ class TestMemo:
         eval_p(pair, memo)
         assert memo.hits > before
 
+    def test_renamings_are_entries_only_as_roots(self):
+        memo = MemoTable()
+        roots = [torus(7, 11), pair_validate("0001", "0010"), pair_validate("10", "0001"),
+                 pair_validate("0001000000", "0000001000"), pair_validate("0110", "1010"),
+                 *[links.colored_sequences(3, 5, 2, o) for o in ("theorem", "example")]]
+        for root in roots:
+            eval_p(root, memo)
+        renamings = {RuleTag.Rule3_v0w1, RuleTag.Rule4_v1w0}
+        keys = {root.key() for root in roots}
+        assert {classify_rule(root) for root in roots} >= renamings
+        assert keys <= set(memo._table) and len(memo) > 2000
+        assert all(classify_rule(SeqPair(*key.split("|"))) not in renamings
+                   for key in memo._table if key not in keys)
+
     def test_key_is_verbatim_pair(self):
         memo = MemoTable()
         eval_p(pair_validate("01", "10"), memo)
@@ -314,14 +347,14 @@ class TestEviction:
         "T(9,9)": (lambda memo: eval_p(torus(9, 9), memo),
                    (1, 137, 502, 1023, 27), (1023, 1023, 502, 1023, 27)),
         "T(7,11)": (lambda memo: eval_p(torus(7, 11), memo),
-                    (1, 158, 532, 1857, 25), (1857, 1857, 532, 1857, 25)),
+                    (1, 141, 532, 874, 21), (874, 874, 532, 874, 21)),
         "colored 3 5 3": (lambda memo: links.colored_torus_both(3, 5, 3, memo),
-                          (2, 92, 632, 3006, 28), (2879, 2879, 633, 2879, 28)),
+                          (2, 92, 632, 1534, 22), (1470, 1470, 633, 1470, 22)),
         "sigma 5 3,0,1,5 --g": (
             lambda memo: fillings.g_sigma(fillings.SigmaSeq.of(5, (3, 0, 1, 5)), memo),
-            (1, 6, 4, 43, 16), (43, 43, 4, 43, 16)),
+            (1, 6, 4, 15, 7), (15, 15, 4, 15, 7)),
         "pair 0011 000011": (lambda memo: eval_p(pair_validate("0011", "000011"), memo),
-                             (1, 4, 2, 15, 10), (15, 15, 2, 15, 10)),
+                             (1, 4, 2, 11, 8), (11, 11, 2, 11, 8)),
     }
 
     @pytest.mark.parametrize("evict", [True, False])
@@ -335,8 +368,8 @@ class TestEviction:
 
     @pytest.mark.parametrize("evict, first, second, computed", [
         *[(evict, None, root, computed) for evict in (True, False) for root, computed in (
-            (torus(9, 9), 1023), (torus(7, 11), 1857),
-            (pair_validate("0001000000", "0000001000"), 2902))],
+            (torus(9, 9), 1023), (torus(7, 11), 874),
+            (pair_validate("0001000000", "0000001000"), 2208))],
         (False, torus(8, 8), torus(9, 9), 512),  # the second query on a keeping table
     ])
     def test_each_computed_pair_is_put_once(self, monkeypatch, evict, first, second, computed):
