@@ -22,8 +22,8 @@ SYMMETRY_RANDOM_COUNT = 200
 SYMMETRY_RANDOM_MAX_LEN = 16
 TORUS_MAX = 6  # positivity and parity also run T(m,n), m, n <= TORUS_MAX
 LEMMA53_RANDOM_COUNT = 100
-LEMMA53_RANDOM_R_MAX = 5
-LEMMA53_RANDOM_LEN_MAX = 6
+LEMMA53_RANDOM_R_MAX = 6
+LEMMA53_RANDOM_LEN_MAX = 7
 UNKNOT_M_MAX = 12
 
 

@@ -701,7 +701,13 @@ class GradedSeries:
     N(1, 1, 1) = 0: its coefficients sum to 0.  A numerator whose sum is
     not 0 is divisible by no factor, and a sum reads it as the residue of
     its packed digits mod 2**B - 1 (`_digit_sum_residue`, one fold), so
-    it tries the divisions only when that residue is 0.
+    it tries the divisions only when that residue is 0.  In the recursion
+    no sum divides, by induction: every denominator is a power of the one
+    factor 1 - q (a base case gives (1 - q)^n, rule 2 and the renamings
+    keep it, the all-zeros rule adds one), so rule 5's least common
+    denominator is one summand's own, that summand is never cleared, and
+    the numerator sums at Q = A = T = 1 to S(1v,1w) + S(0v,0w), or to the
+    uncleared summand's sum alone, which is above 0.
     """
 
     __slots__ = ("num", "den")

@@ -754,7 +754,7 @@ class TestCheckFailurePath:
         for line in ("[FAIL] lemma53 exhaustive r<=2 N<=2 (139 identities)",
                      "[FAIL] lemma53 random x100 seed=0"):
             assert f"\n{line}\n" in out
-        assert "\n[FAIL] lemma53 random r=" in out and out.endswith("\n0/450 checks passed\n")
+        assert "\n[FAIL] lemma53 random r=" in out and out.endswith("\n0/511 checks passed\n")
 
     # a misread w is rebuilt into another filling, or cannot be rebuilt at all
     @pytest.mark.parametrize("misread, failures", [

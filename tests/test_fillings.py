@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 import torhom.fillings as fillings
 import torhom.recursion as recursion
 import torhom.ring as ring
+from torhom.checks import suite_lemma53
 from torhom.fillings import (
     AdmissibilityError,
     FillArgError,
@@ -209,6 +211,31 @@ class TestIdentities:
         monkeypatch.setitem(recursion.RULES, RuleTag.Rule2_bothEndOne, wrong)
         failed = [c.name for c in verify_lemma53(2, (0, 1)) if not c.passed]
         assert failed == ["L1", "K1a[k=1]", "K1a[k=0]"]
+
+    def test_check_lemma53_random_block_draws_the_wider_scan(self, monkeypatch):
+        # the 100 sigmas of random.Random(0) at r <= 6 and N <= 7, drawn r, then N,
+        # then the entries, written out so that a change to the suite's draws fails here
+        rng = random.Random(0)
+        want = []
+        for _ in range(100):
+            r = rng.randint(1, 6)
+            n = rng.randint(0, 7)
+            want.append((r, tuple(rng.randint(0, r) for _ in range(n))))
+        seen = []
+
+        def recording(r, sigma, memo=None):
+            checks = verify_lemma53(r, sigma, memo)
+            seen.append((r, sigma, len(checks)))
+            return checks
+
+        monkeypatch.setattr(fillings, "verify_lemma53", recording)
+        results = suite_lemma53(r_max=1, length=0)
+        assert [line for line, _, _ in results] == [
+            "lemma53 exhaustive r<=1 N<=0 (5 identities)", "lemma53 random x100 seed=0"]
+        assert all(passed for _, passed, _ in results)
+        assert seen[0] == (1, (), 5)  # the exhaustive block's one sigma
+        assert [(r, sigma) for r, sigma, _ in seen[1:]] == want
+        assert sum(count for _, _, count in seen[1:]) == 1268
 
     def test_no_product_of_two_series_is_formed(self, monkeypatch):
         want = torus_link_homology(TorusLinkSpec(6, 6), MemoTable())

@@ -101,6 +101,24 @@ class TestKnownValues:
             s = eval_p(pair_validate(v, w), memo)
             assert set(s.den.as_dict()) <= {1}
 
+    def test_no_value_is_divisible_by_a_factor(self):
+        # the induction in GradedSeries's docstring: every stored value is over a power
+        # of 1 - q alone, and its numerator's coefficients, like a colored value's,
+        # sum to more than 0, so no factor 1 - q t^{1-i} (0 at q = t = 1) divides it
+        memo = MemoTable()
+        for m in range(1, 8):
+            for n in range(1, 8):
+                eval_p(torus(m, n), memo)
+        eval_p(pair_validate("0001000000", "0000001000"), memo)
+        eval_p(pair_validate("0110100", "1001010"), memo)
+        colored = [links.colored_torus_homology(m, n, l, memo=memo)
+                   for m, n, l in ((2, 3, 2), (2, 3, 3), (3, 5, 2))]
+        fillings.g_sigma(fillings.SigmaSeq.of(5, (3, 0, 1, 5)), memo)
+        stored = list(memo.values())
+        assert len(stored) == 2786
+        assert all(set(s.den.as_dict()) <= {1} for s in stored)
+        assert all(sum(s.num.terms.values()) > 0 for s in stored + colored)
+
 
 class TestDeterminism:
     def test_fresh_tables_agree(self):
