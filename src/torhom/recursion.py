@@ -139,14 +139,15 @@ RULES: Dict[RuleTag, Rule] = {
 class MemoTable:
     """Map SeqPair -> GradedSeries with hit and miss counters.
 
-    `get` counts one lookup; eval_p takes a query's hits, misses and
-    deepest stack from its plan and folds them in once per call.
+    `get` counts one lookup; eval_p counts a query's hits, misses and
+    deepest stack from the steps of its plan, once per call.  A hit is a
+    read of a pair that was stored, or planned earlier in the query.
     `load_s` and `save_s` are the seconds the last load and save took;
     `peak_entries` is the most entries held at once.
 
     An evicting table (`evict=True`) keeps of each query only what the
-    query asked for: eval_p drops every other entry it computed as soon
-    as the last pair that needs it has been combined.  Entries stored
+    query asked for: eval_p drops every other entry it computed right
+    after the last step that reads it.  Entries stored
     before the query started, loaded or computed, are never dropped.  A
     table made without `evict` keeps every entry, so queries that share
     it reuse each other's work.  Either way a pair of rule 3 or 4, which
@@ -216,11 +217,6 @@ class MemoTable:
     @property
     def peak_entries(self) -> int:
         return max(self._peak, len(self._table))
-
-    def record(self, hits: int, misses: int, depth: int) -> None:
-        self.hits += hits
-        self.misses += misses
-        self.max_depth = max(self.max_depth, depth)
 
     def __len__(self) -> int:
         return len(self._table)
@@ -336,27 +332,27 @@ def _decode_series(line: memoryview) -> GradedSeries:
 Step = Tuple[SeqPair, str, Callable, Tuple[str, ...]]  # pair, key, combine, children's keys
 
 
-def _plan(pair: SeqPair, memo: MemoTable) -> Tuple[List[Step], Dict[str, int], int, int]:
+def _plan(pair: SeqPair, memo: MemoTable) -> Tuple[Dict[str, Step], int]:
     """One post-order walk from `pair`, its rule's first child first.
 
-    Returns, for `pair` and every pair below it that `memo` does not hold
-    and whose rule combines, the pair, its key, its rule's combine step
-    and its children's keys, in an order in which each pair follows its
-    children; for an evicting memo, how many parents each of those pairs
-    but `pair` has among them; the hits, a reference to a pair stored
-    before the walk or already planned; and the deepest stack.  The walk
-    does not descend into a stored pair, and a stored pair gets no count,
-    so eviction never drops it; a stored pair still held as its cache
-    line is decoded in place.
+    Returns the steps and the deepest stack.  The steps are keyed by pair,
+    in an order in which each pair follows its children: for `pair` and
+    every pair below it that `memo` does not hold and whose rule combines,
+    the pair, its key, its rule's combine step and its children's keys.
+    The walk does not descend into a stored pair; a stored pair still held
+    as its cache line is decoded in place.  The walk counts nothing: the
+    memo's counters and an evicting memo's drops follow from the steps
+    (see `eval_p`).
 
     Renamings.  Rules 3 and 4 hand their one child's value on: their
     combine is `_same`.  A child whose rule's combine is `_same` is
     followed down its chain of such rules to the first pair that is
-    stored or whose rule combines, and that pair's key stands for the
-    child; debug mode asserts that each hop descends.  So a renaming is
-    neither a step nor an entry, except the query's root, which is
-    planned with `_same` so that it is stored under its own key.  A rule
-    whose combine is not `_same` is planned as a step, whatever its tag.
+    stored, planned, or whose rule combines, and that pair's key stands
+    for the child; debug mode asserts that each hop descends.  So a
+    renaming is neither a step nor an entry, except the query's root,
+    which is planned with `_same` so that it is stored under its own key.
+    A rule whose combine is not `_same` is planned as a step, whatever
+    its tag.
 
     Each pair is planned once.  Only rule 5 has two children, and its
     second (0v, 0w) waits on the stack, as the end X of its chain, while
@@ -366,12 +362,11 @@ def _plan(pair: SeqPair, memo: MemoTable) -> Tuple[List[Step], Dict[str, int], i
     there.  A hop shortens the pair, so a chain's end can lie below the
     first child (both children of (10, 100) reach (1, 1)); the walk then
     pushes X again and plans it there, and the copy left on the stack
-    finds X planned at its first visit and counts as a hit.  Debug mode
-    asserts that only the end of a chain is pushed twice.
+    finds X planned at its first visit.  Debug mode asserts that only the
+    end of a chain is pushed twice.
     """
     steps: Dict[str, Step] = {}
-    parents: Dict[str, int] = {}
-    table, hits, depth, evict, debug = memo._table, 0, 1, memo.evict, ring.DEBUG_DESCENT
+    table, depth, debug = memo._table, 1, ring.DEBUG_DESCENT
     chained = set()  # debug mode: every pair a chain reached
     # a pair's first visit carries its rule and no keys; its second, its step
     todo: list = [(pair, pair.key(), RULES[classify_rule(pair)], None)]
@@ -384,7 +379,6 @@ def _plan(pair: SeqPair, memo: MemoTable) -> Tuple[List[Step], Dict[str, int], i
         if key in steps:  # a chain's end, planned since it was pushed
             if debug:
                 assert key in chained, ("pushed twice", current)
-            hits += 1
             continue
         children_of, combine = rule
         at, keys = len(todo), []
@@ -397,6 +391,7 @@ def _plan(pair: SeqPair, memo: MemoTable) -> Tuple[List[Step], Dict[str, int], i
             while stored is None and child_key not in steps:
                 rule = RULES[classify_rule(child)]
                 if rule.combine is not _same:
+                    todo.append((child, child_key, rule, None))
                     break
                 below, = rule.children(child)
                 if debug:  # a chain that did not descend would never end
@@ -404,24 +399,14 @@ def _plan(pair: SeqPair, memo: MemoTable) -> Tuple[List[Step], Dict[str, int], i
                     chained.add(below.key())
                 child, child_key = below, below.key()
                 stored = table.get(child_key)
-            else:  # a hit: stored, or planned already
-                keys.append(child_key)
-                hits += 1
-                if stored is None:
-                    if evict:
-                        parents[child_key] += 1
-                elif isinstance(stored, memoryview):
-                    memo._decode(child_key, stored)
-                continue
+            if isinstance(stored, memoryview):
+                memo._decode(child_key, stored)
             keys.append(child_key)
-            if evict:
-                parents[child_key] = parents.get(child_key, 0) + 1
-            todo.append((child, child_key, rule, None))
         if len(todo) > depth:
             depth = len(todo)
         keys.reverse()
         todo[at] = (current, key, combine, tuple(keys))
-    return list(steps.values()), parents, hits, depth
+    return steps, depth
 
 
 def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
@@ -429,43 +414,45 @@ def eval_p(pair: SeqPair, memo: Optional[MemoTable] = None) -> GradedSeries:
 
     Each planned pair's combine step reads its children's values from the
     table by the keys in its step and stores the pair's value through
-    `memo.put`; an evicting memo then drops each child whose last parent
-    this was.  The plan's hits, its pairs (each a miss) and its deepest
-    stack reach the memo's counters once.  Base cases are packed in the
-    layout `query_layout(pair)`, so every sum built from them shares it; a
-    stored value from another layout (a cache file, an earlier query) is
-    repacked by the first sum that meets it.  Without a memo, the query
-    gets an evicting one of its own.
+    `memo.put`.  An evicting memo then drops each planned pair read by
+    this step and by no later one; a pair stored before the query is
+    never dropped.  The counters follow from the steps: every pair but
+    the root was planned by one read of it, a miss, so every other read
+    is a hit; each step is a miss; the walk's deepest stack is the
+    query's depth.  Base cases are packed in the layout
+    `query_layout(pair)`, so every sum built from them shares it; a stored
+    value from another layout (a cache file, an earlier query) is repacked
+    by the first sum that meets it.  Without a memo, the query gets an
+    evicting one of its own.
     """
     if memo is None:
         memo = MemoTable(evict=True)
     cached = memo.peek(pair)
     if cached is not None:
-        memo.record(1, 0, 0)
+        memo.hits += 1
         return cached
     layout = query_layout(pair)
-    steps, parents, hits, depth = _plan(pair, memo)
+    steps, depth = _plan(pair, memo)
     table, put, evict, debug = memo._table, memo.put, memo.evict, ring.DEBUG_DESCENT
     read, peak = table.__getitem__, memo._peak
-    for current, _, combine, keys in steps:
-        if debug:
-            for key in keys:  # read only while a parent still needs it
-                assert parents.get(key, 1) > 0, ("evicted", current, key)
+    if evict:  # each planned pair -> the index of the last step that reads it
+        last = {key: i for i, (_, _, _, keys) in enumerate(steps.values())
+                for key in keys if key in steps}
+    for i, (current, _, combine, keys) in enumerate(steps.values()):
         value = combine(current, [*map(read, keys)], layout)
         if debug:
             assert value.num.within(*layout), (current, layout)
         put(current, value)
         if evict:
             for key in keys:
-                left = parents.get(key)
-                if left is not None:  # computed by this query
-                    parents[key] = left - 1
-                    if left == 1:
-                        if len(table) > peak:  # only a drop lowers the count
-                            peak = len(table)
-                        del table[key]
+                if last.get(key) == i:
+                    if len(table) > peak:  # only a drop lowers the count
+                        peak = len(table)
+                    del table[key]
     memo._peak = peak
-    memo.record(hits, len(steps), depth)
+    memo.hits += sum([len(step[3]) for step in steps.values()]) - len(steps) + 1
+    memo.misses += len(steps)
+    memo.max_depth = max(memo.max_depth, depth)
     return value
 
 

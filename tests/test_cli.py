@@ -772,6 +772,35 @@ class TestCheckFailurePath:
                                   "[PASS] rotation matches sequence rules  (0 failures)\n"
                                   "2/3 checks passed\n")
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_paper_values_lists_each_wrong_colored_value(self, capsys, monkeypatch, extra):
+        # a copy of links.colored_torus_homology with `extra` more factors
+        # 1 - q in its denominator; without one it is faithful
+        def colored(m, n, l, order="theorem", memo=None):
+            value = recursion.eval_p(links.colored_sequences(m, n, l, order), memo)
+            return value.with_extra_denominator({i: 1 + extra * (i == 1) for i in range(1, l + 1)})
+
+        monkeypatch.setattr(links, "colored_torus_homology", colored)
+        code, out, _ = run(capsys, ["check", "paper-values"])
+        if not extra:
+            assert (code, out.count("[FAIL]")) == (0, 0) and out.endswith("\n7/7 checks passed\n")
+            return
+        assert code == 1
+        assert out.startswith("[PASS] T(4,6) tabulated series\n"
+                              "[FAIL] colored unknot l=1\n[FAIL] colored unknot l=2\n"
+                              "[FAIL] colored unknot l=3\n[FAIL] colored unknot l=4\n"
+                              "[FAIL] colored trefoil equals the display  (no match)\n"
+                              "[PASS] sigma example v/w  (")
+        assert out.count("[FAIL]") == 5 and out.endswith("\n2/7 checks passed\n")
+
+    def test_unknot_family_lists_the_wrong_value(self, capsys, monkeypatch):
+        self.scale_values(monkeypatch, lambda pair: pair.key() == "000|0", qat_monomial(1, 0, 0))
+        code, out, _ = run(capsys, ["check", "unknot-family"])
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == \
+            ["[FAIL] p(0^3, 0) = (1+a)/(1-q)"]
+        assert out.endswith("\n11/12 checks passed\n")
+
     def test_suite_names_are_the_suites(self):
         # the parser's choices are kept in cli.py, so that importing it skips checks
         import torhom.checks as checks

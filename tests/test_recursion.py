@@ -2,12 +2,13 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import torhom.recursion as recursion
 import torhom.ring as ring
-from torhom import checks, fillings, links
+from torhom import checks, cli, fillings, links
 from torhom.recursion import (
     MemoTable,
     RuleTag,
@@ -170,12 +171,14 @@ class TestDeterminism:
         # waits on the stack while the first child's walk plans it
         monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
         root = pair_validate("10", "100")
-        steps, parents, hits, _ = recursion._plan(root, MemoTable(evict=evict))
-        assert [key for _, key, _, _ in steps] == ["|", "1|1", "11|11", "10|100"]
-        assert [keys for _, _, _, keys in steps][-1] == ("11|11", "1|1")
-        assert hits == 1 and parents == ({"1|1": 2, "11|11": 1, "|": 1} if evict else {})
+        steps, _ = recursion._plan(root, MemoTable(evict=evict))
+        assert [key for _, key, _, _ in steps.values()] == list(steps) == \
+            ["|", "1|1", "11|11", "10|100"]
+        assert [keys for _, _, _, keys in steps.values()][-1] == ("11|11", "1|1")
+        assert readers(steps) == {"1|1": 2, "11|11": 1, "|": 1}
         memo = MemoTable(evict=evict)
         assert eval_p(root, memo) == eval_p(root, MemoTable())
+        assert (memo.hits, memo.misses) == (1, 4)
         assert sorted(memo._table) == (["10|100"] if evict else ["10|100", "11|11", "1|1", "|"])
 
     def test_debug_mode_trips_on_a_pair_pushed_twice(self, monkeypatch):
@@ -204,6 +207,28 @@ class TestDeterminism:
 
 def torus(m, n):
     return pair_validate("0" * m, "0" * n)
+
+
+def readers(steps):
+    """How many steps of a plan read each planned pair."""
+    return Counter(key for _, _, _, keys in steps.values() for key in keys if key in steps)
+
+
+def queried(memo, *pairs):
+    for pair in pairs:
+        eval_p(pair, memo)
+    return memo
+
+
+def saved_by_the_cli(path):
+    """The file `torhom torus 6 6 --cache` writes: its result alone."""
+    assert cli.main(["torus", "6", "6", "--cache", path]) == 0
+    return path
+
+
+def saved_by_a_keeping_table(path, pair):
+    queried(MemoTable(path), pair).save()
+    return path
 
 
 def payload_bytes(series):
@@ -384,6 +409,30 @@ class TestEviction:
         assert (len(memo), memo.peak_entries, memo.hits, memo.misses, memo.max_depth) == \
             (evicting if evict else keeping)
 
+    # the same counters after the last query, on a table that holds pairs
+    # before it: stored by an earlier query, or loaded from a cache file
+    STORED_COUNTERS = {
+        "keeping: T(8,8), T(9,9)": (
+            lambda path: queried(MemoTable(), torus(8, 8), torus(9, 9)),
+            (1023, 1023, 503, 1023, 24)),
+        "evicting, loaded from `torus 6 6 --cache`: T(7,7)": (
+            lambda path: queried(MemoTable(saved_by_the_cli(path), evict=True), torus(7, 7)),
+            (2, 40, 120, 254, 21)),
+        "evicting, loaded from a keeping table's T(6,6): T(7,7)": (
+            lambda path: queried(MemoTable(saved_by_a_keeping_table(path, torus(6, 6)), evict=True),
+                                 torus(7, 7)),
+            (128, 135, 64, 128, 14)),
+        "keeping: every pair of length <= 5": (
+            lambda path: queried(MemoTable(), *checks._valid_pairs(5)),
+            (923, 923, 1138, 923, 10)),
+    }
+
+    @pytest.mark.parametrize("name", list(STORED_COUNTERS))
+    def test_counters_of_queries_that_read_stored_pairs(self, tmp_path, name):
+        queries, counters = self.STORED_COUNTERS[name]
+        memo = queries(str(tmp_path / "memo.tsv"))
+        assert (len(memo), memo.peak_entries, memo.hits, memo.misses, memo.max_depth) == counters
+
     @pytest.mark.parametrize("evict, first, second, computed", [
         *[(evict, None, root, computed) for evict in (True, False) for root, computed in (
             (torus(9, 9), 1023), (torus(7, 11), 874),
@@ -441,8 +490,8 @@ class TestEviction:
 
     def test_a_loaded_entry_survives_a_query_that_reads_it(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
-        _, parents, _, _ = recursion._plan(torus(5, 5), MemoTable(evict=True))
-        shared = min(key for key, count in parents.items() if count > 1)
+        steps, _ = recursion._plan(torus(5, 5), MemoTable(evict=True))
+        shared = min(key for key, count in readers(steps).items() if count > 1)
         path = str(tmp_path / "memo.tsv")
         memo = MemoTable(path=path, evict=True)
         eval_p(pair_validate(*shared.split("|")), memo)
@@ -450,23 +499,23 @@ class TestEviction:
         memo = MemoTable(path=path, evict=True)
         got = eval_p(torus(5, 5), memo)
         assert sorted(memo._table) == sorted([shared, torus(5, 5).key()])
-        assert memo.hits >= parents[shared] and memo.misses < 63
+        assert memo.hits >= readers(steps)[shared] and memo.misses < 63
         assert payload_bytes(got) == payload_bytes(eval_p(torus(5, 5), MemoTable()))
         memo.save()
         assert MemoTable(path=path).peek(torus(5, 5)) == got
 
-    def test_debug_mode_trips_on_reading_an_evicted_entry(self, monkeypatch):
-        plan = recursion._plan
-
-        def one_parent_short(pair, memo):
-            steps, parents, hits, depth = plan(pair, memo)
-            parents[min(key for key, n in parents.items() if n > 1)] -= 1
-            return steps, parents, hits, depth
-
-        monkeypatch.setattr(recursion, "_plan", one_parent_short)
-        monkeypatch.setattr(ring, "DEBUG_DESCENT", True)
-        with pytest.raises(AssertionError, match="evicted"):
-            eval_p(torus(5, 5), MemoTable(evict=True))
+    def test_loaded_entries_and_the_root_are_all_an_evicting_table_keeps(self, tmp_path):
+        # each pair of length <= 5 on a fresh evicting table loaded with a
+        # keeping table's T(4,4): every pair it computed but the root goes
+        path = saved_by_a_keeping_table(str(tmp_path / "memo.tsv"), torus(4, 4))
+        loaded = set(MemoTable(path)._table)
+        assert len(loaded) == 31
+        keeping = MemoTable()
+        for pair in checks._valid_pairs(5):
+            memo = MemoTable(path, evict=True)
+            got = eval_p(pair, memo)
+            assert set(memo._table) == loaded | {pair.key()}, pair
+            assert series_json(got) == series_json(eval_p(pair, keeping)), pair
 
 
 class TestPersistence:
